@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Sweep all double-commutator exponent tuples in a box and certify each.
 
-Writes one certificate per tuple as JSON and prints a summary.  Every
+Writes one certificate per tuple as JSON and prints a summary and the
+sha256 of the written file, so sweeps can be compared by digest.  Every
 certificate is re-verified by the independent checker before it is
 written; the exit code is nonzero if any nontrivial tuple stays
 inconclusive or any check fails.
 """
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -41,10 +43,9 @@ def main() -> int:
         for params, reason in failures:
             print(f"CHECK FAILED for {params}: {reason}", file=sys.stderr)
 
-    args.out.write_text(
-        json.dumps([c.to_json() for c in certs], indent=2, sort_keys=True)
-    )
-    print(f"wrote {args.out}")
+    data = json.dumps([c.to_json() for c in certs], indent=2, sort_keys=True).encode()
+    args.out.write_bytes(data)
+    print(f"wrote {args.out} (sha256 {hashlib.sha256(data).hexdigest()})")
 
     inconclusive = counts.get("Inconclusive", 0)
     return 1 if (failures or inconclusive) else 0

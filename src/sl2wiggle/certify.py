@@ -27,7 +27,13 @@ import mpmath
 from .errors import PrecisionExhaustedError, TrivialWordError
 from .exact.laurent import LaurentPoly
 from .exact.mat2 import Mat2, mat2_q
-from .exact.qpoly import QPoly, factor_cubic_or_less, gcd_q, squarefree_without
+from .exact.qpoly import (
+    QPoly,
+    factor_cubic_or_less,
+    gcd_q,
+    mpf_to_fraction,
+    squarefree_without,
+)
 from .exact.tpoly import TPoly
 from .wiggle import (
     AssocPolys,
@@ -460,15 +466,6 @@ class Witness:
         return data
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    # plain ints: the mantissa is an mpz when mpmath runs on the gmpy backend
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    value = Fraction(int(man)) * (Fraction(2) ** int(exp))
-    return -value if sign else value
-
-
 def _eval_mp(poly: QPoly, z):
     acc = mpmath.mpc(0)
     for c in reversed(poly.coeffs):
@@ -569,7 +566,7 @@ def _numeric_witness(
             resid_tr = abs(u11 + u22 - 2)
             resid_det = abs(u11 * u22 - u12 * u21 - 1)
             measured = max(resid_tr, resid_det)
-            bound = 2 * _mpf_to_fraction(mpmath.mpf(measured)) + Fraction(
+            bound = 2 * mpf_to_fraction(mpmath.mpf(measured)) + Fraction(
                 1, 10 ** (precision_digits + 10)
             )
             if bound > target:

@@ -69,6 +69,8 @@ def _parse_grid(text: str) -> list[DCParams]:
     for part in parts:
         lo, _, hi = part.partition(":")
         lo, hi = int(lo), int(hi or lo)
+        if hi < lo:
+            raise ValueError(f"empty range {part.strip()} in --grid")
         ranges.append(range(lo, hi + 1))
     out = []
     for k in ranges[0]:
@@ -274,6 +276,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValueError("--lambda and --mu must be given together")
     if config.lam0 == 0 or config.mu0 == 0:
         raise ValueError("--lambda and --mu must be nonzero")
+    # lambda = +-1 makes every double commutator's prefactor vanish
+    if args.command in ("certify", "witness") and config.lam0 is not None:
+        if abs(config.lam0) == 1 or abs(config.mu0) == 1:
+            raise ValueError("--lambda and --mu must not be 1 or -1 for " + args.command)
+    if args.precision < 1:
+        raise ValueError("--precision must be at least 1 digit")
+    if args.max_attempts < 1:
+        raise ValueError("--max-attempts must be at least 1")
     config.seed = args.seed
     config.precision_digits = args.precision
     config.max_attempts = args.max_attempts
@@ -284,6 +294,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ValueError("--g needs four entries a,b,c,d")
         config.g_entries = tuple(entries)
     config.count = getattr(args, "count", 20)
+    if config.count < 1:
+        raise ValueError("--count must be at least 1")
     return config
 
 

@@ -8,7 +8,7 @@ root machinery behind the certification pipeline.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd, isqrt
+from math import gcd as int_gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from ..errors import InexactDivisionError
@@ -46,6 +46,11 @@ class QPoly:
     @classmethod
     def t(cls) -> "QPoly":
         return cls([0, 1])
+
+    @classmethod
+    def from_ints(cls, coeffs: Sequence[int], den: int = 1) -> "QPoly":
+        """The polynomial with coefficients c / den for integers c."""
+        return _wrap([Fraction(c, den) for c in coeffs])
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -172,17 +177,8 @@ class QPoly:
         """Integer-primitive scalar multiple with a positive leading coefficient."""
         if not self:
             return self
-        denom_lcm = 1
-        for c in self._coeffs:
-            denom_lcm = denom_lcm * c.denominator // int_gcd(denom_lcm, c.denominator)
-        ints = [int(c * denom_lcm) for c in self._coeffs]
-        content = 0
-        for v in ints:
-            content = int_gcd(content, abs(v))
-        ints = [v // content for v in ints]
-        if ints[-1] < 0:
-            ints = [-v for v in ints]
-        return _wrap([Fraction(v) for v in ints])
+        ints = _primitive_ints(self)
+        return QPoly.from_ints(ints if ints[-1] > 0 else [-v for v in ints])
 
     def squarefree_part(self) -> "QPoly":
         """Monic product of the distinct irreducible factors."""
@@ -293,26 +289,71 @@ def _real_root_approximations(p: QPoly) -> list[Fraction]:
         except mpmath.libmp.NoConvergence:
             return []
         eps = mpmath.mpf(10) ** (-digits - 20)
-        out = []
-        for r in roots:
-            z = mpmath.mpc(r)
-            if abs(z.imag) < eps:
-                # plain ints: the mantissa is an mpz on the gmpy backend
-                sign, man, exp, _ = z.real._mpf_
-                if man:
-                    value = Fraction(int(man)) * Fraction(2) ** int(exp)
-                    out.append(-value if sign else value)
-        return out
+        reals = (mpmath.mpc(r) for r in roots)
+        return [mpf_to_fraction(z.real) for z in reals if abs(z.imag) < eps]
+
+
+def mpf_to_fraction(x) -> Fraction:
+    """The exact value of an mpmath mpf."""
+    # plain ints: the mantissa is an mpz when mpmath runs on the gmpy backend
+    sign, man, exp, _ = x._mpf_
+    if man == 0:
+        return _ZERO
+    value = Fraction(int(man)) * (Fraction(2) ** int(exp))
+    return -value if sign else value
+
+
+def _primitive(coeffs: list[int]) -> list[int]:
+    g = int_gcd(*coeffs)
+    return [c // g for c in coeffs]
+
+
+def _primitive_ints(f: QPoly) -> list[int]:
+    """The primitive integer polynomial that is a rational multiple of f != 0."""
+    den = lcm(*(c.denominator for c in f.coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in f.coeffs])
+
+
+def _primitive_prem(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of a nonzero multiple of a mod b, with deg a >= deg b.
+
+    Each step scales a by lc(b)/g and subtracts (lc(a)/g) t^k b for
+    g = gcd(lc(a), lc(b)), so only integers occur.
+    """
+    lb, db = b[-1], len(b) - 1
+    rem = list(a)
+    while len(rem) > db:
+        la = rem.pop()
+        g = int_gcd(la, lb)
+        sa, sb = lb // g, la // g
+        shift = len(rem) - db
+        if sa != 1:
+            rem = [sa * c for c in rem]
+        for j in range(db):
+            rem[shift + j] -= sb * b[j]
+        while rem and not rem[-1]:
+            rem.pop()
+    return _primitive(rem) if rem else rem
 
 
 def gcd_q(f: QPoly, g: QPoly) -> QPoly:
-    """Monic greatest common divisor over the rationals."""
+    """Monic greatest common divisor over the rationals.
+
+    Runs a primitive remainder sequence over the integers (Brown 1971):
+    every remainder is reduced to its primitive part, so coefficients stay
+    as small as the gcd allows instead of growing as in rational Euclid.
+    """
     if not f and not g:
         raise ValueError("gcd of two zero polynomials")
-    a, b = f, g
-    while b:
-        a, b = b, a % b
-    return a.monic()
+    a = _primitive_ints(f) if f else []
+    b = _primitive_ints(g) if g else []
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        a, b = b, _primitive_prem(a, b)
+    if b:
+        return QPoly.one()
+    return QPoly.from_ints(a, a[-1])
 
 
 def resultant_q(f: QPoly, g: QPoly) -> Fraction:

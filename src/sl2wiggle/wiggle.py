@@ -21,6 +21,7 @@ from typing import Callable, Sequence, Union
 from .errors import NotUnimodularError, ZeroParameterError
 from .exact.laurent import LaurentPoly
 from .exact.mat2 import Mat2, identity_q, xi_of
+from .exact.polycore import add, scale
 from .exact.qpoly import QPoly
 from .exact.tpoly import TPoly
 from .words import (
@@ -98,22 +99,15 @@ class IdentityReport:
 # transfer matrices
 
 
-def _x_step(invert_params: bool) -> Mat2[TPoly]:
+def _steps(invert_params: bool) -> tuple[Mat2[TPoly], Mat2[TPoly]]:
+    """Transfer matrices of x and y; their powers are the run matrices."""
     lam = LaurentPoly.lam(-1 if invert_params else 1)
-    lam_inv = lam.unit_inverse()
-    xbar_t = TPoly([LaurentPoly.zero(), lam - lam_inv])
-    return Mat2(TPoly.const(lam), xbar_t, TPoly.zero(), TPoly.const(lam_inv))
-
-
-def _y_step(invert_params: bool) -> Mat2[TPoly]:
     mu = LaurentPoly.mu(-1 if invert_params else 1)
-    mu_inv = mu.unit_inverse()
-    return Mat2(
-        TPoly.const(mu),
-        TPoly.zero(),
-        TPoly.const(mu - mu_inv),
-        TPoly.const(mu_inv),
-    )
+    lam_inv, mu_inv = lam.unit_inverse(), mu.unit_inverse()
+    zero = TPoly.zero()
+    x_step = Mat2(TPoly.const(lam), TPoly([0, lam - lam_inv]), zero, TPoly.const(lam_inv))
+    y_step = Mat2(TPoly.const(mu), zero, TPoly.const(mu - mu_inv), TPoly.const(mu_inv))
+    return x_step, y_step
 
 
 _T_IDENTITY = Mat2(TPoly.one(), TPoly.zero(), TPoly.zero(), TPoly.one())
@@ -131,27 +125,56 @@ def as_pairs(w: WordLike) -> Pairs:
     return tuple((int(a), int(b)) for a, b in w)
 
 
-def transfer_matrix(
-    w: WordLike,
-    invert_params: bool = False,
-    cancel: Callable[[], bool] | None = None,
-) -> Mat2[TPoly]:
-    """Product of per-run transfer matrices, applied rightmost run first."""
-    x_step = _x_step(invert_params)
-    y_step = _y_step(invert_params)
+def transfer_matrix(w: WordLike, invert_params: bool = False) -> Mat2[TPoly]:
+    """Product of per-run transfer matrices, applied rightmost run first;
+    the identity checks and the tests' reference for the column recursion."""
+    x_step, y_step = _steps(invert_params)
     m = _T_IDENTITY
     for a, b in as_pairs(w):
-        if cancel is not None and cancel():
-            raise CancelledError("symbolic computation cancelled")
         m = y_step.pow_det1(b, _T_IDENTITY) * x_step.pow_det1(a, _T_IDENTITY) * m
     return m
+
+
+def _first_column(pairs, x_run, y_run, one, zero) -> tuple[list, list]:
+    """First column (alpha, beta) of the transfer product, in closed form.
+
+    x_run(a) and y_run(b) give (U, V) with U/V = lambda^2a resp. mu^2b; up
+    to the scalar sqrt(UV) the runs act by
+
+        x^a:  alpha <- U*alpha + (U - V)*t*beta,   beta <- V*beta
+        y^b:  alpha <- U*alpha,   beta <- (U - V)*alpha + V*beta.
+
+    Over the Laurent ring U, V = lambda^a, lambda^-a and the scalar is 1;
+    over Z[t] U, V = P^2, Q^2 for lambda^a = P/Q and the scalar is PQ.
+    """
+    alpha, beta = [one], []
+    for a, b in pairs:
+        if a:
+            u, v = x_run(a)
+            alpha = add(scale(alpha, u), scale([zero] + beta, u - v))
+            beta = scale(beta, v)
+        if b:
+            u, v = y_run(b)
+            beta = add(scale(alpha, u - v), scale(beta, v))
+            alpha = scale(alpha, u)
+    return alpha, beta
 
 
 def assoc_polys(w: WordLike, cancel: Callable[[], bool] | None = None) -> AssocPolys:
     """Compute (alpha, beta) for a word, cyclic form or explicit run list."""
     pairs = as_pairs(w)
-    m = transfer_matrix(pairs, cancel=cancel)
-    return AssocPolys(alpha=m.e11, beta=m.e21, pairs=pairs)
+    runs = pairs if cancel is None else _cancellable(pairs, cancel)
+    x_run = lambda a: (LaurentPoly.lam(a), LaurentPoly.lam(-a))
+    y_run = lambda b: (LaurentPoly.mu(b), LaurentPoly.mu(-b))
+    alpha, beta = _first_column(runs, x_run, y_run, LaurentPoly.one(), LaurentPoly.zero())
+    return AssocPolys(alpha=TPoly(alpha), beta=TPoly(beta), pairs=pairs)
+
+
+def _cancellable(pairs: Pairs, cancel: Callable[[], bool]):
+    for pair in pairs:
+        if cancel():
+            raise CancelledError("symbolic computation cancelled")
+        yield pair
 
 
 def gamma_of(ap: AssocPolys) -> TPoly:
@@ -221,7 +244,8 @@ def eval_normal_form(ap: AssocPolys, lam0, mu0, g: Mat2[Fraction]) -> WiggleValu
 
 @dataclass(frozen=True)
 class SpecializedAssoc:
-    """(alpha, beta) and their sigma-partners at a fixed rational (lam, mu)."""
+    """(alpha, beta), their sigma-partners, gamma = alpha + beta*t, its
+    sigma-partner and the trace, all at a fixed rational (lam, mu)."""
 
     lam0: Fraction
     mu0: Fraction
@@ -229,66 +253,41 @@ class SpecializedAssoc:
     beta: QPoly
     alpha_sigma: QPoly
     beta_sigma: QPoly
-
-    @property
-    def gamma(self) -> QPoly:
-        return self.alpha + self.beta * QPoly.t()
-
-    @property
-    def gamma_sigma(self) -> QPoly:
-        return self.alpha_sigma + self.beta_sigma * QPoly.t()
-
-    @property
-    def trace(self) -> QPoly:
-        return self.gamma + self.gamma_sigma
+    gamma: QPoly
+    gamma_sigma: QPoly
+    trace: QPoly
 
 
-def _spec_steps(lam0: Fraction, mu0: Fraction) -> tuple[Mat2[QPoly], Mat2[QPoly]]:
-    zero, t = QPoly.zero(), QPoly.t()
-    x_step = Mat2(
-        QPoly.const(lam0),
-        t * (lam0 - 1 / lam0),
-        zero,
-        QPoly.const(1 / lam0),
-    )
-    y_step = Mat2(
-        QPoly.const(mu0),
-        zero,
-        QPoly.const(mu0 - 1 / mu0),
-        QPoly.const(1 / mu0),
-    )
-    return x_step, y_step
+def _int_run(num: int, den: int):
+    """(U, V) = (P^2, Q^2) over Z[t] for (num/den)^e = P/Q."""
 
+    def run(e: int) -> tuple[int, int]:
+        p, q = (num, den) if e > 0 else (den, num)
+        return p ** (2 * abs(e)), q ** (2 * abs(e))
 
-_Q_IDENTITY = Mat2(QPoly.one(), QPoly.zero(), QPoly.zero(), QPoly.one())
+    return run
 
 
 def specialized_assoc(w: WordLike, lam0, mu0) -> SpecializedAssoc:
-    """Run the transfer recursion directly over Q[t] at (lam0, mu0).
+    """Run the column recursion over Z[t] at (lam0, mu0) = (p/q, r/s).
 
-    The sigma-partners come from a second run at the inverted parameters:
-    substituting the inverted values into the recursion is the same as
-    evaluating the sigma-substituted polynomials at the original ones.
+    The integer column is D times the true one, D = (pq)^sum|a| (rs)^sum|b|.
+    Inverting the parameters (p<->q, r<->s; same D) gives the sigma-partners,
+    as substituting the inverted values commutes with the recursion.  gamma,
+    its partner and the trace are formed in Z[t] too; each is divided by D once.
     """
     lam0, mu0 = Fraction(lam0), Fraction(mu0)
     _check_specialization(lam0, mu0)
     pairs = as_pairs(w)
-    results = []
-    for a0, b0 in ((lam0, mu0), (1 / lam0, 1 / mu0)):
-        x_step, y_step = _spec_steps(a0, b0)
-        m = _Q_IDENTITY
-        for a, b in pairs:
-            m = y_step.pow_det1(b, _Q_IDENTITY) * x_step.pow_det1(a, _Q_IDENTITY) * m
-        results.append((m.e11, m.e21))
-    (alpha, beta), (alpha_inv, beta_inv) = results
-    return SpecializedAssoc(
-        lam0=lam0,
-        mu0=mu0,
-        alpha=alpha,
-        beta=beta,
-        alpha_sigma=alpha_inv,
-        beta_sigma=beta_inv,
-    )
+    p, q = lam0.numerator, lam0.denominator
+    r, s = mu0.numerator, mu0.denominator
+    alpha, beta = _first_column(pairs, _int_run(p, q), _int_run(r, s), 1, 0)
+    alpha_s, beta_s = _first_column(pairs, _int_run(q, p), _int_run(s, r), 1, 0)
+    gamma, gamma_s = add(alpha, [0] + beta), add(alpha_s, [0] + beta_s)
+    trace = add(gamma, gamma_s)
+    den = (p * q) ** sum(abs(a) for a, _ in pairs) * (r * s) ** sum(abs(b) for _, b in pairs)
+    polys = (alpha, beta, alpha_s, beta_s, gamma, gamma_s, trace)
+    return SpecializedAssoc(lam0, mu0, *(QPoly.from_ints(c, den) for c in polys))
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,8 @@ complete.  Every comparison is exact; no tolerances appear anywhere except
 the stated 1e-50 residual ceiling of the numeric witness.
 """
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -37,6 +39,8 @@ from dc_reference import (
     tau_coeffs,
     tau_equal_inner_x_exponents,
 )
+
+SWEEP_BOX3_SHA256 = "8e2e725233d1364d32bad6fbbae32ab2a639b5e5f226cbb0f513a041a6298a09"
 
 
 def _report(n: int, text: str):
@@ -130,10 +134,13 @@ def test_criterion_6_certification_sweep():
                 assert cert.attempts <= 5
         assert check_certificate(cert).valid, cert.params
     swapped = sum(1 for c in certs if c.status is CertStatus.SWAPPED_CERTIFIED)
+    # the bytes `scripts/run_sweep.py --max-abs 3 --seed 0` writes
+    text = json.dumps([c.to_json() for c in certs], indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_BOX3_SHA256
     _report(
         6,
         f"all 1260 nontrivial tuples certified ({swapped} via swap);"
-        " every certificate re-verified independently",
+        " every certificate re-verified independently; sweep digest unchanged",
     )
 
 

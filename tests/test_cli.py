@@ -125,3 +125,34 @@ def test_grid(capsys):
 def test_word_and_dc_mutually_exclusive(capsys):
     with pytest.raises(SystemExit):
         main(["polys", "--word", "x", "--dc", "1,1,2,3"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("witness", "--dc", "1,1,2,3", "--precision", "-5"),
+        ("witness", "--dc", "1,1,2,3", "--precision", "0"),
+        ("certify", "--grid", "3:1,1:1,1:2,1:2"),
+        ("certify", "--dc", "1,1,2,3", "--max-attempts", "0"),
+        ("certify", "--dc", "1,1,2,3", "--max-attempts", "-3"),
+        ("oracle", "--word", "[x,y]", "--count", "-1"),
+        ("certify", "--dc", "1,1,2,3", "--lambda", "1", "--mu", "2"),
+        ("certify", "--dc", "1,1,2,3", "--lambda", "2", "--mu", "-1"),
+        ("witness", "--dc", "1,1,2,3", "--lambda", "-1", "--mu", "3"),
+        ("witness", "--dc", "1,1,2,3", "--lambda", "2", "--mu", "1"),
+    ],
+)
+def test_input_errors_exit_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("input error: ")
+
+
+def test_oracle_accepts_unit_parameters(capsys):
+    code, out, _ = run_cli(
+        capsys, "oracle", "--word", "[x,y^2]", "--lambda", "-1", "--mu", "1",
+        "--g", "0,1,-1,1", "--json",
+    )
+    assert code == 0
+    assert json.loads(out) == {"cases": 1, "mismatches": 0}

@@ -93,7 +93,43 @@ class TestExactDiv:
             TPoly.one().shift_down(1)
 
 
+def gcd_fraction_euclid(f: QPoly, g: QPoly) -> QPoly:
+    """Reference gcd: Euclid's algorithm with rational remainders."""
+    a, b = f, g
+    while b:
+        a, b = b, a % b
+    return a.monic()
+
+
+# products with a shared factor, so gcds of every degree occur; the empty
+# list and single entries give zero and constant operands
+gcd_operands = st.tuples(small_qpolys, small_qpolys, small_qpolys).map(
+    lambda t: (t[0] * t[2], t[1] * t[2])
+)
+
+
 class TestGcd:
+    @given(gcd_operands)
+    @settings(max_examples=300)
+    def test_matches_fraction_euclid(self, operands):
+        f, g = operands
+        if not f and not g:
+            return
+        assert gcd_q(f, g) == gcd_fraction_euclid(f, g)
+        assert gcd_q(g, f) == gcd_fraction_euclid(f, g)
+
+    @pytest.mark.parametrize(
+        "f, g",
+        [
+            (QPoly.zero(), QPoly([3])),
+            (QPoly([Fraction(-2, 3)]), QPoly([1, 2, 3])),
+            (QPoly([0, 0, Fraction(5, 7)]), QPoly.zero()),
+            (QPoly([-1, 0, 1]) * 10**30, QPoly([1, 1]) * Fraction(1, 10**20)),
+        ],
+    )
+    def test_zero_constant_and_scaled_operands(self, f, g):
+        assert gcd_q(f, g) == gcd_fraction_euclid(f, g)
+
     def test_golden(self):
         assert gcd_q(QPoly([-1, 0, 1]), QPoly([-1, 1])) == QPoly([-1, 1])
 

@@ -7,7 +7,9 @@ from sl2wiggle.exact.laurent import LaurentPoly
 from sl2wiggle.exact.mat2 import identity_q, mat2_q, xi_of
 from sl2wiggle.exact.tpoly import TPoly
 from sl2wiggle.wiggle import (
+    AssocPolys,
     CancelledError,
+    as_pairs,
     assoc_polys,
     eval_direct,
     eval_normal_form,
@@ -29,6 +31,12 @@ from conftest import (
 
 T = TPoly.t()
 ONE = TPoly.one()
+
+
+def reference_assoc(w) -> AssocPolys:
+    """(alpha, beta) as the first column of the full transfer product."""
+    m = transfer_matrix(w)
+    return AssocPolys(alpha=m.e11, beta=m.e21, pairs=as_pairs(w))
 
 
 def xbar() -> LaurentPoly:
@@ -168,15 +176,30 @@ class TestEvaluation:
             assert nf.t_value == xi_of(g).det()
 
     def test_specialized_assoc_matches_symbolic(self, rng):
-        for _ in range(25):
+        # random words (DC or not), parameters of both signs, small and large
+        bounds = (9,) * 15 + (10**6,) * 10
+        for bound in bounds:
             w = random_word(rng)
-            ap = assoc_polys(w)
-            lam0 = random_nonzero_fraction(rng)
-            mu0 = random_nonzero_fraction(rng)
+            ap = reference_assoc(w)
+            lam0 = random_nonzero_fraction(rng, bound)
+            mu0 = random_nonzero_fraction(rng, bound)
             sa = specialized_assoc(w, lam0, mu0)
             assert sa.alpha == ap.alpha.specialize(lam0, mu0)
             assert sa.beta == ap.beta.specialize(lam0, mu0)
             assert sa.alpha_sigma == ap.alpha.sigma().specialize(lam0, mu0)
+            assert sa.beta_sigma == ap.beta.sigma().specialize(lam0, mu0)
+            gamma = gamma_of(ap)
+            assert sa.gamma == gamma.specialize(lam0, mu0)
+            assert sa.gamma_sigma == gamma.sigma().specialize(lam0, mu0)
+            assert sa.trace == trace_poly(ap).specialize(lam0, mu0)
+
+    def test_specialized_assoc_at_unit_parameters(self):
+        # lambda, mu = +-1 make runs act trivially or by sign flips
+        w = parse_word("[[x,y^2],[x^-3,y]] x^2 y^-1")
+        ap = reference_assoc(w)
+        for lam0, mu0 in ((1, 1), (-1, 2), (3, -1), (-1, -1)):
+            sa = specialized_assoc(w, lam0, mu0)
+            assert sa.trace == trace_poly(ap).specialize(lam0, mu0)
             assert sa.beta_sigma == ap.beta.sigma().specialize(lam0, mu0)
 
     def test_word_value_on_upper_triangular(self):
@@ -211,6 +234,11 @@ class TestIdentities:
         for _ in range(10):
             m = transfer_matrix(random_word(rng, max_syllables=5))
             assert m.det() == ONE
+
+    def test_assoc_polys_is_transfer_matrix_column(self, rng):
+        for _ in range(20):
+            w = random_word(rng, max_syllables=6)
+            assert assoc_polys(w) == reference_assoc(w)
 
     def test_report_names_failures(self):
         from sl2wiggle.wiggle import IdentityReport
