@@ -203,7 +203,7 @@ def _cmd_oracle(config: RunConfig) -> int:
     word = _resolve_word(config)
     rng = random.Random(config.seed)
     cases = []
-    if config.lam0 is not None and config.mu0 is not None and config.g_entries:
+    if config.g_entries is not None:
         cases.append((config.lam0, config.mu0, mat2_q(*config.g_entries)))
     else:
         for _ in range(config.count):
@@ -288,11 +288,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     config.precision_digits = args.precision
     config.max_attempts = args.max_attempts
     config.json_output = args.json
-    if getattr(args, "g", None):
+    if getattr(args, "g", None) is not None:
         entries = [Fraction(v.strip()) for v in args.g.split(",")]
         if len(entries) != 4:
             raise ValueError("--g needs four entries a,b,c,d")
         config.g_entries = tuple(entries)
+    if args.command == "oracle" and (config.lam0 is None) != (config.g_entries is None):
+        raise ValueError("oracle needs --lambda, --mu and --g together, or none of them")
     config.count = getattr(args, "count", 20)
     if config.count < 1:
         raise ValueError("--count must be at least 1")

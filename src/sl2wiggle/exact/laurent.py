@@ -4,16 +4,21 @@ The ring is Q[l, l^-1, m, m^-1] with variables rendered as lambda and mu.
 Terms live in a dict keyed by the exponent pair (e_lambda, e_mu); zero
 coefficients are never stored.  Coefficients are Fraction or plain int
 (ints keep the hot multiplication loops on fast integer arithmetic).
+A product of two operands with more than a few terms each is computed by
+Kronecker substitution, as one big-integer multiplication.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 from ..errors import InexactDivisionError, NotAUnitError
 
 Scalar = Union[int, Fraction]
+Terms = dict[tuple[int, int], Scalar]
 
 _SUP = "⁰¹²³⁴⁵⁶⁷⁸⁹"
 
@@ -26,6 +31,79 @@ def _normalize_scalar(c: Scalar) -> Scalar:
 
 def _scalar_div(a: Scalar, b: Scalar) -> Scalar:
     return _normalize_scalar(Fraction(a) / Fraction(b))
+
+
+# Products whose smaller operand has at most this many terms keep the dict
+# double loop: on them packing costs more than the big-integer product saves.
+_SCHOOLBOOK_MAX_TERMS = 4
+
+
+def _integer_terms(terms: Terms) -> tuple[int, Terms]:
+    """(d, d * terms) with d the lcm of the coefficient denominators."""
+    if all(type(c) is int for c in terms.values()):
+        return 1, terms
+    d = lcm(*[c.denominator for c in terms.values()])
+    return d, {e: c.numerator * (d // c.denominator) for e, c in terms.items()}
+
+
+def _packed_product(a: Terms, b: Terms) -> Terms | None:
+    """The product a * b by Kronecker substitution: one big-integer product.
+
+    Denominators are cleared, each support is shifted to start at exponent
+    0, and the exponents are divided by their gcd over both operands, per
+    variable, so that strided supports do not inflate the packing.  The
+    monomial lambda^i mu^j (deflated) goes to slot i * width + j, where a
+    row is wide enough for every mu-degree of the product.  A product
+    coefficient is a sum of at most min(#a, #b) products of coefficients,
+    so it fits a signed slot of s bytes; adding 2^(8s-1) to every slot of
+    the product makes every slot non-negative, so the bytes of the sum are
+    the biased coefficients, with no borrow between slots.
+
+    Returns None, leaving the product to the double loop, when the packed
+    box has more slots than there are pairs of terms.
+    """
+    ela, ema = zip(*a)
+    elb, emb = zip(*b)
+    la, ma, lb, mb = min(ela), min(ema), min(elb), min(emb)
+    gl = gcd(*[e - la for e in ela], *[e - lb for e in elb]) or 1
+    gm = gcd(*[e - ma for e in ema], *[e - mb for e in emb]) or 1
+    rows = (max(ela) - la + max(elb) - lb) // gl + 1
+    width = (max(ema) - ma + max(emb) - mb) // gm + 1
+    if rows * width > len(a) * len(b):
+        # a sparse product, such as one with a factor lambda^1000 - 1: reading
+        # its empty slots would cost more than the double loop's term pairs
+        return None
+    da, a = _integer_terms(a)
+    db, b = _integer_terms(b)
+    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
+    s = (bound.bit_length() + 8) // 8  # 2^(8s-1) > bound
+    nbytes = rows * width * s
+
+    def pack(terms: Terms, l0: int, m0: int) -> int:
+        pos = bytearray(nbytes)
+        neg = bytearray(nbytes)
+        for (el, em), c in terms.items():
+            k = ((el - l0) // gl * width + (em - m0) // gm) * s
+            if c > 0:
+                pos[k : k + s] = c.to_bytes(s, "little")
+            else:
+                neg[k : k + s] = (-c).to_bytes(s, "little")
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    bias = 1 << (8 * s - 1)
+    biased = pack(a, la, ma) * pack(b, lb, mb) + int.from_bytes(
+        bias.to_bytes(s, "little") * (rows * width), "little"
+    )
+    buf = biased.to_bytes(nbytes, "little")
+    values = [int.from_bytes(buf[k : k + s], "little") - bias for k in range(0, nbytes, s)]
+    exponents = product(
+        range(la + lb, la + lb + rows * gl, gl), range(ma + mb, ma + mb + width * gm, gm)
+    )
+    out = {e: c for e, c in zip(exponents, values) if c}
+    d = da * db
+    if d != 1:
+        out = {e: _normalize_scalar(Fraction(c, d)) for e, c in out.items()}
+    return out
 
 
 class LaurentPoly:
@@ -75,22 +153,11 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
-
     def is_one(self) -> bool:
         return self._terms == {(0, 0): 1}
 
     def terms(self) -> dict[tuple[int, int], Fraction]:
         return {e: Fraction(c) for e, c in self._terms.items()}
-
-    def constant_value(self) -> Fraction:
-        """The rational value, assuming the polynomial is constant."""
-        if not self._terms:
-            return Fraction(0)
-        if set(self._terms) != {(0, 0)}:
-            raise ValueError("not a constant Laurent polynomial")
-        return Fraction(self._terms[(0, 0)])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
@@ -151,15 +218,19 @@ class LaurentPoly:
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[tuple[int, int], Scalar] = {}
-        for (el1, em1), c1 in a.items():
-            for (el2, em2), c2 in b.items():
-                e = (el1 + el2, em1 + em2)
-                s = out.get(e, 0) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+        out: Terms | None = (
+            _packed_product(a, b) if len(a) > _SCHOOLBOOK_MAX_TERMS else None
+        )
+        if out is None:
+            out = {}
+            for (el1, em1), c1 in a.items():
+                for (el2, em2), c2 in b.items():
+                    e = (el1 + el2, em1 + em2)
+                    s = out.get(e, 0) + c1 * c2
+                    if s == 0:
+                        out.pop(e, None)
+                    else:
+                        out[e] = s
         res = LaurentPoly.__new__(LaurentPoly)
         res._terms = out
         return res
@@ -248,13 +319,6 @@ class LaurentPoly:
         return LaurentPoly(
             {(el + shift[0], em + shift[1]): c for (el, em), c in quot.items()}
         )
-
-    def divides(self, other: "LaurentPoly") -> bool:
-        try:
-            other.exact_div(self)
-            return True
-        except InexactDivisionError:
-            return False
 
     # ------------------------------------------------------------------
     # serialization and display

@@ -140,6 +140,10 @@ def test_word_and_dc_mutually_exclusive(capsys):
         ("certify", "--dc", "1,1,2,3", "--lambda", "2", "--mu", "-1"),
         ("witness", "--dc", "1,1,2,3", "--lambda", "-1", "--mu", "3"),
         ("witness", "--dc", "1,1,2,3", "--lambda", "2", "--mu", "1"),
+        ("oracle", "--word", "[x,y]", "--lambda", "1", "--mu", "-1", "--count", "3"),
+        ("oracle", "--word", "[x,y]", "--g", "1,1,0,1"),
+        ("oracle", "--word", "[x,y]", "--lambda", "2", "--g", "1,1,0,1"),
+        ("oracle", "--word", "[x,y]", "--lambda", "2", "--mu", "3", "--g", ""),
     ],
 )
 def test_input_errors_exit_3(capsys, argv):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2wiggle.errors import InexactDivisionError, NotAUnitError
 from sl2wiggle.exact.laurent import LaurentPoly
@@ -96,3 +97,83 @@ def test_json_round_trip():
         {"el": 2, "em": -1, "c": "3/7"},
     ]
     assert LaurentPoly.from_json(data) == p
+
+
+def schoolbook(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """Reference product: every pair of terms, summed in Fractions."""
+    out: dict = {}
+    for (a1, b1), c1 in p.terms().items():
+        for (a2, b2), c2 in q.terms().items():
+            e = (a1 + a2, b1 + b2)
+            out[e] = out.get(e, 0) + c1 * c2
+    return LaurentPoly(out)
+
+
+def integral(p: LaurentPoly) -> bool:
+    return all(type(c) is int for c in p._terms.values())
+
+
+product_coeffs = st.one_of(
+    st.integers(-6, 6),
+    st.integers(-(2**200), 2**200),
+    st.fractions(max_denominator=30),
+)
+
+
+@st.composite
+def product_operands(draw, coeffs=product_coeffs):
+    """Up to 40 terms on a strided, offset grid, dense or spread out."""
+    spread = draw(st.sampled_from([6, 6, 200]))
+    stride = draw(st.tuples(st.sampled_from([0, 1, 2, 3]), st.sampled_from([0, 1, 2, 4])))
+    offset = draw(st.tuples(st.integers(-50, 50), st.integers(-50, 50)))
+    n = draw(st.integers(0, 40))
+    grid = st.tuples(st.integers(0, spread), st.integers(0, spread))
+    terms = draw(st.lists(st.tuples(grid, coeffs), min_size=n, max_size=n))
+    return LaurentPoly(
+        {(offset[0] + stride[0] * i, offset[1] + stride[1] * j): c for (i, j), c in terms}
+    )
+
+
+@given(product_operands(), product_operands())
+@settings(max_examples=120, deadline=None)
+def test_product_matches_schoolbook(p, q):
+    pq = p * q
+    assert pq == schoolbook(p, q)
+    assert hash(pq) == hash(schoolbook(p, q))
+    assert all(c != 0 for c in pq.terms().values())
+    assert q * p == pq
+    if integral(p) and integral(q):
+        assert integral(pq)
+
+
+@given(product_operands(st.integers(-(2**200), 2**200)), product_operands())
+@settings(max_examples=100, deadline=None)
+def test_product_cancels_to_zero(p, q):
+    assert p * (-p) + p * p == LaurentPoly.zero()
+    assert p * q - q * p == LaurentPoly.zero()
+    assert (p * q + p * (-q)).terms() == {}
+
+
+@pytest.mark.parametrize("scale", [1, -(2**200), Fraction(-7, 3)])
+def test_product_cancels_inside_the_box(scale):
+    # (1 + ... + lam^9)(1 - lam)(1 + ... + mu^4) = (1 - lam^10)(1 + ... + mu^4):
+    # every interior row of the packed product sums to zero
+    p = LaurentPoly({(i, 0): scale for i in range(10)})
+    mu_sum = LaurentPoly({(0, j): 1 for j in range(5)})
+    q = (LaurentPoly.one() - LaurentPoly.lam(1)) * mu_sum
+    expected = (LaurentPoly.one() - LaurentPoly.lam(10)) * mu_sum * scale
+    assert p * q == expected == schoolbook(p, q)
+    assert len((p * q).terms()) == 10
+
+
+def test_product_at_the_coefficient_bound():
+    # equal dense blocks of one coefficient c: the central coefficient of the
+    # product is #terms * c^2, the largest any coefficient can be
+    shapes = [(n, 1) for n in range(5, 13)] + [(1, 5), (2, 3), (3, 4), (4, 4)]
+    for rows, cols in shapes:
+        for c in [7, 11, 127, 255, 2**31 - 1, 2**200 + 1]:
+            block = LaurentPoly({(i, j): c for i in range(rows) for j in range(cols)})
+            for p, q in [(block, block), (block, -block), (-block, -block)]:
+                pq = p * q
+                assert pq == schoolbook(p, q)
+                assert integral(pq)
