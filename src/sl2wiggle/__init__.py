@@ -11,7 +11,6 @@ from .certify import (
     certify,
     check_certificate,
     core_polys,
-    specialized_core,
     sweep_box,
 )
 from .exact import (

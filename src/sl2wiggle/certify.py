@@ -1,16 +1,21 @@
 """Unipotent certificates for double commutator words [[x^k,y^l],[x^m,y^n]].
 
-For these words the trace of the wiggle value factors as
+A certificate is a squarefree h(t) dividing the specialized trace - 2 and
+coprime to both t(t+1) and gamma - 1: every root of h then gives a
+non-trivial unipotent wiggle value, which proves surjectivity of the word
+map on PSL2 over the algebraic closure.  The search and the checker need
+only those two specialized polynomials.
+
+The paper's tables peel the closed-form prefactors off the symbolic
+polynomials (core_polys):
 
     trace(t) - 2 = (P / D)^2 * t^2 (t+1)^2 * tau(t),
     gamma(t) - 1 = (P / D^2)     * t (t+1)   * gamma_inner(t),
 
 with P = (l^2k - 1)(m^2l - 1)(l^2m - 1)(m^2n - 1) and the monomial
-D = l^(2(k+m)) m^(2(l+n)) (writing l, m for lambda, mu).  A certificate is
-a squarefree h(t) dividing the specialized trace - 2 and coprime to both
-t(t+1) and gamma - 1: every root of h then gives a non-trivial unipotent
-wiggle value, which proves surjectivity of the word map on PSL2 over the
-algebraic closure.
+D = l^(2(k+m)) m^(2(l+n)) (writing l, m for lambda, mu).  Since h has no
+root at 0 or -1, it is the same as the squarefree part of tau with those
+roots and the roots shared with gamma_inner removed.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ logger = logging.getLogger(__name__)
 
 _T = QPoly.t()
 _T_T1 = _T * (_T + 1)
+_ROOT_CUBES = (_T ** 3, (_T + 1) ** 3)
 
 
 @dataclass(frozen=True)
@@ -140,50 +146,6 @@ def core_polys(params: DCParams) -> CorePolys:
         gamma_inner=gamma_inner,
         alpha_core=alpha_core,
         assoc=ap,
-    )
-
-
-@dataclass(frozen=True)
-class SpecializedCore:
-    """Specialized pipeline inputs at a rational (lam0, mu0)."""
-
-    params: DCParams
-    lam0: Fraction
-    mu0: Fraction
-    assoc: SpecializedAssoc
-    tau: QPoly
-    gamma_inner: QPoly
-
-    @property
-    def trace_minus_2(self) -> QPoly:
-        return self.assoc.trace - 2
-
-    @property
-    def gamma_minus_1(self) -> QPoly:
-        return self.assoc.gamma - 1
-
-
-def specialized_core(params: DCParams, lam0, mu0) -> Optional[SpecializedCore]:
-    """Specialize first, then peel; returns None when the prefactor vanishes.
-
-    Specialization commutes with the ring operations, so this matches
-    specializing the symbolic core polynomials while staying cheap enough
-    for box sweeps.
-    """
-    if params.is_trivial():
-        raise TrivialWordError(f"{params.as_list()} gives the trivial word")
-    lam0, mu0 = Fraction(lam0), Fraction(mu0)
-    pref = prefactor_num(params).evaluate(lam0, mu0)
-    if pref == 0:
-        return None
-    den = prefactor_den(params).evaluate(lam0, mu0)
-    sa = specialized_assoc(params.cyclic_word(), lam0, mu0)
-    scale2 = den * den / (pref * pref)
-    tau = ((sa.trace - 2) * scale2).exact_div(_T_T1 * _T_T1)
-    scale1 = den * den / pref
-    gamma_inner = ((sa.gamma - 1) * scale1).exact_div(_T_T1)
-    return SpecializedCore(
-        params=params, lam0=lam0, mu0=mu0, assoc=sa, tau=tau, gamma_inner=gamma_inner
     )
 
 
@@ -285,27 +247,33 @@ def _draw_parameter(rng: random.Random) -> Fraction:
 
 def _attempt(params: DCParams, lam0: Fraction, mu0: Fraction):
     """One specialization attempt; returns (h, checks) or None to resample."""
-    core = specialized_core(params, lam0, mu0)
-    if core is None or not core.tau:
+    sa = specialized_assoc(params.cyclic_word(), lam0, mu0)
+    trace_minus_2 = sa.trace - 2
+    gamma_minus_1 = sa.gamma - 1
+    if not trace_minus_2:
         return None
-    if core.tau.evaluate(Fraction(0)) == 0 or core.tau.evaluate(Fraction(-1)) == 0:
+    # t^2 (t+1)^2 always divides trace - 2; a third power is worth a note
+    if logger.isEnabledFor(logging.INFO) and any(
+        not trace_minus_2 % cube for cube in _ROOT_CUBES
+    ):
         logger.info(
-            "tau vanishes at 0 or -1 for %s at (%s, %s); stripping",
+            "trace - 2 vanishes to order >= 3 at 0 or -1 for %s at (%s, %s);"
+            " stripping",
             params.as_list(),
             lam0,
             mu0,
         )
-    s = squarefree_without(core.tau, [Fraction(0), Fraction(-1)])
+    s = squarefree_without(trace_minus_2, [Fraction(0), Fraction(-1)])
     if s.degree < 1:
         return None
-    h = s.exact_div(gcd_q(s, core.gamma_inner)) if core.gamma_inner else QPoly.one()
+    h = s.exact_div(gcd_q(s, gamma_minus_1))
     if h.degree < 1:
         return None
     h = h.clear_denominators()
     checks = CheckRecord(
-        divides_trace_minus_2=not (core.trace_minus_2 % h),
+        divides_trace_minus_2=not (trace_minus_2 % h),
         coprime_t_t1=gcd_q(h, _T_T1) == QPoly.one(),
-        coprime_gamma_minus_1=gcd_q(h, core.gamma_minus_1) == QPoly.one(),
+        coprime_gamma_minus_1=gcd_q(h, gamma_minus_1) == QPoly.one(),
     )
     if not checks.all_ok:
         raise AssertionError(
@@ -324,8 +292,8 @@ def certify(
     """Search for a certificate, retrying with fresh rational parameters.
 
     The generator-swapped parameters are tried after max_attempts failures;
-    that cures the one family (inner y-exponents equal) where the trace
-    cofactor divides gamma identically and no specialization can work.
+    that cures the one family (inner y-exponents equal) where every root of
+    trace - 2 outside {0, -1} is a root of gamma - 1 at every specialization.
     """
     if params.is_trivial():
         return Certificate(params, CertStatus.TRIVIAL_WORD, None, None, None, None, 0)

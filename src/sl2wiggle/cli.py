@@ -150,7 +150,7 @@ def _run_certify(config: RunConfig, params: DCParams, seed: int) -> Certificate:
 
 
 def _cmd_certify(config: RunConfig) -> int:
-    if config.grid:
+    if config.grid is not None:
         certs = []
         for idx, params in enumerate(_parse_grid(config.grid)):
             seed = config.seed * 1_000_003 + idx
@@ -227,80 +227,6 @@ def _cmd_oracle(config: RunConfig) -> int:
     return EXIT_OK if mismatches == 0 else EXIT_INCONCLUSIVE
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sl2wiggle",
-        description="Exact wiggle normal forms and unipotent certificates on SL2",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_word in (
-        ("polys", True),
-        ("verify", True),
-        ("certify", False),
-        ("witness", False),
-        ("oracle", True),
-    ):
-        p = sub.add_parser(name)
-        if needs_word:
-            src = p.add_mutually_exclusive_group(required=True)
-            src.add_argument("--word", help="word text, e.g. '[x,y]' or 'x^2 y^-1'")
-            src.add_argument("--dc", help="double commutator exponents k,l,m,n")
-        else:
-            p.add_argument("--dc", required=name == "witness", help="k,l,m,n")
-            p.add_argument("--grid", help="ranges kmin:kmax,lmin:lmax,mmin:mmax,nmin:nmax")
-        p.add_argument("--lambda", dest="lam0", help="rational p/q")
-        p.add_argument("--mu", dest="mu0", help="rational p/q")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--precision", type=int, default=64)
-        p.add_argument("--max-attempts", type=int, default=5)
-        p.add_argument("--json", action="store_true")
-        if name == "oracle":
-            p.add_argument("--g", help="entries a,b,c,d of a det-1 matrix")
-            p.add_argument("--count", type=int, default=20)
-    return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    config.word_text = getattr(args, "word", None)
-    if getattr(args, "dc", None):
-        config.dc_params = _parse_dc(args.dc)
-    if args.command == "certify" and config.dc_params is None and not args.grid:
-        raise ValueError("certify needs --dc or --grid")
-    config.grid = getattr(args, "grid", None)
-    if args.lam0 is not None:
-        config.lam0 = Fraction(args.lam0)
-    if args.mu0 is not None:
-        config.mu0 = Fraction(args.mu0)
-    if (config.lam0 is None) != (config.mu0 is None):
-        raise ValueError("--lambda and --mu must be given together")
-    if config.lam0 == 0 or config.mu0 == 0:
-        raise ValueError("--lambda and --mu must be nonzero")
-    # lambda = +-1 makes every double commutator's prefactor vanish
-    if args.command in ("certify", "witness") and config.lam0 is not None:
-        if abs(config.lam0) == 1 or abs(config.mu0) == 1:
-            raise ValueError("--lambda and --mu must not be 1 or -1 for " + args.command)
-    if args.precision < 1:
-        raise ValueError("--precision must be at least 1 digit")
-    if args.max_attempts < 1:
-        raise ValueError("--max-attempts must be at least 1")
-    config.seed = args.seed
-    config.precision_digits = args.precision
-    config.max_attempts = args.max_attempts
-    config.json_output = args.json
-    if getattr(args, "g", None) is not None:
-        entries = [Fraction(v.strip()) for v in args.g.split(",")]
-        if len(entries) != 4:
-            raise ValueError("--g needs four entries a,b,c,d")
-        config.g_entries = tuple(entries)
-    if args.command == "oracle" and (config.lam0 is None) != (config.g_entries is None):
-        raise ValueError("oracle needs --lambda, --mu and --g together, or none of them")
-    config.count = getattr(args, "count", 20)
-    if config.count < 1:
-        raise ValueError("--count must be at least 1")
-    return config
-
-
 _COMMANDS = {
     "polys": _cmd_polys,
     "verify": _cmd_verify,
@@ -310,15 +236,93 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as input errors instead of exiting with code 2."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="sl2wiggle",
+        description="Exact wiggle normal forms and unipotent certificates on SL2",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS:
+        p = sub.add_parser(name)
+        if name == "witness":
+            p.add_argument("--dc", required=True, help="k,l,m,n")
+        else:
+            src = p.add_mutually_exclusive_group(required=True)
+            if name == "certify":
+                src.add_argument("--dc", help="k,l,m,n")
+                src.add_argument(
+                    "--grid", help="ranges kmin:kmax,lmin:lmax,mmin:mmax,nmin:nmax"
+                )
+            else:
+                src.add_argument("--word", help="word text, e.g. '[x,y]' or 'x^2 y^-1'")
+                src.add_argument("--dc", help="double commutator exponents k,l,m,n")
+        if name in ("certify", "witness", "oracle"):
+            p.add_argument("--lambda", dest="lam0", help="rational p/q")
+            p.add_argument("--mu", dest="mu0", help="rational p/q")
+            p.add_argument("--seed", type=int, default=0)
+        if name in ("certify", "witness"):
+            p.add_argument("--max-attempts", type=int, default=5)
+        if name == "witness":
+            p.add_argument("--precision", type=int, default=64)
+        if name == "oracle":
+            p.add_argument("--g", help="entries a,b,c,d of a det-1 matrix")
+            p.add_argument("--count", type=int, default=20)
+        p.add_argument("--json", action="store_true")
+    return parser
+
+
+def config_from_args(args: argparse.Namespace) -> RunConfig:
+    config = RunConfig(command=args.command, json_output=args.json)
+    config.word_text = getattr(args, "word", None)
+    if getattr(args, "dc", None) is not None:
+        config.dc_params = _parse_dc(args.dc)
+    config.grid = getattr(args, "grid", None)
+    if getattr(args, "lam0", None) is not None:
+        config.lam0 = Fraction(args.lam0)
+    if getattr(args, "mu0", None) is not None:
+        config.mu0 = Fraction(args.mu0)
+    if (config.lam0 is None) != (config.mu0 is None):
+        raise ValueError("--lambda and --mu must be given together")
+    if config.lam0 == 0 or config.mu0 == 0:
+        raise ValueError("--lambda and --mu must be nonzero")
+    # lambda = +-1 makes every double commutator's prefactor vanish
+    if args.command in ("certify", "witness") and config.lam0 is not None:
+        if abs(config.lam0) == 1 or abs(config.mu0) == 1:
+            raise ValueError("--lambda and --mu must not be 1 or -1 for " + args.command)
+    config.seed = getattr(args, "seed", config.seed)
+    config.precision_digits = getattr(args, "precision", config.precision_digits)
+    if config.precision_digits < 1:
+        raise ValueError("--precision must be at least 1 digit")
+    config.max_attempts = getattr(args, "max_attempts", config.max_attempts)
+    if config.max_attempts < 1:
+        raise ValueError("--max-attempts must be at least 1")
+    if getattr(args, "g", None) is not None:
+        entries = [Fraction(v.strip()) for v in args.g.split(",")]
+        if len(entries) != 4:
+            raise ValueError("--g needs four entries a,b,c,d")
+        config.g_entries = tuple(entries)
+    if args.command == "oracle" and (config.lam0 is None) != (config.g_entries is None):
+        raise ValueError("oracle needs --lambda, --mu and --g together, or none of them")
+    config.count = getattr(args, "count", config.count)
+    if config.count < 1:
+        raise ValueError("--count must be at least 1")
+    return config
+
+
 def run(config: RunConfig) -> int:
     return _COMMANDS[config.command](config)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
+        config = config_from_args(build_parser().parse_args(argv))
         return run(config)
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)

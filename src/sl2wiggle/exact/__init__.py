@@ -16,12 +16,6 @@ from .tpoly import TPoly, resultant, resultant_sylvester
 
 Rat = Fraction
 
-
-def parse_rational(text: str) -> Fraction:
-    """Parse a 'p/q' or 'p' literal."""
-    return Fraction(text.strip())
-
-
 __all__ = [
     "Rat",
     "Fraction",
@@ -39,5 +33,4 @@ __all__ = [
     "resultant_q",
     "factor_cubic_or_less",
     "squarefree_without",
-    "parse_rational",
 ]

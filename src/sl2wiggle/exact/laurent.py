@@ -16,6 +16,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 from ..errors import InexactDivisionError, NotAUnitError
+from . import polycore
 
 Scalar = Union[int, Fraction]
 Terms = dict[tuple[int, int], Scalar]
@@ -240,14 +241,7 @@ class LaurentPoly:
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             return self.unit_inverse() ** (-n)
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return polycore.power(self, n, LaurentPoly.one())
 
     def unit_inverse(self) -> "LaurentPoly":
         """Invert a monomial; the only units of the Laurent ring."""

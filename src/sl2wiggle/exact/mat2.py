@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Generic, TypeVar
 
 from ..errors import NotUnimodularError
+from . import polycore
 
 R = TypeVar("R")
 
@@ -22,11 +23,6 @@ class Mat2(Generic[R]):
     e12: R
     e21: R
     e22: R
-
-    @classmethod
-    def of_rows(cls, rows) -> "Mat2":
-        (a, b), (c, d) = rows
-        return cls(a, b, c, d)
 
     def rows(self):
         return ((self.e11, self.e12), (self.e21, self.e22))
@@ -77,22 +73,7 @@ class Mat2(Generic[R]):
         """Integer power for determinant-1 matrices; negative n uses the adjugate."""
         if n < 0:
             return self.inv_det1().pow_det1(-n, identity)
-        result = identity
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
-
-    def map_entries(self, fn) -> "Mat2":
-        return Mat2(fn(self.e11), fn(self.e12), fn(self.e21), fn(self.e22))
-
-
-def mat2_identity_like(one, zero) -> Mat2:
-    return Mat2(one, zero, zero, one)
+        return polycore.power(self, n, identity)
 
 
 def identity_q() -> Mat2[Fraction]:

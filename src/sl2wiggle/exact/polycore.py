@@ -4,6 +4,8 @@ Polynomials are lists of coefficients, lowest degree first, with a nonzero
 last entry (the empty list is zero).  Coefficients must support +, -, *,
 **, bool (zero test) and ==; exact division is supplied by the caller, so
 the same code runs over the rational field and over the Laurent ring.
+`power` is the one square-and-multiply loop of the package, for any
+multiplication.
 """
 
 from __future__ import annotations
@@ -55,28 +57,39 @@ def mul(f: Sequence[C], g: Sequence[C], zero: C) -> list[C]:
     return trim(out)
 
 
+def power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply; one is the identity."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        if n > 1:
+            base = base * base
+        n >>= 1
+    return result
+
+
 def scale(f: Sequence[C], c: C) -> list[C]:
     if not c:
         return []
     return trim([a * c for a in f])
 
 
-def div_exact(f: Sequence[C], g: Sequence[C], div: Div, zero: C, exc: type) -> list[C]:
-    """Long division asserting a zero remainder.
+def div_rem(
+    f: Sequence[C], g: Sequence[C], div: Div, zero: C
+) -> tuple[list[C], list[C]]:
+    """Long division: (quot, rem) with f = quot * g + rem, deg rem < deg g.
 
-    Each step divides leading coefficients via ``div``; when g | f every
-    such division is exact (the step quotients are coefficients of f/g).
+    Each step divides leading coefficients via ``div``, so over a ring
+    other than a field this is only defined when those divisions are exact,
+    as they are whenever g | f (the step quotients are coefficients of f/g).
     """
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    if not f:
-        return []
-    if len(f) < len(g):
-        raise exc("degree of divisor exceeds degree of dividend")
     rem = list(f)
     dg = degree(g)
     lc_g = g[-1]
-    quot = [zero] * (len(f) - len(g) + 1)
+    quot = [zero] * max(len(f) - dg, 0)
     for shift in range(len(f) - len(g), -1, -1):
         c = rem[shift + dg]
         if not c:
@@ -85,9 +98,15 @@ def div_exact(f: Sequence[C], g: Sequence[C], div: Div, zero: C, exc: type) -> l
         quot[shift] = q
         for j, b in enumerate(g):
             rem[shift + j] = rem[shift + j] - q * b
-    if any(rem):
+    return trim(quot), trim(rem)
+
+
+def div_exact(f: Sequence[C], g: Sequence[C], div: Div, zero: C, exc: type) -> list[C]:
+    """Long division asserting a zero remainder (raising exc otherwise)."""
+    quot, rem = div_rem(f, g, div, zero)
+    if rem:
         raise exc("polynomial division left a remainder")
-    return trim(quot)
+    return quot
 
 
 def prem(f: Sequence[C], g: Sequence[C]) -> list[C]:

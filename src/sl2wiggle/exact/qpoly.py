@@ -120,42 +120,21 @@ class QPoly:
     def __pow__(self, n: int) -> "QPoly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = QPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
+        return polycore.power(self, n, QPoly.one())
 
     def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        div = other._coeffs
-        if len(rem) < len(div):
-            return QPoly.zero(), self
-        quot = [_ZERO] * (len(rem) - len(div) + 1)
-        for shift in range(len(rem) - len(div), -1, -1):
-            c = rem[shift + len(div) - 1]
-            if not c:
-                continue
-            q = c / div[-1]
-            quot[shift] = q
-            for j, b in enumerate(div):
-                rem[shift + j] -= q * b
+        quot, rem = polycore.div_rem(self._coeffs, other._coeffs, _div, _ZERO)
         return _wrap(quot), _wrap(rem)
 
     def __mod__(self, other: "QPoly") -> "QPoly":
         return self.divmod(other)[1]
 
     def exact_div(self, other: "QPoly") -> "QPoly":
-        q, r = self.divmod(other)
-        if r:
-            raise InexactDivisionError("polynomial division left a remainder")
-        return q
+        return _wrap(
+            polycore.div_exact(
+                self._coeffs, other._coeffs, _div, _ZERO, InexactDivisionError
+            )
+        )
 
     def evaluate(self, x: Fraction) -> Fraction:
         acc = _ZERO

@@ -118,15 +118,7 @@ class TPoly:
     def __pow__(self, n: int) -> "TPoly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = TPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
+        return polycore.power(self, n, TPoly.one())
 
     def scale(self, c: LaurentPoly) -> "TPoly":
         return _wrap([a * c for a in self._coeffs])
@@ -172,15 +164,6 @@ class TPoly:
         if any(self._coeffs[:k]) or (self._coeffs and len(self._coeffs) < k):
             raise InexactDivisionError("not divisible by the requested power of t")
         return _wrap(list(self._coeffs[k:]))
-
-    def evaluate_t(self, t0) -> LaurentPoly:
-        """Evaluate at a Laurent-polynomial (or rational) value of t."""
-        if not isinstance(t0, LaurentPoly):
-            t0 = LaurentPoly.const(t0)
-        acc = _LZERO
-        for c in reversed(self._coeffs):
-            acc = acc * t0 + c
-        return acc
 
     # ------------------------------------------------------------------
     def to_json(self) -> list[list[dict]]:

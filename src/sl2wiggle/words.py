@@ -20,6 +20,7 @@ from enum import Enum
 from typing import Iterable, NamedTuple, Union
 
 from .errors import ParseError
+from .exact.polycore import power
 
 
 class Gen(Enum):
@@ -87,18 +88,7 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        result = Word.identity()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
-
-    def conjugated_by(self, v: "Word") -> "Word":
-        return v.inverse() * self * v
+        return power(self, n, Word.identity())
 
     def __str__(self) -> str:
         if not self.syllables:

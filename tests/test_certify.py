@@ -10,7 +10,6 @@ from sl2wiggle.certify import (
     certify,
     check_certificate,
     core_polys,
-    specialized_core,
     sweep_box,
 )
 from sl2wiggle.errors import TrivialWordError
@@ -18,7 +17,7 @@ from sl2wiggle.exact.laurent import LaurentPoly
 from sl2wiggle.exact.mat2 import identity_q, mat2_q
 from sl2wiggle.exact.qpoly import QPoly
 from sl2wiggle.exact.tpoly import TPoly, resultant
-from sl2wiggle.wiggle import gamma_of, trace_poly
+from sl2wiggle.wiggle import gamma_of, specialized_assoc, trace_poly
 
 from dc_reference import (
     alpha_core_coeffs,
@@ -84,16 +83,29 @@ class TestCorePolys:
             assert (ap.alpha - TPoly.one()).scale(den2) == pref * t_t1 * cp.alpha_core
 
     def test_specialized_matches_symbolic_route(self):
+        t_t1 = QPoly([0, 1, 1])
         for params in [(1, 1, 2, 3), (1, 1, -1, -1), (2, 1, 1, 3)]:
             p = DCParams(*params)
             cp = core_polys(p)
             for lam0, mu0 in [(Fraction(2), Fraction(3)), (Fraction(3, 2), Fraction(5, 7))]:
-                sc = specialized_core(p, lam0, mu0)
-                assert sc.tau == cp.tau.specialize(lam0, mu0)
-                assert sc.gamma_inner == cp.gamma_inner.specialize(lam0, mu0)
+                sa = specialized_assoc(p.cyclic_word(), lam0, mu0)
+                pref = cp.prefactor_num.evaluate(lam0, mu0)
+                den = cp.prefactor_den.evaluate(lam0, mu0)
+                assert pref != 0
+                tau = cp.tau.specialize(lam0, mu0)
+                gamma_inner = cp.gamma_inner.specialize(lam0, mu0)
+                assert sa.trace - 2 == tau * (pref / den) ** 2 * t_t1 * t_t1
+                assert sa.gamma - 1 == gamma_inner * (pref / den**2) * t_t1
 
     def test_degenerate_specialization_returns_none(self):
-        assert specialized_core(DCParams(1, 1, 2, 3), Fraction(1), Fraction(2)) is None
+        # lambda = +-1 makes the prefactor and so trace - 2 vanish identically
+        for lam0 in (Fraction(1), Fraction(-1)):
+            sa = specialized_assoc(DCParams(1, 1, 2, 3).cyclic_word(), lam0, Fraction(2))
+            assert not (sa.trace - 2)
+            cert = certify(DCParams(1, 1, 2, 3), initial=(lam0, Fraction(2)))
+            assert cert.status is CertStatus.CERTIFIED
+            assert cert.attempts == 2
+            assert cert.lam0 != lam0
 
 
 class TestResultantFormula:
@@ -176,21 +188,30 @@ class TestCertify:
         from sl2wiggle.exact.qpoly import resultant_q, squarefree_without
 
         cert = certify(DCParams(1, 1, 2, 3), seed=7)
-        sc = specialized_core(cert.params, cert.lam0, cert.mu0)
-        assert resultant_q(sc.tau, sc.gamma_inner) != 0
-        stripped = squarefree_without(sc.tau, [Fraction(0), Fraction(-1)])
+        cp = core_polys(cert.params)
+        tau = cp.tau.specialize(cert.lam0, cert.mu0)
+        gamma_inner = cp.gamma_inner.specialize(cert.lam0, cert.mu0)
+        assert resultant_q(tau, gamma_inner) != 0
+        stripped = squarefree_without(tau, [Fraction(0), Fraction(-1)])
         assert cert.hpoly == stripped.clear_denominators()
 
     def test_tau_vanishing_at_zero_is_logged(self, caplog):
         import logging
 
-        # lam = mu = 2 makes tau(0) vanish for these exponents
+        # at lam = mu = 2, tau(0) = 0 for (2, 1, 1, 2) and tau(-1) = 0 for
+        # (1, 1, -1, -1), so trace - 2 vanishes to order 3 there
+        lam0 = mu0 = Fraction(2)
+        for params, seed, root in [((2, 1, 1, 2), 4, 0), ((1, 1, -1, -1), 5, -1)]:
+            p = DCParams(*params)
+            assert core_polys(p).tau.specialize(lam0, mu0).evaluate(root) == 0
+            with caplog.at_level(logging.INFO, logger="sl2wiggle.certify"):
+                cert = certify(p, seed=seed, initial=(lam0, mu0))
+            assert cert.certified
+            assert any("vanishes to order >= 3" in r.message for r in caplog.records)
+            caplog.clear()
         with caplog.at_level(logging.INFO, logger="sl2wiggle.certify"):
-            cert = certify(
-                DCParams(2, 1, 1, 2), seed=4, initial=(Fraction(2), Fraction(2))
-            )
-        assert cert.certified
-        assert any("tau vanishes" in r.message for r in caplog.records)
+            certify(DCParams(1, 1, 2, 3), seed=7)
+        assert not caplog.records
 
     def test_checker_rejects_wrong_status(self):
         cert = certify(DCParams(1, 1, 1, 1))

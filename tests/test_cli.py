@@ -123,8 +123,10 @@ def test_grid(capsys):
 
 
 def test_word_and_dc_mutually_exclusive(capsys):
-    with pytest.raises(SystemExit):
-        main(["polys", "--word", "x", "--dc", "1,1,2,3"])
+    code, out, err = run_cli(capsys, "polys", "--word", "x", "--dc", "1,1,2,3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("input error: ")
 
 
 @pytest.mark.parametrize(
@@ -144,6 +146,28 @@ def test_word_and_dc_mutually_exclusive(capsys):
         ("oracle", "--word", "[x,y]", "--g", "1,1,0,1"),
         ("oracle", "--word", "[x,y]", "--lambda", "2", "--g", "1,1,0,1"),
         ("oracle", "--word", "[x,y]", "--lambda", "2", "--mu", "3", "--g", ""),
+        # malformed, missing or conflicting arguments
+        ("certify", "--dc", "1,1,2,3", "--seed", "abc"),
+        ("certify", "--dc", "1,1,2,3", "--no-such-flag"),
+        ("certify", "--dc", "1,1,2,3", "--grid", "1:1,1:1,1:1,1:2"),
+        ("certify",),
+        ("certify", "--grid", ""),
+        ("polys", "--dc", ""),
+        ("frobnicate",),
+        # options the subcommand does not read
+        ("polys", "--word", "x", "--lambda", "2", "--mu", "3"),
+        ("polys", "--word", "x", "--seed", "1"),
+        ("polys", "--word", "x", "--precision", "64"),
+        ("polys", "--word", "x", "--max-attempts", "5"),
+        ("verify", "--word", "x", "--lambda", "2", "--mu", "3"),
+        ("verify", "--word", "x", "--seed", "1"),
+        ("verify", "--word", "x", "--precision", "64"),
+        ("verify", "--word", "x", "--precision", "0"),
+        ("verify", "--word", "x", "--max-attempts", "5"),
+        ("certify", "--dc", "1,1,2,3", "--precision", "64"),
+        ("witness", "--dc", "1,1,2,3", "--grid", "1:1,1:1,1:1,1:2"),
+        ("oracle", "--word", "[x,y]", "--precision", "64"),
+        ("oracle", "--word", "[x,y]", "--max-attempts", "5"),
     ],
 )
 def test_input_errors_exit_3(capsys, argv):

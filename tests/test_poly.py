@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sl2wiggle.errors import InexactDivisionError, ZeroParameterError
 from sl2wiggle.exact.laurent import LaurentPoly
+from sl2wiggle.exact.mat2 import identity_q
 from sl2wiggle.exact.qpoly import (
     QPoly,
     factor_cubic_or_less,
@@ -15,8 +16,9 @@ from sl2wiggle.exact.qpoly import (
     squarefree_without,
 )
 from sl2wiggle.exact.tpoly import TPoly, resultant, resultant_sylvester
+from sl2wiggle.words import Word
 
-from conftest import laurents, nonzero_rationals
+from conftest import laurents, nonzero_rationals, random_sl2, words
 
 small_qpolys = st.lists(
     st.fractions(min_value=-5, max_value=5, max_denominator=4), max_size=5
@@ -86,6 +88,27 @@ class TestExactDiv:
                 TPoly([LaurentPoly.mu(1), LaurentPoly.one()])
             )
 
+    @given(small_qpolys, small_qpolys.filter(bool))
+    def test_divmod_identity(self, f, g):
+        quot, rem = f.divmod(g)
+        assert quot * g + rem == f
+        assert rem.degree < g.degree
+        assert f % g == rem
+        if f.degree < g.degree:
+            assert (quot, rem) == (QPoly.zero(), f)
+
+    def test_lower_degree_dividend_is_inexact(self):
+        with pytest.raises(InexactDivisionError):
+            QPoly([1]).exact_div(QPoly([1, 1]))
+        with pytest.raises(InexactDivisionError):
+            TPoly.one().exact_div(TPoly.t())
+        assert QPoly.zero().exact_div(QPoly([1, 1])) == QPoly.zero()
+
+    def test_division_by_zero_raises(self):
+        for op in (QPoly.divmod, QPoly.exact_div, QPoly.__mod__):
+            with pytest.raises(ZeroDivisionError):
+                op(QPoly([1, 1]), QPoly.zero())
+
     def test_shift_down(self):
         f = TPoly([0, 0, LaurentPoly.lam(1)])
         assert f.shift_down(2) == TPoly.const(LaurentPoly.lam(1))
@@ -106,6 +129,43 @@ def gcd_fraction_euclid(f: QPoly, g: QPoly) -> QPoly:
 gcd_operands = st.tuples(small_qpolys, small_qpolys, small_qpolys).map(
     lambda t: (t[0] * t[2], t[1] * t[2])
 )
+
+
+class TestPower:
+    """Every power shares one square-and-multiply loop; check it against
+    repeated products, negative exponents included where defined (the
+    Laurent case is in test_laurent)."""
+
+    @staticmethod
+    def repeated(base, n, one):
+        out = one
+        for _ in range(n):
+            out = out * base
+        return out
+
+    @given(small_qpolys, small_tpolys, laurents, st.integers(0, 3))
+    @settings(max_examples=50)
+    def test_polynomials(self, q, t, lp, n):
+        assert q ** (2 * n) == self.repeated(q, 2 * n, QPoly.one())
+        assert t ** n == self.repeated(t, n, TPoly.one())
+        assert lp ** n == self.repeated(lp, n, LaurentPoly.one())
+
+    @given(words, st.integers(-6, 6))
+    def test_words(self, w, n):
+        base = w if n >= 0 else w.inverse()
+        assert w ** n == self.repeated(base, abs(n), Word.identity())
+
+    @pytest.mark.parametrize("n", range(-5, 6))
+    def test_det1_matrices(self, n):
+        g = random_sl2(random.Random(n))
+        base = g if n >= 0 else g.inv_det1()
+        assert g.pow_det1(n, identity_q()) == self.repeated(base, abs(n), identity_q())
+
+    def test_negative_polynomial_powers(self):
+        with pytest.raises(ValueError):
+            QPoly.t() ** -1
+        with pytest.raises(ValueError):
+            TPoly.t() ** -1
 
 
 class TestGcd:
