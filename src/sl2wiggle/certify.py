@@ -34,9 +34,10 @@ from .exact.laurent import LaurentPoly
 from .exact.mat2 import Mat2, mat2_q
 from .exact.qpoly import (
     QPoly,
+    RealRoot,
     factor_cubic_or_less,
     gcd_q,
-    mpf_to_fraction,
+    real_roots,
     squarefree_without,
 )
 from .exact.tpoly import TPoly
@@ -441,13 +442,25 @@ def _eval_mp(poly: QPoly, z):
     return acc
 
 
+def _mpf_to_fraction(x) -> Fraction:
+    """The exact value of an mpmath mpf."""
+    # plain ints: the mantissa is an mpz when mpmath runs on the gmpy backend
+    sign, man, exp, _ = x._mpf_
+    if man == 0:
+        return Fraction(0)
+    value = Fraction(int(man)) * (Fraction(2) ** int(exp))
+    return -value if sign else value
+
+
 def build_witness(cert: Certificate, precision_digits: int = 64) -> Witness:
     """Turn a certificate into an explicit unipotent witness.
 
     Picks an irreducible factor h1 of h.  A linear factor gives a fully
     exact witness; otherwise the facts trace - 2 = 0 and beta * sigma(beta)
-    invertible are certified in Q[t]/(h1) and a root is isolated numerically
-    to the requested precision.
+    invertible are certified in Q[t]/(h1), and the witness point is the
+    smallest real root of h1, isolated exactly and refined by Newton steps
+    to the working precision.  An h1 without real roots is a quadratic;
+    its root with negative imaginary part is taken.
     """
     if not cert.certified:
         raise ValueError("witness construction needs a certified certificate")
@@ -495,6 +508,17 @@ def build_witness(cert: Certificate, precision_digits: int = 64) -> Witness:
     return _numeric_witness(cert, eff, sa, h1, modular, precision_digits)
 
 
+def _witness_point(h_int: QPoly, roots: list[RealRoot]):
+    """At the working precision: the smallest real root of h_int or, when
+    there is none, the root of the quadratic h_int below the real axis."""
+    if roots:
+        # a few bits beyond the working precision, so the rounding is mpf's
+        root = roots[0].refined(mpmath.mp.prec + 8)
+        return mpmath.mpc(mpmath.mpf((root.lo + root.hi, -root.k - 1)))
+    c, b, a = (int(v) for v in h_int.coeffs)
+    return mpmath.mpc(-b, -mpmath.sqrt(4 * a * c - b * b)) / (2 * a)
+
+
 def _numeric_witness(
     cert: Certificate,
     eff: DCParams,
@@ -505,6 +529,7 @@ def _numeric_witness(
 ) -> Witness:
     target = Fraction(1, 10 ** max(precision_digits - 14, 1))
     h_int = h1.clear_denominators()
+    roots = real_roots(h_int)
     coeff_digits = max(len(str(abs(c.numerator))) for c in h_int.coeffs)
     trace_digits = max(
         len(str(abs(c.numerator))) + len(str(c.denominator))
@@ -513,19 +538,7 @@ def _numeric_witness(
     for extra in (0, precision_digits):
         dps = precision_digits + 30 + coeff_digits + trace_digits + extra
         with mpmath.workdps(dps):
-            try:
-                roots = mpmath.polyroots(
-                    [mpmath.mpf(int(c)) for c in reversed(h_int.coeffs)],
-                    maxsteps=200,
-                    extraprec=60,
-                )
-            except mpmath.libmp.NoConvergence:
-                continue
-            roots = sorted(
-                (mpmath.mpc(r) for r in roots),
-                key=lambda z: (abs(z.imag) > mpmath.mpf(10) ** (-dps // 2), z.real, z.imag),
-            )
-            t0 = roots[0]
+            t0 = _witness_point(h_int, roots)
             p, q = 1 + t0, -t0
             u11 = _eval_mp(sa.gamma, t0)
             u12 = _eval_mp(sa.beta, t0) * p
@@ -534,7 +547,7 @@ def _numeric_witness(
             resid_tr = abs(u11 + u22 - 2)
             resid_det = abs(u11 * u22 - u12 * u21 - 1)
             measured = max(resid_tr, resid_det)
-            bound = 2 * mpf_to_fraction(mpmath.mpf(measured)) + Fraction(
+            bound = 2 * _mpf_to_fraction(mpmath.mpf(measured)) + Fraction(
                 1, 10 ** (precision_digits + 10)
             )
             if bound > target:

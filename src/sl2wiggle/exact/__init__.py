@@ -9,6 +9,7 @@ from .qpoly import (
     QPoly,
     factor_cubic_or_less,
     gcd_q,
+    real_roots,
     resultant_q,
     squarefree_without,
 )
@@ -32,5 +33,6 @@ __all__ = [
     "resultant_sylvester",
     "resultant_q",
     "factor_cubic_or_less",
+    "real_roots",
     "squarefree_without",
 ]

@@ -7,8 +7,10 @@ root machinery behind the certification pipeline.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd, isqrt, lcm
+from math import gcd as int_gcd, lcm
+from operator import floordiv
 from typing import Iterable, Sequence
 
 from ..errors import InexactDivisionError
@@ -166,23 +168,25 @@ class QPoly:
         return self.exact_div(gcd_q(self, self.derivative())).monic()
 
     def rational_roots(self) -> list[Fraction]:
-        """All rational roots, found exactly.
+        """All rational roots, in increasing order, found exactly.
 
-        Degrees 1 and 2 are handled by closed formulas (a rational root of
-        an integer quadratic needs an integer-square discriminant).  Higher
-        degrees reconstruct candidates from high-precision numeric roots,
-        using that a root's denominator divides the leading coefficient,
-        and keep only candidates that evaluate to zero exactly.
+        A rational root of the squarefree primitive integer polynomial p
+        behind `real_roots` has a denominator dividing lc(p), so it is a
+        multiple of 1/lc(p).  Once a root's interval is narrower than
+        1/(2 |lc(p)|), the nearest such multiple is its only rational
+        candidate; the candidate must lie in the interval and be an exact
+        root.
         """
         if self.degree < 1:
             return []
-        ints = list(self.clear_denominators()._coeffs)
-        k = 0
-        while not ints[k]:
-            k += 1
-        roots = [] if k == 0 else [_ZERO]
-        roots.extend(_nonzero_rational_roots(_wrap(ints[k:])))
-        return sorted(set(roots))
+        found = []
+        for root in real_roots(self):
+            lc = abs(root.poly[-1])
+            lo, hi = root.refined((2 * lc).bit_length()).bounds
+            cand = Fraction(round(hi * lc), lc)
+            if lo == hi or (lo < cand <= hi and self.evaluate(cand) == 0):
+                found.append(cand)
+        return found
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self._coeffs]
@@ -223,65 +227,6 @@ def _wrap(coeffs: Sequence[Fraction]) -> QPoly:
     return p
 
 
-def _nonzero_rational_roots(p: QPoly) -> list[Fraction]:
-    """Rational roots of an integer polynomial with nonzero constant term."""
-    found: list[Fraction] = []
-    rest = p
-    while rest.degree > 2:
-        rest = rest.clear_denominators()
-        cand = None
-        for approx in _real_root_approximations(rest):
-            c = approx.limit_denominator(abs(int(rest.lc)))
-            if c != 0 and rest.evaluate(c) == 0:
-                cand = c
-                break
-        if cand is None:
-            return found
-        found.append(cand)
-        rest = rest.exact_div(QPoly([-cand, 1]))
-    if rest.degree == 1:
-        found.append(-rest.coeff(0) / rest.coeff(1))
-    elif rest.degree == 2:
-        a, b, c = rest.coeff(2), rest.coeff(1), rest.coeff(0)
-        disc = b * b - 4 * a * c
-        if disc >= 0:
-            num, den = disc.numerator, disc.denominator
-            sn, sd = isqrt(num), isqrt(den)
-            if sn * sn == num and sd * sd == den:
-                s = Fraction(sn, sd)
-                found.extend(((-b + s) / (2 * a), (-b - s) / (2 * a)))
-    return [r for r in found if r != 0]
-
-
-def _real_root_approximations(p: QPoly) -> list[Fraction]:
-    """High-precision rational approximations of the real roots of p."""
-    import mpmath
-
-    digits = max(len(str(abs(c.numerator))) for c in p.coeffs)
-    with mpmath.workdps(3 * digits + 50):
-        try:
-            roots = mpmath.polyroots(
-                [mpmath.mpf(int(c)) for c in reversed(p.coeffs)],
-                maxsteps=200,
-                extraprec=60,
-            )
-        except mpmath.libmp.NoConvergence:
-            return []
-        eps = mpmath.mpf(10) ** (-digits - 20)
-        reals = (mpmath.mpc(r) for r in roots)
-        return [mpf_to_fraction(z.real) for z in reals if abs(z.imag) < eps]
-
-
-def mpf_to_fraction(x) -> Fraction:
-    """The exact value of an mpmath mpf."""
-    # plain ints: the mantissa is an mpz when mpmath runs on the gmpy backend
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return _ZERO
-    value = Fraction(int(man)) * (Fraction(2) ** int(exp))
-    return -value if sign else value
-
-
 def _primitive(coeffs: list[int]) -> list[int]:
     g = int_gcd(*coeffs)
     return [c // g for c in coeffs]
@@ -294,17 +239,19 @@ def _primitive_ints(f: QPoly) -> list[int]:
 
 
 def _primitive_prem(a: list[int], b: list[int]) -> list[int]:
-    """Primitive part of a nonzero multiple of a mod b, with deg a >= deg b.
+    """Primitive part of a positive multiple of a mod b, with deg a >= deg b.
 
-    Each step scales a by lc(b)/g and subtracts (lc(a)/g) t^k b for
-    g = gcd(lc(a), lc(b)), so only integers occur.
+    Each step scales a by |lc(b)|/g and subtracts (±lc(a)/g) t^k b for
+    g = gcd(lc(a), lc(b)), so only integers occur.  The scale is positive,
+    so the remainder keeps the sign a Sturm sequence needs.
     """
     lb, db = b[-1], len(b) - 1
+    sign = 1 if lb > 0 else -1
     rem = list(a)
     while len(rem) > db:
         la = rem.pop()
         g = int_gcd(la, lb)
-        sa, sb = lb // g, la // g
+        sa, sb = abs(lb) // g, sign * la // g
         shift = len(rem) - db
         if sa != 1:
             rem = [sa * c for c in rem]
@@ -371,3 +318,169 @@ def factor_cubic_or_less(f: QPoly) -> list[QPoly]:
     if rest.degree >= 1:
         factors.append(rest.monic())
     return factors
+
+
+# ----------------------------------------------------------------------
+# exact real roots
+
+# Bisection narrows a root's interval to this width, as a power of two,
+# before Newton steps take over.
+_NEWTON_BITS = 24
+
+
+@dataclass(frozen=True)
+class RealRoot:
+    """One real root r of the squarefree integer polynomial `poly`, held
+    exactly as lo / 2^k < r <= hi / 2^k, or as r = lo / 2^k when lo == hi."""
+
+    poly: tuple[int, ...]
+    lo: int
+    hi: int
+    k: int
+
+    @property
+    def bounds(self) -> tuple[Fraction, Fraction]:
+        return Fraction(self.lo, 1 << self.k), Fraction(self.hi, 1 << self.k)
+
+    def refined(self, bits: int) -> "RealRoot":
+        """The same root in an interval of width at most 2^-bits.
+
+        Bisects down to a width of 2^-24, then takes Newton steps in exact
+        integer arithmetic on a grid four or more times finer than 2^-bits.
+        A Newton step that leaves the interval, or a settled point that
+        fails the sign checks either side of it, hands the rest back to
+        bisection.
+        """
+        p, lo, hi, k = self.poly, self.lo, self.hi, self.k
+        if lo == hi or (hi - lo) << bits <= 1 << k:
+            return self
+        v = _value_at(p, hi, k)
+        if not v:
+            return RealRoot(p, hi, hi, k)
+        pos = v > 0
+        lo, hi, k = _bisect(p, pos, lo, hi, k, min(bits, _NEWTON_BITS))
+        if lo != hi and bits > _NEWTON_BITS:
+            lo, hi, k = _newton(p, pos, lo, hi, k, bits) or _bisect(
+                p, pos, lo, hi, k, bits
+            )
+        return RealRoot(p, lo, hi, k)
+
+
+def real_roots(f: QPoly) -> list[RealRoot]:
+    """The distinct real roots of a nonconstant f, in increasing order.
+
+    Works on the squarefree primitive integer polynomial p with the roots
+    of f.  Its Sturm sequence, built from integer pseudo-remainders, counts
+    the roots in a half-open interval (a, b] as V(a) - V(b), where V is the
+    number of sign changes along the sequence.  Bisecting (-2^e, 2^e], with
+    2^e above Cauchy's bound on the roots, until every interval holds at
+    most one root isolates them all.  Signs are exact: p(a / 2^k) is taken
+    as the integer p(a / 2^k) 2^(k deg p).
+    """
+    if f.degree < 1:
+        raise ValueError("a constant has no roots to isolate")
+    p = _primitive_ints(f)
+    chain = _sturm_chain(p)
+    if len(chain[-1]) > 1:  # the chain ends in gcd(p, p'): repeated roots
+        p = polycore.div_exact(p, chain[-1], floordiv, 0, InexactDivisionError)
+        chain = _sturm_chain(p)
+
+    def changes(a: int, k: int) -> int:
+        signs = [v > 0 for v in (_value_at(s, a, k) for s in chain) if v]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    # Cauchy: |r| < 1 + max |c_i / lc| <= 2^e
+    e = (-(-max(abs(c) for c in p[:-1]) // abs(p[-1]))).bit_length()
+    todo = [(-1 << e, 1 << e, 0, changes(-1 << e, 0), changes(1 << e, 0))]
+    roots = []
+    poly = tuple(p)
+    while todo:
+        lo, hi, k, v_lo, v_hi = todo.pop()
+        if v_lo - v_hi == 1:
+            roots.append(RealRoot(poly, lo, hi, k))
+        elif v_lo - v_hi > 1:
+            lo, mid, hi, k = lo << 1, lo + hi, hi << 1, k + 1
+            v_mid = changes(mid, k)
+            todo.append((mid, hi, k, v_mid, v_hi))
+            todo.append((lo, mid, k, v_lo, v_mid))
+    return roots
+
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """p, p' and the negated primitive remainders, up to a constant or gcd(p, p')."""
+    chain = [p, _primitive([i * c for i, c in enumerate(p)][1:])]
+    while len(chain[-1]) > 1:
+        rem = _primitive_prem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    return chain
+
+
+def _value_at(p: Sequence[int], a: int, k: int) -> int:
+    """p(a / 2^k) 2^(k deg p), which has the sign of p(a / 2^k)."""
+    acc, shift = 0, 0
+    for c in reversed(p):
+        acc = acc * a + (c << shift)
+        shift += k
+    return acc
+
+
+def _bisect(p, pos: bool, lo: int, hi: int, k: int, bits: int):
+    """Halve (lo / 2^k, hi / 2^k], holding one root of p with p(hi) > 0
+    exactly when pos, down to a width of at most 2^-bits."""
+    while (hi - lo) << bits > 1 << k:
+        lo, mid, hi, k = lo << 1, lo + hi, hi << 1, k + 1
+        v = _value_at(p, mid, k)
+        if not v:
+            return mid, mid, k
+        if (v > 0) == pos:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi, k
+
+
+def _newton(p, pos: bool, lo: int, hi: int, k: int, bits: int):
+    """Newton's method for the root in (lo / 2^k, hi / 2^k), on a grid of
+    spacing 2^-n, n >= bits + 2; the root's interval of width at most
+    2^-bits, or None when a step leaves the interval or the steps do not
+    settle within a quarter of that width."""
+    n = max(bits, k) + 2
+    width = 1 << (n - bits)
+    lo, hi = lo << (n - k), hi << (n - k)
+    dp = [i * c for i, c in enumerate(p)][1:]
+    x = (lo + hi) >> 1
+    for _ in range(n.bit_length() + 8):
+        v = _value_at(p, x, n)
+        if not v:
+            return x, x, n
+        if (v > 0) == pos:
+            hi = x
+        else:
+            lo = x
+        w = _value_at(dp, x, n)
+        if not w:
+            return None
+        if w < 0:
+            v, w = -v, -w
+        # p(x) / p'(x) = v / (w 2^n), so the step is v / w grid units
+        step = (2 * v + w) // (2 * w)
+        if 4 * abs(step) <= width:
+            break
+        x -= step
+        if not lo < x < hi:
+            return None
+    else:
+        return None
+    # the root is within about a step of x: bracket it by sign checks
+    for y in (x - width // 2, x + width // 2):
+        if lo < y < hi:
+            v = _value_at(p, y, n)
+            if not v:
+                return y, y, n
+            if (v > 0) == pos:
+                hi = y
+            else:
+                lo = y
+    return (lo, hi, n) if hi - lo <= width else None

@@ -147,16 +147,6 @@ class TPoly:
             )
         )
 
-    def divides_over_fractions(self, other: "TPoly") -> bool:
-        """True when self divides other in Frac(R0)[t] (pseudo-remainder zero)."""
-        if not self:
-            return not other
-        if not other:
-            return True
-        if other.degree < self.degree:
-            return False
-        return not polycore.trim(polycore.prem(list(other._coeffs), list(self._coeffs)))
-
     def shift_down(self, k: int) -> "TPoly":
         """Exact division by t^k."""
         if k == 0:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from sl2wiggle.certify import (
     sweep_box,
 )
 from sl2wiggle.errors import TrivialWordError
+from sl2wiggle.exact import polycore
 from sl2wiggle.exact.laurent import LaurentPoly
 from sl2wiggle.exact.mat2 import identity_q, mat2_q
 from sl2wiggle.exact.qpoly import QPoly
@@ -26,6 +29,17 @@ from dc_reference import (
     tau_equal_inner_x_exponents,
     tau_opposite_exponents_cleared,
 )
+
+
+def divides_over_fractions(f: TPoly, g: TPoly) -> bool:
+    """True when f divides g in Frac(R0)[t] (pseudo-remainder zero)."""
+    if not f:
+        return not g
+    if not g:
+        return True
+    if g.degree < f.degree:
+        return False
+    return not polycore.trim(polycore.prem(list(g.coeffs), list(f.coeffs)))
 
 
 def padded(p: TPoly, size: int) -> list:
@@ -120,7 +134,7 @@ class TestResultantFormula:
         # inner y-exponents equal: tau divides gamma_inner, resultant vanishes
         cp = core_polys(DCParams(1, 1, 2, 1))
         assert resultant(cp.tau, cp.gamma_inner) == LaurentPoly.zero()
-        assert cp.tau.divides_over_fractions(cp.gamma_inner)
+        assert divides_over_fractions(cp.tau, cp.gamma_inner)
 
 
 class TestCertify:
@@ -282,6 +296,21 @@ class TestWitness:
         assert data["exact"] is True
         assert data["t0"] == "-49/48"
         assert data["g"][1][0] == "-49/48"
+
+
+    def test_box2_witnesses_are_pinned(self):
+        # sha256 of the JSON of every box-2 witness without its "residual",
+        # recorded while witness roots still came from mpmath.polyroots
+        lines = []
+        for cert in sweep_box(2):
+            if not cert.certified:
+                continue
+            data = build_witness(cert, 64).to_json()
+            assert Fraction(data.pop("residual")) <= Fraction(1, 10**50)
+            lines.append(json.dumps(data, sort_keys=True))
+        assert len(lines) == 240
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "cf5b901b37eb690d6f1b6adbf68aa7d962c512b6221013eb4a7278f59c84d5ce"
 
 
 class TestSweep:
