@@ -4,7 +4,7 @@ A certificate is a squarefree h(t) dividing the specialized trace - 2 and
 coprime to both t(t+1) and gamma - 1: every root of h then gives a
 non-trivial unipotent wiggle value, which proves surjectivity of the word
 map on PSL2 over the algebraic closure.  The search and the checker need
-only those two specialized polynomials.
+only those two, as integer polynomials over one denominator.
 
 The paper's tables peel the closed-form prefactors off the symbolic
 polynomials (core_polys):
@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from fractions import Fraction
+from itertools import product
+from math import gcd
 from typing import Optional
 
 import mpmath
@@ -32,13 +34,17 @@ import mpmath
 from .errors import PrecisionExhaustedError, TrivialWordError
 from .exact.laurent import LaurentPoly
 from .exact.mat2 import Mat2, mat2_q
+from .exact.polycore import add, mul
 from .exact.qpoly import (
     QPoly,
     RealRoot,
-    factor_cubic_or_less,
-    gcd_q,
     real_roots,
-    squarefree_without,
+    zderivative,
+    zdiv_t1,
+    zexact_div,
+    zgcd,
+    zprem,
+    zprimitive,
 )
 from .exact.tpoly import TPoly
 from .wiggle import (
@@ -53,10 +59,6 @@ from .words import Word, double_commutator, double_commutator_cyclic
 
 logger = logging.getLogger(__name__)
 
-_T = QPoly.t()
-_T_T1 = _T * (_T + 1)
-_ROOT_CUBES = (_T ** 3, (_T + 1) ** 3)
-
 
 @dataclass(frozen=True)
 class DCParams:
@@ -66,13 +68,7 @@ class DCParams:
     n: int
 
     def is_trivial(self) -> bool:
-        return (
-            self.k == 0
-            or self.l == 0
-            or self.m == 0
-            or self.n == 0
-            or (self.k, self.l) == (self.m, self.n)
-        )
+        return 0 in self.as_list() or (self.k, self.l) == (self.m, self.n)
 
     def swapped(self) -> "DCParams":
         """Parameters of the generator-swapped word, conjugate to this one."""
@@ -169,18 +165,10 @@ class CheckRecord:
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.divides_trace_minus_2
-            and self.coprime_t_t1
-            and self.coprime_gamma_minus_1
-        )
+        return self.divides_trace_minus_2 and self.coprime_t_t1 and self.coprime_gamma_minus_1
 
     def to_json(self) -> dict:
-        return {
-            "divides_trace_minus_2": self.divides_trace_minus_2,
-            "coprime_t_t1": self.coprime_t_t1,
-            "coprime_gamma_minus_1": self.coprime_gamma_minus_1,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -222,12 +210,7 @@ class Certificate:
     def from_json(cls, data: dict) -> "Certificate":
         checks = None
         if "checks" in data:
-            c = data["checks"]
-            checks = CheckRecord(
-                divides_trace_minus_2=bool(c["divides_trace_minus_2"]),
-                coprime_t_t1=bool(c["coprime_t_t1"]),
-                coprime_gamma_minus_1=bool(c["coprime_gamma_minus_1"]),
-            )
+            checks = CheckRecord(*(bool(data["checks"][f.name]) for f in fields(CheckRecord)))
         return cls(
             params=DCParams(*[int(v) for v in data["params"]]),
             status=CertStatus(data["status"]),
@@ -246,42 +229,61 @@ def _draw_parameter(rng: random.Random) -> Fraction:
             return value
 
 
+def _minus_2_and_1(sa: SpecializedAssoc) -> tuple[list[int], list[int]]:
+    """D (trace - 2) and D (gamma - 1) in Z[t], for the shared denominator D."""
+    return add(sa.trace_num, [-2 * sa.den]), add(sa.gamma_num, [-sa.den])
+
+
+def _check_record(h: list[int], trace_minus_2, gamma_minus_1) -> CheckRecord:
+    """The three facts for a primitive integer h, against D (trace - 2)
+    and D (gamma - 1) in Z[t], where exact division decides divisibility."""
+    return CheckRecord(
+        divides_trace_minus_2=zexact_div(trace_minus_2, h) is not None,
+        coprime_t_t1=bool(h[0]) and bool(zdiv_t1(h)[1]),
+        coprime_gamma_minus_1=zgcd(h, gamma_minus_1) == [1],
+    )
+
+
+def _stripped_squarefree(f: list[int]) -> tuple[list[int], int, int]:
+    """The squarefree part of f != 0 with every factor t and t + 1 divided
+    out, and the orders of f at 0 and -1."""
+    at_0 = next(i for i, c in enumerate(f) if c)
+    f, at_m1 = f[at_0:], 0
+    while True:
+        q, r = zdiv_t1(f)
+        if r:
+            break
+        f, at_m1 = q, at_m1 + 1
+    return zexact_div(f, zgcd(f, zderivative(f))), at_0, at_m1
+
+
 def _attempt(params: DCParams, lam0: Fraction, mu0: Fraction):
-    """One specialization attempt; returns (h, checks) or None to resample."""
+    """One specialization attempt; returns (h, checks) or None to resample.
+
+    Works in Z[t] on D (trace - 2) and D (gamma - 1) throughout."""
     sa = specialized_assoc(params.cyclic_word(), lam0, mu0)
-    trace_minus_2 = sa.trace - 2
-    gamma_minus_1 = sa.gamma - 1
+    trace_minus_2, gamma_minus_1 = _minus_2_and_1(sa)
     if not trace_minus_2:
         return None
+    s, at_0, at_m1 = _stripped_squarefree(trace_minus_2)
     # t^2 (t+1)^2 always divides trace - 2; a third power is worth a note
-    if logger.isEnabledFor(logging.INFO) and any(
-        not trace_minus_2 % cube for cube in _ROOT_CUBES
-    ):
+    if max(at_0, at_m1) >= 3:
         logger.info(
-            "trace - 2 vanishes to order >= 3 at 0 or -1 for %s at (%s, %s);"
-            " stripping",
-            params.as_list(),
-            lam0,
-            mu0,
+            "trace - 2 vanishes to order >= 3 at 0 or -1 for %s at (%s, %s); stripping",
+            params.as_list(), lam0, mu0,
         )
-    s = squarefree_without(trace_minus_2, [Fraction(0), Fraction(-1)])
-    if s.degree < 1:
+    h = zprimitive(zexact_div(s, zgcd(s, gamma_minus_1)))
+    if len(h) < 2:
         return None
-    h = s.exact_div(gcd_q(s, gamma_minus_1))
-    if h.degree < 1:
-        return None
-    h = h.clear_denominators()
-    checks = CheckRecord(
-        divides_trace_minus_2=not (trace_minus_2 % h),
-        coprime_t_t1=gcd_q(h, _T_T1) == QPoly.one(),
-        coprime_gamma_minus_1=gcd_q(h, gamma_minus_1) == QPoly.one(),
-    )
+    if h[-1] < 0:
+        h = [-c for c in h]
+    checks = _check_record(h, trace_minus_2, gamma_minus_1)
     if not checks.all_ok:
         raise AssertionError(
             f"pipeline produced an unsound h for {params.as_list()} at"
             f" ({lam0}, {mu0}); this is a bug"
         )
-    return h, checks
+    return QPoly(h), checks
 
 
 def certify(
@@ -347,23 +349,14 @@ def check_certificate(cert: Certificate) -> CheckOutcome:
     if cert.hpoly is None or cert.hpoly.degree < 1 or cert.lam0 is None:
         return CheckOutcome(valid=False, reason="missing h or specialization")
     eff = cert.effective_params()
-    pref = prefactor_num(eff).evaluate(cert.lam0, cert.mu0)
-    if pref == 0:
+    if prefactor_num(eff).evaluate(cert.lam0, cert.mu0) == 0:
         return CheckOutcome(valid=False, reason="degenerate specialization")
     sa = specialized_assoc(eff.cyclic_word(), cert.lam0, cert.mu0)
-    h = cert.hpoly
-    checks = CheckRecord(
-        divides_trace_minus_2=not ((sa.trace - 2) % h),
-        coprime_t_t1=gcd_q(h, _T_T1) == QPoly.one(),
-        coprime_gamma_minus_1=gcd_q(h, sa.gamma - 1) == QPoly.one(),
-    )
-    squarefree = gcd_q(h, h.derivative()) == QPoly.one()
-    valid = checks.all_ok and squarefree
-    return CheckOutcome(
-        valid=valid,
-        checks=checks,
-        reason="" if valid else "a recorded fact failed re-verification",
-    )
+    h = cert.hpoly.primitive_ints()
+    checks = _check_record(h, *_minus_2_and_1(sa))
+    valid = checks.all_ok and zgcd(h, zderivative(h)) == [1]  # h squarefree
+    reason = "" if valid else "a recorded fact failed re-verification"
+    return CheckOutcome(valid=valid, checks=checks, reason=reason)
 
 
 # ----------------------------------------------------------------------
@@ -382,10 +375,7 @@ class ModularCertificate:
         return self.trace_minus_2_divisible and self.beta_product_invertible
 
     def to_json(self) -> dict:
-        return {
-            "trace_minus_2_divisible": self.trace_minus_2_divisible,
-            "beta_product_invertible": self.beta_product_invertible,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -435,77 +425,78 @@ class Witness:
         return data
 
 
-def _eval_mp(poly: QPoly, z):
-    acc = mpmath.mpc(0)
-    for c in reversed(poly.coeffs):
-        acc = acc * z + mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-    return acc
+def _wiggle_at(sa: SpecializedAssoc, t0) -> tuple:
+    """The entries gamma, beta p, -sigma(beta) q, sigma(gamma) of the wiggle
+    value at t0, for p = 1 + t0 and q = -t0, a Fraction or an mpc.  Each
+    polynomial is its integer numerator by Horner, then one division by D."""
+
+    def at(num):
+        acc = 0 * t0
+        for c in reversed(num):
+            acc = acc * t0 + c
+        return acc / sa.den
+
+    gamma, beta = at(sa.gamma_num), at(sa.beta_num)
+    return gamma, beta * (1 + t0), at(sa.beta_sigma_num) * t0, at(sa.gamma_sigma_num)
 
 
 def _mpf_to_fraction(x) -> Fraction:
     """The exact value of an mpmath mpf."""
     # plain ints: the mantissa is an mpz when mpmath runs on the gmpy backend
     sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    value = Fraction(int(man)) * (Fraction(2) ** int(exp))
+    value = Fraction(int(man) << max(int(exp), 0), 1 << max(-int(exp), 0))
     return -value if sign else value
 
 
 def build_witness(cert: Certificate, precision_digits: int = 64) -> Witness:
     """Turn a certificate into an explicit unipotent witness.
 
-    Picks an irreducible factor h1 of h.  A linear factor gives a fully
-    exact witness; otherwise the facts trace - 2 = 0 and beta * sigma(beta)
-    invertible are certified in Q[t]/(h1), and the witness point is the
-    smallest real root of h1, isolated exactly and refined by Newton steps
-    to the working precision.  An h1 without real roots is a quadratic;
-    its root with negative imaginary part is taken.
+    The real roots of h (of degree <= 3) are isolated once.  A rational
+    root r = u/v, the largest if there are several, gives the factor
+    h1 = v t - u and a fully exact witness.  Otherwise h is irreducible
+    and h1 = h.  Either way the facts trace - 2 = 0 and beta * sigma(beta)
+    invertible are certified in Q[t]/(h1), by exact division and
+    pseudo-remainders in Z[t].  Without a rational root, the witness point
+    is the smallest real root of h1, refined by Newton steps to the
+    working precision; an h1 without real roots is a quadratic, and its
+    root with negative imaginary part is taken.
     """
     if not cert.certified:
         raise ValueError("witness construction needs a certified certificate")
+    if not 1 <= cert.hpoly.degree <= 3:
+        raise ValueError("witnesses need a certificate h of degree 1 to 3")
     eff = cert.effective_params()
-    factors = sorted(
-        factor_cubic_or_less(cert.hpoly.monic()),
-        key=lambda f: (f.degree, f.coeffs),
-    )
-    h1 = factors[0]
+    roots = real_roots(cert.hpoly)
+    rational = [x for x in map(RealRoot.rational, roots) if x is not None]
+    t0 = rational[-1] if rational else None
+    h1 = [-t0.numerator, t0.denominator] if rational else cert.hpoly.primitive_ints()
     sa = specialized_assoc(eff.cyclic_word(), cert.lam0, cert.mu0)
-    trace_ok = not ((sa.trace - 2) % h1)
-    beta_prod = (sa.beta * sa.beta_sigma) % h1
-    beta_ok = bool(beta_prod) and gcd_q(h1, beta_prod) == QPoly.one()
+    beta_prod = mul(zprem(sa.beta_num, h1), zprem(sa.beta_sigma_num, h1), 0)
     modular = ModularCertificate(
-        trace_minus_2_divisible=trace_ok, beta_product_invertible=beta_ok
+        trace_minus_2_divisible=zexact_div(_minus_2_and_1(sa)[0], h1) is not None,
+        beta_product_invertible=zgcd(h1, beta_prod) == [1],
     )
     if not modular.all_ok:
         raise AssertionError("modular certificate failed; certificate unsound")
 
-    if h1.degree == 1:
-        t0 = -h1.coeff(0) / h1.coeff(1)
-        g = mat2_q(1, 1, t0, 1 + t0)
-        p, q = Fraction(1) + t0, -t0
-        u = Mat2(
-            sa.gamma.evaluate(t0),
-            sa.beta.evaluate(t0) * p,
-            -sa.beta_sigma.evaluate(t0) * q,
-            sa.gamma_sigma.evaluate(t0),
-        )
-        if u.trace() != 2 or u.det() != 1 or u == Mat2(*map(Fraction, (1, 0, 0, 1))):
-            raise AssertionError("exact witness failed its defining identities")
-        return Witness(
-            params=cert.params,
-            lam0=cert.lam0,
-            mu0=cert.mu0,
-            minimal_poly=h1.clear_denominators(),
-            modular=modular,
-            exact=True,
-            residual=Fraction(0),
-            t0=t0,
-            g=g,
-            u=u,
-        )
-
-    return _numeric_witness(cert, eff, sa, h1, modular, precision_digits)
+    if t0 is None:
+        return _numeric_witness(cert, sa, h1, roots, modular, precision_digits)
+    g = mat2_q(1, 1, t0, 1 + t0)
+    u = Mat2(*_wiggle_at(sa, t0))
+    if u.trace() != 2 or u.det() != 1 or u == Mat2(*map(Fraction, (1, 0, 0, 1))):
+        raise AssertionError("exact witness failed its defining identities")
+    return Witness(
+        params=cert.params,
+        lam0=cert.lam0,
+        mu0=cert.mu0,
+        minimal_poly=QPoly(h1),
+        modular=modular,
+        exact=True,
+        residual=Fraction(0),
+        t0=t0,
+        g=g,
+        u=u,
+    )
 
 
 def _witness_point(h_int: QPoly, roots: list[RealRoot]):
@@ -521,35 +512,28 @@ def _witness_point(h_int: QPoly, roots: list[RealRoot]):
 
 def _numeric_witness(
     cert: Certificate,
-    eff: DCParams,
     sa: SpecializedAssoc,
-    h1: QPoly,
+    h: list[int],
+    roots: list[RealRoot],
     modular: ModularCertificate,
     precision_digits: int,
 ) -> Witness:
     target = Fraction(1, 10 ** max(precision_digits - 14, 1))
-    h_int = h1.clear_denominators()
-    roots = real_roots(h_int)
-    coeff_digits = max(len(str(abs(c.numerator))) for c in h_int.coeffs)
+    h_poly = QPoly(h)
+    coeff_digits = max(len(str(abs(c))) for c in h)
+    # digits of the reduced fractions (trace - 2)_i = T_i / D
     trace_digits = max(
-        len(str(abs(c.numerator))) + len(str(c.denominator))
-        for c in (sa.trace - 2).coeffs
+        len(str(abs(c) // g)) + len(str(sa.den // g))
+        for c, g in ((c, gcd(c, sa.den)) for c in _minus_2_and_1(sa)[0])
     )
     for extra in (0, precision_digits):
         dps = precision_digits + 30 + coeff_digits + trace_digits + extra
         with mpmath.workdps(dps):
-            t0 = _witness_point(h_int, roots)
-            p, q = 1 + t0, -t0
-            u11 = _eval_mp(sa.gamma, t0)
-            u12 = _eval_mp(sa.beta, t0) * p
-            u21 = -_eval_mp(sa.beta_sigma, t0) * q
-            u22 = _eval_mp(sa.gamma_sigma, t0)
-            resid_tr = abs(u11 + u22 - 2)
-            resid_det = abs(u11 * u22 - u12 * u21 - 1)
-            measured = max(resid_tr, resid_det)
-            bound = 2 * _mpf_to_fraction(mpmath.mpf(measured)) + Fraction(
-                1, 10 ** (precision_digits + 10)
-            )
+            t0 = _witness_point(h_poly, roots)
+            u11, u12, u21, u22 = _wiggle_at(sa, t0)
+            measured = max(abs(u11 + u22 - 2), abs(u11 * u22 - u12 * u21 - 1))
+            bound = 2 * _mpf_to_fraction(mpmath.mpf(measured))
+            bound += Fraction(1, 10 ** (precision_digits + 10))
             if bound > target:
                 continue
             fmt = lambda z: (
@@ -560,7 +544,7 @@ def _numeric_witness(
                 params=cert.params,
                 lam0=cert.lam0,
                 mu0=cert.mu0,
-                minimal_poly=h_int,
+                minimal_poly=h_poly,
                 modular=modular,
                 exact=False,
                 residual=bound,
@@ -591,17 +575,7 @@ def sweep_box(
 ) -> list[Certificate]:
     """Certify every tuple with nonzero entries of magnitude <= max_abs."""
     values = [v for v in range(-max_abs, max_abs + 1) if v != 0]
-    out = []
-    for k in values:
-        for l in values:
-            for m in values:
-                for n in values:
-                    params = DCParams(k, l, m, n)
-                    out.append(
-                        certify(
-                            params,
-                            seed=_tuple_seed(seed, params, max_abs),
-                            max_attempts=max_attempts,
-                        )
-                    )
-    return out
+    return [
+        certify(params, seed=_tuple_seed(seed, params, max_abs), max_attempts=max_attempts)
+        for params in (DCParams(*e) for e in product(values, repeat=4))
+    ]

@@ -11,7 +11,6 @@ from .qpoly import (
     gcd_q,
     real_roots,
     resultant_q,
-    squarefree_without,
 )
 from .tpoly import TPoly, resultant, resultant_sylvester
 
@@ -34,5 +33,4 @@ __all__ = [
     "resultant_q",
     "factor_cubic_or_less",
     "real_roots",
-    "squarefree_without",
 ]

@@ -260,19 +260,23 @@ class LaurentPoly:
     # evaluation and exact division
 
     def evaluate(self, lam0: Fraction, mu0: Fraction) -> Fraction:
+        """The exact value at (lam0, mu0) = (p/q, r/s): with every exponent
+        shifted to start at 0, one integer sum over one denominator."""
         lam0, mu0 = Fraction(lam0), Fraction(mu0)
-        lpows: dict[int, Fraction] = {}
-        mpows: dict[int, Fraction] = {}
-        total = Fraction(0)
-        for (el, em), c in self._terms.items():
-            lp = lpows.get(el)
-            if lp is None:
-                lp = lpows[el] = lam0 ** el
-            mp = mpows.get(em)
-            if mp is None:
-                mp = mpows[em] = mu0 ** em
-            total += Fraction(c) * lp * mp
-        return total
+        if not self._terms:
+            return Fraction(0)
+        den, terms = _integer_terms(self._terms)
+        (p, q), (r, s) = lam0.as_integer_ratio(), mu0.as_integer_ratio()
+        ls, ms = {el for el, _ in terms}, {em for _, em in terms}
+        l0, l1, m0, m1 = min(ls), max(ls), min(ms), max(ms)
+        lp = {e: p ** (e - l0) * q ** (l1 - e) for e in ls}
+        mp = {e: r ** (e - m0) * s ** (m1 - e) for e in ms}
+        num = sum(c * lp[el] * mp[em] for (el, em), c in terms.items())
+        # times lam0^l0 mu0^m0, over q^(l1 - l0) s^(m1 - m0)
+        num *= (p ** l0 if l0 > 0 else q ** -l0) * (r ** m0 if m0 > 0 else s ** -m0)
+        den *= q ** (l1 - l0) * s ** (m1 - m0)
+        den *= (q ** l0 if l0 > 0 else p ** -l0) * (s ** m0 if m0 > 0 else r ** -m0)
+        return Fraction(num, den)
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient self / divisor; raises InexactDivisionError otherwise.

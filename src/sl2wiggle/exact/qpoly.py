@@ -1,8 +1,10 @@
-"""Univariate polynomials in t over exact rationals.
+"""Univariate polynomials in t over the rationals and over the integers.
 
 These are the specializations of the Laurent-coefficient polynomials at a
-concrete torus parameter pair, and the home of the gcd / squarefree /
-root machinery behind the certification pipeline.
+concrete torus parameter pair.  `QPoly` holds rational coefficients for the
+library API; the certification pipeline works on integer polynomials
+(plain lists of ints), where a primitive divisor always has an integral
+quotient by Gauss's lemma, so gcds and divisibility need no fractions.
 """
 
 from __future__ import annotations
@@ -10,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd, lcm
-from operator import floordiv
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..errors import InexactDivisionError
 from . import polycore
@@ -144,9 +145,6 @@ class QPoly:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "QPoly":
-        return _wrap([i * c for i, c in enumerate(self._coeffs)][1:])
-
     def monic(self) -> "QPoly":
         if not self:
             return self
@@ -154,39 +152,22 @@ class QPoly:
         return _wrap([c * inv for c in self._coeffs])
 
     # ------------------------------------------------------------------
+    def primitive_ints(self) -> list[int]:
+        """The primitive integer polynomial with a positive leading
+        coefficient that is a rational multiple of self (zero for zero)."""
+        den = lcm(*(c.denominator for c in self._coeffs))
+        ints = zprimitive([c.numerator * (den // c.denominator) for c in self._coeffs])
+        return ints if not ints or ints[-1] > 0 else [-c for c in ints]
+
     def clear_denominators(self) -> "QPoly":
         """Integer-primitive scalar multiple with a positive leading coefficient."""
-        if not self:
-            return self
-        ints = _primitive_ints(self)
-        return QPoly.from_ints(ints if ints[-1] > 0 else [-v for v in ints])
-
-    def squarefree_part(self) -> "QPoly":
-        """Monic product of the distinct irreducible factors."""
-        if self.degree < 1:
-            return QPoly.one() if self else self
-        return self.exact_div(gcd_q(self, self.derivative())).monic()
+        return QPoly.from_ints(self.primitive_ints())
 
     def rational_roots(self) -> list[Fraction]:
-        """All rational roots, in increasing order, found exactly.
-
-        A rational root of the squarefree primitive integer polynomial p
-        behind `real_roots` has a denominator dividing lc(p), so it is a
-        multiple of 1/lc(p).  Once a root's interval is narrower than
-        1/(2 |lc(p)|), the nearest such multiple is its only rational
-        candidate; the candidate must lie in the interval and be an exact
-        root.
-        """
+        """All rational roots, in increasing order, found exactly."""
         if self.degree < 1:
             return []
-        found = []
-        for root in real_roots(self):
-            lc = abs(root.poly[-1])
-            lo, hi = root.refined((2 * lc).bit_length()).bounds
-            cand = Fraction(round(hi * lc), lc)
-            if lo == hi or (lo < cand <= hi and self.evaluate(cand) == 0):
-                found.append(cand)
-        return found
+        return [x for x in map(RealRoot.rational, real_roots(self)) if x is not None]
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self._coeffs]
@@ -227,74 +208,15 @@ def _wrap(coeffs: Sequence[Fraction]) -> QPoly:
     return p
 
 
-def _primitive(coeffs: list[int]) -> list[int]:
-    g = int_gcd(*coeffs)
-    return [c // g for c in coeffs]
-
-
-def _primitive_ints(f: QPoly) -> list[int]:
-    """The primitive integer polynomial that is a rational multiple of f != 0."""
-    den = lcm(*(c.denominator for c in f.coeffs))
-    return _primitive([c.numerator * (den // c.denominator) for c in f.coeffs])
-
-
-def _primitive_prem(a: list[int], b: list[int]) -> list[int]:
-    """Primitive part of a positive multiple of a mod b, with deg a >= deg b.
-
-    Each step scales a by |lc(b)|/g and subtracts (±lc(a)/g) t^k b for
-    g = gcd(lc(a), lc(b)), so only integers occur.  The scale is positive,
-    so the remainder keeps the sign a Sturm sequence needs.
-    """
-    lb, db = b[-1], len(b) - 1
-    sign = 1 if lb > 0 else -1
-    rem = list(a)
-    while len(rem) > db:
-        la = rem.pop()
-        g = int_gcd(la, lb)
-        sa, sb = abs(lb) // g, sign * la // g
-        shift = len(rem) - db
-        if sa != 1:
-            rem = [sa * c for c in rem]
-        for j in range(db):
-            rem[shift + j] -= sb * b[j]
-        while rem and not rem[-1]:
-            rem.pop()
-    return _primitive(rem) if rem else rem
-
-
 def gcd_q(f: QPoly, g: QPoly) -> QPoly:
-    """Monic greatest common divisor over the rationals.
-
-    Runs a primitive remainder sequence over the integers (Brown 1971):
-    every remainder is reduced to its primitive part, so coefficients stay
-    as small as the gcd allows instead of growing as in rational Euclid.
-    """
-    if not f and not g:
-        raise ValueError("gcd of two zero polynomials")
-    a = _primitive_ints(f) if f else []
-    b = _primitive_ints(g) if g else []
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        a, b = b, _primitive_prem(a, b)
-    if b:
-        return QPoly.one()
-    return QPoly.from_ints(a, a[-1])
+    """Monic greatest common divisor over the rationals, from `zgcd`."""
+    d = zgcd(f.primitive_ints(), g.primitive_ints())
+    return QPoly.from_ints(d, d[-1])
 
 
 def resultant_q(f: QPoly, g: QPoly) -> Fraction:
     """res(f, g) = lc(f)^deg(g) * product of g over the roots of f."""
-    r = polycore.resultant_prs(list(f.coeffs), list(g.coeffs), _ONE, _ZERO, _div)
-    return r
-
-
-def squarefree_without(f: QPoly, excluded_roots: Sequence[Fraction]) -> QPoly:
-    """Squarefree part of f with the linear factors at the given roots removed."""
-    s = f.squarefree_part()
-    for r in excluded_roots:
-        if s.evaluate(Fraction(r)) == 0:
-            s = s.exact_div(QPoly([-Fraction(r), 1]))
-    return s
+    return polycore.resultant_prs(list(f.coeffs), list(g.coeffs), _ONE, _ZERO, _div)
 
 
 def factor_cubic_or_less(f: QPoly) -> list[QPoly]:
@@ -318,6 +240,91 @@ def factor_cubic_or_less(f: QPoly) -> list[QPoly]:
     if rest.degree >= 1:
         factors.append(rest.monic())
     return factors
+
+
+# ----------------------------------------------------------------------
+# integer polynomials: lists of ints, lowest degree first, trimmed
+
+
+def zprimitive(f: Sequence[int]) -> list[int]:
+    """f divided by the gcd of its coefficients; zero stays zero."""
+    g = int_gcd(*f)
+    return [c // g for c in f] if g > 1 else list(f)
+
+
+def zderivative(f: Sequence[int]) -> list[int]:
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def zexact_div(f: Sequence[int], g: Sequence[int]) -> Optional[list[int]]:
+    """f / g in Z[t], or None when g does not divide f there.  For a
+    primitive g that is the same as dividing in Q[t] (Gauss's lemma)."""
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    dg, lc = len(g) - 1, g[-1]
+    rem, quot = list(f), [0] * max(len(f) - dg, 0)
+    for shift in range(len(f) - 1 - dg, -1, -1):
+        q, r = divmod(rem[shift + dg], lc)
+        if r:
+            return None
+        if q:
+            quot[shift] = q
+            for j in range(dg):
+                rem[shift + j] -= q * g[j]
+    return None if any(rem[:dg]) else quot
+
+
+def zdiv_t1(f: Sequence[int]) -> tuple[list[int], int]:
+    """(q, f(-1)) with f = (t + 1) q + f(-1), by synthetic division."""
+    q = [0] * max(len(f) - 1, 0)
+    acc = 0
+    for i in range(len(f) - 1, 0, -1):
+        acc = f[i] - acc
+        q[i - 1] = acc
+    return q, f[0] - acc if f else 0
+
+
+def zprem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Primitive part of a positive multiple of a mod b, for b != 0.
+
+    Each step scales a by |lc(b)|/g and subtracts (±lc(a)/g) t^k b for
+    g = gcd(lc(a), lc(b)), so only integers occur.  The scale is positive,
+    so the remainder keeps the sign a Sturm sequence needs.
+    """
+    lb, db = b[-1], len(b) - 1
+    sign = 1 if lb > 0 else -1
+    rem = list(a)
+    while len(rem) > db:
+        la = rem.pop()
+        g = int_gcd(la, lb)
+        sa, sb = abs(lb) // g, sign * la // g
+        shift = len(rem) - db
+        if sa != 1:
+            rem = [sa * c for c in rem]
+        for j in range(db):
+            rem[shift + j] -= sb * b[j]
+        while rem and not rem[-1]:
+            rem.pop()
+    return zprimitive(rem)
+
+
+def zgcd(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """The primitive gcd in Z[t], with a positive leading coefficient.
+
+    Runs a primitive remainder sequence (Brown 1971): every remainder is
+    reduced to its primitive part, so coefficients stay as small as the
+    gcd allows instead of growing as in rational Euclid.
+    """
+    if not f and not g:
+        raise ValueError("gcd of two zero polynomials")
+    a, b = zprimitive(f), zprimitive(g)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        a, b = b, zprem(a, b)
+    if b:
+        return [1]
+    return a if a[-1] > 0 else [-c for c in a]
 
 
 # ----------------------------------------------------------------------
@@ -365,6 +372,24 @@ class RealRoot:
             )
         return RealRoot(p, lo, hi, k)
 
+    def rational(self) -> Optional[Fraction]:
+        """The root as a Fraction when it is rational, else None.
+
+        A rational root u/v of the primitive integer polynomial `poly` has
+        v | lc(poly), so it is a multiple of 1/lc.  Once the interval is
+        narrower than 1/(2 |lc|), the nearest such multiple is the only
+        candidate; it must lie in the interval and be an exact root, that
+        is, v t - u must divide `poly` in Z[t].
+        """
+        lc = abs(self.poly[-1])
+        lo, hi = self.refined((2 * lc).bit_length()).bounds
+        x = Fraction(round(hi * lc), lc)
+        if lo == hi or (
+            lo < x <= hi and zexact_div(self.poly, [-x.numerator, x.denominator]) is not None
+        ):
+            return x
+        return None
+
 
 def real_roots(f: QPoly) -> list[RealRoot]:
     """The distinct real roots of a nonconstant f, in increasing order.
@@ -379,10 +404,10 @@ def real_roots(f: QPoly) -> list[RealRoot]:
     """
     if f.degree < 1:
         raise ValueError("a constant has no roots to isolate")
-    p = _primitive_ints(f)
+    p = f.primitive_ints()
     chain = _sturm_chain(p)
     if len(chain[-1]) > 1:  # the chain ends in gcd(p, p'): repeated roots
-        p = polycore.div_exact(p, chain[-1], floordiv, 0, InexactDivisionError)
+        p = zexact_div(p, chain[-1])
         chain = _sturm_chain(p)
 
     def changes(a: int, k: int) -> int:
@@ -408,9 +433,9 @@ def real_roots(f: QPoly) -> list[RealRoot]:
 
 def _sturm_chain(p: list[int]) -> list[list[int]]:
     """p, p' and the negated primitive remainders, up to a constant or gcd(p, p')."""
-    chain = [p, _primitive([i * c for i, c in enumerate(p)][1:])]
+    chain = [p, zprimitive(zderivative(p))]
     while len(chain[-1]) > 1:
-        rem = _primitive_prem(chain[-2], chain[-1])
+        rem = zprem(chain[-2], chain[-1])
         if not rem:
             break
         chain.append([-c for c in rem])
@@ -449,7 +474,7 @@ def _newton(p, pos: bool, lo: int, hi: int, k: int, bits: int):
     n = max(bits, k) + 2
     width = 1 << (n - bits)
     lo, hi = lo << (n - k), hi << (n - k)
-    dp = [i * c for i, c in enumerate(p)][1:]
+    dp = zderivative(p)
     x = (lo + hi) >> 1
     for _ in range(n.bit_length() + 8):
         v = _value_at(p, x, n)

@@ -15,6 +15,7 @@ here is computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
@@ -242,20 +243,39 @@ def eval_normal_form(ap: AssocPolys, lam0, mu0, g: Mat2[Fraction]) -> WiggleValu
     return WiggleValue(matrix=matrix, t_value=t0)
 
 
+def _over_den(name: str) -> cached_property:
+    """The QPoly field `name`: its integer numerator over the denominator."""
+    return cached_property(lambda sa: QPoly.from_ints(getattr(sa, name + "_num"), sa.den))
+
+
 @dataclass(frozen=True)
 class SpecializedAssoc:
     """(alpha, beta), their sigma-partners, gamma = alpha + beta*t, its
-    sigma-partner and the trace, all at a fixed rational (lam, mu)."""
+    sigma-partner and the trace, all at a fixed rational (lam, mu).
+
+    Each is held as an integer numerator over the shared denominator `den`
+    (the `*_num` fields, in Z[t]); the QPoly fields are built from those
+    when first read.
+    """
 
     lam0: Fraction
     mu0: Fraction
-    alpha: QPoly
-    beta: QPoly
-    alpha_sigma: QPoly
-    beta_sigma: QPoly
-    gamma: QPoly
-    gamma_sigma: QPoly
-    trace: QPoly
+    den: int
+    alpha_num: tuple[int, ...]
+    beta_num: tuple[int, ...]
+    alpha_sigma_num: tuple[int, ...]
+    beta_sigma_num: tuple[int, ...]
+    gamma_num: tuple[int, ...]
+    gamma_sigma_num: tuple[int, ...]
+    trace_num: tuple[int, ...]
+
+    alpha = _over_den("alpha")
+    beta = _over_den("beta")
+    alpha_sigma = _over_den("alpha_sigma")
+    beta_sigma = _over_den("beta_sigma")
+    gamma = _over_den("gamma")
+    gamma_sigma = _over_den("gamma_sigma")
+    trace = _over_den("trace")
 
 
 def _int_run(num: int, den: int):
@@ -274,7 +294,7 @@ def specialized_assoc(w: WordLike, lam0, mu0) -> SpecializedAssoc:
     The integer column is D times the true one, D = (pq)^sum|a| (rs)^sum|b|.
     Inverting the parameters (p<->q, r<->s; same D) gives the sigma-partners,
     as substituting the inverted values commutes with the recursion.  gamma,
-    its partner and the trace are formed in Z[t] too; each is divided by D once.
+    its partner and the trace are formed in Z[t] too and kept over D.
     """
     lam0, mu0 = Fraction(lam0), Fraction(mu0)
     _check_specialization(lam0, mu0)
@@ -287,7 +307,7 @@ def specialized_assoc(w: WordLike, lam0, mu0) -> SpecializedAssoc:
     trace = add(gamma, gamma_s)
     den = (p * q) ** sum(abs(a) for a, _ in pairs) * (r * s) ** sum(abs(b) for _, b in pairs)
     polys = (alpha, beta, alpha_s, beta_s, gamma, gamma_s, trace)
-    return SpecializedAssoc(lam0, mu0, *(QPoly.from_ints(c, den) for c in polys))
+    return SpecializedAssoc(lam0, mu0, den, *map(tuple, polys))
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import hashlib
+import importlib.util
 import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -199,7 +202,8 @@ class TestCertify:
     def test_resultant_consistency_at_specialization(self):
         # generic case: nonzero specialized resultant pins h to the stripped
         # squarefree part of tau
-        from sl2wiggle.exact.qpoly import resultant_q, squarefree_without
+        from fraction_reference import squarefree_without
+        from sl2wiggle.exact.qpoly import resultant_q
 
         cert = certify(DCParams(1, 1, 2, 3), seed=7)
         cp = core_polys(cert.params)
@@ -283,6 +287,18 @@ class TestWitness:
         assert w.exact
         assert w.u.trace() == 2 and w.u.det() == 1 and w.u != identity_q()
 
+    def test_unsound_certificate_fails_the_modular_check(self):
+        # in the swap family the roots of h = 64t^2 + 64t - 9 are roots of
+        # gamma - 1; sigma(beta) vanishes at the larger one, 1/8, and beta
+        # does not, so beta * sigma(beta) is not invertible mod 8t - 1
+        cert = Certificate(
+            DCParams(1, 1, 2, 1), CertStatus.CERTIFIED, Fraction(2), Fraction(3),
+            QPoly([-9, 64, 64]), None, 1,
+        )
+        assert not check_certificate(cert).valid
+        with pytest.raises(AssertionError, match="modular certificate"):
+            build_witness(cert)
+
     def test_trivial_certificate_rejected(self):
         cert = certify(DCParams(1, 1, 1, 1))
         with pytest.raises(ValueError):
@@ -323,3 +339,40 @@ class TestSweep:
             else:
                 assert cert.certified
             assert check_certificate(cert).valid
+
+
+def load_validator():
+    """perfbench/validator.py, the brute-force oracle that imports nothing
+    from sl2wiggle, loaded by path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "validator.py"
+    spec = importlib.util.spec_from_file_location("perfbench_validator", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def tampered(entry: dict) -> list[dict]:
+    """Copies with h times (t - 2), mu + 1, and the status flipped."""
+    h = [Fraction(c) for c in entry["h"]]
+    h_t2 = [str(a - 2 * b) for a, b in zip([Fraction(0)] + h, h + [Fraction(0)])]
+    flip = {"Certified": "SwappedCertified", "SwappedCertified": "Certified"}
+    return [
+        {**entry, "h": h_t2},
+        {**entry, "mu": str(Fraction(entry["mu"]) + 1)},
+        {**entry, "status": flip[entry["status"]]},
+    ]
+
+
+def test_checker_agrees_with_the_independent_validator():
+    validator = load_validator()
+    entries = [c.to_json() for c in sweep_box(2) if c.certified]
+    rejected = 0
+    for entry in random.Random(2024).sample(entries, 40):
+        assert check_certificate(Certificate.from_json(entry)).valid
+        assert validator.validate_certificate(entry)[0]
+        for data in tampered(entry):
+            valid = check_certificate(Certificate.from_json(data)).valid
+            assert valid == validator.validate_certificate(data)[0], data
+            rejected += not valid
+    # h (t - 2) and mu + 1 always make a false claim here
+    assert rejected >= 80

@@ -51,6 +51,13 @@ def test_evaluation_homomorphism(p, q, lam0, mu0):
 
 
 @given(laurents, nonzero_rationals, nonzero_rationals)
+def test_evaluation_term_by_term(p, lam0, mu0):
+    expected = sum(c * lam0**el * mu0**em for (el, em), c in p.terms().items())
+    value = p.evaluate(lam0, mu0)
+    assert type(value) is Fraction and value == expected
+
+
+@given(laurents, nonzero_rationals, nonzero_rationals)
 def test_sigma_evaluation(p, lam0, mu0):
     assert p.sigma().evaluate(lam0, mu0) == p.evaluate(1 / lam0, 1 / mu0)
 

@@ -8,17 +8,21 @@ from hypothesis import strategies as st
 from sl2wiggle.errors import InexactDivisionError, ZeroParameterError
 from sl2wiggle.exact.laurent import LaurentPoly
 from sl2wiggle.exact.mat2 import identity_q
+from sl2wiggle.certify import _stripped_squarefree
 from sl2wiggle.exact.qpoly import (
     QPoly,
     factor_cubic_or_less,
     gcd_q,
     resultant_q,
-    squarefree_without,
+    zderivative,
+    zexact_div,
+    zgcd,
 )
 from sl2wiggle.exact.tpoly import TPoly, resultant, resultant_sylvester
 from sl2wiggle.words import Word
 
 from conftest import laurents, nonzero_rationals, random_sl2, words
+from fraction_reference import gcd_fraction_euclid, squarefree_part, squarefree_without
 
 small_qpolys = st.lists(
     st.fractions(min_value=-5, max_value=5, max_denominator=4), max_size=5
@@ -114,14 +118,6 @@ class TestExactDiv:
         assert f.shift_down(2) == TPoly.const(LaurentPoly.lam(1))
         with pytest.raises(InexactDivisionError):
             TPoly.one().shift_down(1)
-
-
-def gcd_fraction_euclid(f: QPoly, g: QPoly) -> QPoly:
-    """Reference gcd: Euclid's algorithm with rational remainders."""
-    a, b = f, g
-    while b:
-        a, b = b, a % b
-    return a.monic()
 
 
 # products with a shared factor, so gcds of every degree occur; the empty
@@ -223,11 +219,15 @@ class TestGcd:
 
     def test_squarefree_part(self):
         f = QPoly([-1, 1]) ** 3 * QPoly([2, 1])
-        assert f.squarefree_part() == (QPoly([-1, 1]) * QPoly([2, 1])).monic()
+        expected = (QPoly([-1, 1]) * QPoly([2, 1])).monic()
+        assert squarefree_part(f) == expected
+        ints = f.primitive_ints()
+        assert QPoly(zexact_div(ints, zgcd(ints, zderivative(ints)))).monic() == expected
 
     def test_squarefree_without_roots(self):
         f = QPoly([0, 1]) ** 2 * QPoly([1, 1]) * QPoly([-5, 1])
         assert squarefree_without(f, [Fraction(0), Fraction(-1)]) == QPoly([-5, 1])
+        assert _stripped_squarefree(f.primitive_ints()) == ([-5, 1], 2, 1)
 
 
 class TestRationalRootsAndFactor:
