@@ -5,7 +5,7 @@ Writes one certificate per tuple as JSON and prints a summary and the
 sha256 of the written file, so sweeps can be compared by digest.  Every
 certificate is re-verified by the independent checker before it is
 written; the exit code is nonzero if any nontrivial tuple stays
-inconclusive or any check fails.
+inconclusive, any check fails, or the digest differs from --expect-sha256.
 """
 
 import argparse
@@ -25,6 +25,9 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-attempts", type=int, default=5)
     parser.add_argument("--out", type=Path, default=Path("sweep.json"))
+    parser.add_argument(
+        "--expect-sha256", metavar="HEX", help="exit 1 if the written file has another sha256"
+    )
     args = parser.parse_args()
 
     start = time.perf_counter()
@@ -45,10 +48,14 @@ def main() -> int:
 
     data = json.dumps([c.to_json() for c in certs], indent=2, sort_keys=True).encode()
     args.out.write_bytes(data)
-    print(f"wrote {args.out} (sha256 {hashlib.sha256(data).hexdigest()})")
+    digest = hashlib.sha256(data).hexdigest()
+    print(f"wrote {args.out} (sha256 {digest})")
+    mismatch = args.expect_sha256 is not None and digest != args.expect_sha256.lower()
+    if mismatch:
+        print(f"DIGEST MISMATCH: expected {args.expect_sha256}, got {digest}", file=sys.stderr)
 
     inconclusive = counts.get("Inconclusive", 0)
-    return 1 if (failures or inconclusive) else 0
+    return 1 if (failures or inconclusive or mismatch) else 0
 
 
 if __name__ == "__main__":

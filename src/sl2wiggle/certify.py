@@ -49,7 +49,9 @@ from .exact.qpoly import (
 from .exact.tpoly import TPoly
 from .wiggle import (
     AssocPolys,
+    Pairs,
     SpecializedAssoc,
+    as_pairs,
     assoc_polys,
     gamma_of,
     specialized_assoc,
@@ -257,11 +259,12 @@ def _stripped_squarefree(f: list[int]) -> tuple[list[int], int, int]:
     return zexact_div(f, zgcd(f, zderivative(f))), at_0, at_m1
 
 
-def _attempt(params: DCParams, lam0: Fraction, mu0: Fraction):
-    """One specialization attempt; returns (h, checks) or None to resample.
+def _attempt(params: DCParams, runs: Pairs, lam0: Fraction, mu0: Fraction):
+    """One specialization attempt on the runs of params' cyclic word;
+    returns (h, checks) or None to resample.
 
     Works in Z[t] on D (trace - 2) and D (gamma - 1) throughout."""
-    sa = specialized_assoc(params.cyclic_word(), lam0, mu0)
+    sa = specialized_assoc(runs, lam0, mu0)
     trace_minus_2, gamma_minus_1 = _minus_2_and_1(sa)
     if not trace_minus_2:
         return None
@@ -308,13 +311,14 @@ def certify(
         (params, CertStatus.CERTIFIED),
         (params.swapped(), CertStatus.SWAPPED_CERTIFIED),
     ):
+        runs = as_pairs(phase_params.cyclic_word())
         for i in range(max_attempts):
             if attempts == 0 and initial is not None:
                 lam0, mu0 = Fraction(initial[0]), Fraction(initial[1])
             else:
                 lam0, mu0 = _draw_parameter(rng), _draw_parameter(rng)
             attempts += 1
-            result = _attempt(phase_params, lam0, mu0)
+            result = _attempt(phase_params, runs, lam0, mu0)
             if result is not None:
                 h, checks = result
                 return Certificate(params, status, lam0, mu0, h, checks, attempts)

@@ -19,6 +19,7 @@ from .certify import (
     Certificate,
     CertStatus,
     DCParams,
+    _tuple_seed,
     build_witness,
     certify,
     check_certificate,
@@ -151,10 +152,9 @@ def _run_certify(config: RunConfig, params: DCParams, seed: int) -> Certificate:
 
 def _cmd_certify(config: RunConfig) -> int:
     if config.grid is not None:
-        certs = []
-        for idx, params in enumerate(_parse_grid(config.grid)):
-            seed = config.seed * 1_000_003 + idx
-            certs.append(_run_certify(config, params, seed))
+        grid = _parse_grid(config.grid)
+        max_abs = max(abs(v) for params in grid for v in params.as_list())  # as sweep_box
+        certs = [_run_certify(config, p, _tuple_seed(config.seed, p, max_abs)) for p in grid]
         if config.json_output:
             _emit([c.to_json() for c in certs])
         else:

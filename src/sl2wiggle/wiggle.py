@@ -14,10 +14,11 @@ here is computed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import NotUnimodularError, ZeroParameterError
 from .exact.laurent import LaurentPoly
@@ -37,10 +38,6 @@ from .words import (
 
 Pairs = tuple[tuple[int, int], ...]
 WordLike = Union[Word, CyclicForm, Sequence[tuple[int, int]]]
-
-
-class CancelledError(RuntimeError):
-    """Raised when a caller-supplied cancellation callback fires."""
 
 
 @dataclass(frozen=True)
@@ -136,46 +133,51 @@ def transfer_matrix(w: WordLike, invert_params: bool = False) -> Mat2[TPoly]:
     return m
 
 
-def _first_column(pairs, x_run, y_run, one, zero) -> tuple[list, list]:
+def _runs(pairs: Pairs, x_pow, y_pow) -> list[tuple[bool, object, object]]:
+    """The steps (is_x, U, V) of a run list, one per nonzero exponent e:
+    (U, V) = x_pow(e) resp. y_pow(e) for e > 0, and (V, U) of -e for e < 0."""
+    runs = []
+    for a, b in pairs:
+        for is_x, e, pow_uv in ((True, a, x_pow), (False, b, y_pow)):
+            if e:
+                u, v = pow_uv(abs(e))
+                runs.append((is_x, u, v) if e > 0 else (is_x, v, u))
+    return runs
+
+
+def _first_column(runs, scale, add, times_t, one, zero):
     """First column (alpha, beta) of the transfer product, in closed form.
 
-    x_run(a) and y_run(b) give (U, V) with U/V = lambda^2a resp. mu^2b; up
-    to the scalar sqrt(UV) the runs act by
+    Each step (is_x, U, V) of `runs` has U/V = lambda^2a resp. mu^2b; up to
+    the scalar sqrt(UV) the runs act by
 
         x^a:  alpha <- U*alpha + (U - V)*t*beta,   beta <- V*beta
         y^b:  alpha <- U*alpha,   beta <- (U - V)*alpha + V*beta.
 
-    Over the Laurent ring U, V = lambda^a, lambda^-a and the scalar is 1;
-    over Z[t] U, V = P^2, Q^2 for lambda^a = P/Q and the scalar is PQ.
+    The caller supplies the column arithmetic: scale(f, c), add(f, g) and
+    times_t(f) on coefficient lists over the Laurent ring (U, V = lambda^a,
+    lambda^-a, scalar 1), or on one integer standing for a polynomial in
+    Z[t] evaluated at t = 2^K (U, V = P^2, Q^2 for lambda^a = P/Q, scalar PQ).
     """
-    alpha, beta = [one], []
-    for a, b in pairs:
-        if a:
-            u, v = x_run(a)
-            alpha = add(scale(alpha, u), scale([zero] + beta, u - v))
+    alpha, beta = one, zero
+    for is_x, u, v in runs:
+        if is_x:
+            alpha = add(scale(alpha, u), scale(times_t(beta), u - v))
             beta = scale(beta, v)
-        if b:
-            u, v = y_run(b)
+        else:
             beta = add(scale(alpha, u - v), scale(beta, v))
             alpha = scale(alpha, u)
     return alpha, beta
 
 
-def assoc_polys(w: WordLike, cancel: Callable[[], bool] | None = None) -> AssocPolys:
+def assoc_polys(w: WordLike) -> AssocPolys:
     """Compute (alpha, beta) for a word, cyclic form or explicit run list."""
     pairs = as_pairs(w)
-    runs = pairs if cancel is None else _cancellable(pairs, cancel)
-    x_run = lambda a: (LaurentPoly.lam(a), LaurentPoly.lam(-a))
-    y_run = lambda b: (LaurentPoly.mu(b), LaurentPoly.mu(-b))
-    alpha, beta = _first_column(runs, x_run, y_run, LaurentPoly.one(), LaurentPoly.zero())
+    lam, mu = LaurentPoly.lam, LaurentPoly.mu
+    runs = _runs(pairs, lambda e: (lam(e), lam(-e)), lambda e: (mu(e), mu(-e)))
+    zero = LaurentPoly.zero()
+    alpha, beta = _first_column(runs, scale, add, lambda f: [zero] + f, [LaurentPoly.one()], [])
     return AssocPolys(alpha=TPoly(alpha), beta=TPoly(beta), pairs=pairs)
-
-
-def _cancellable(pairs: Pairs, cancel: Callable[[], bool]):
-    for pair in pairs:
-        if cancel():
-            raise CancelledError("symbolic computation cancelled")
-        yield pair
 
 
 def gamma_of(ap: AssocPolys) -> TPoly:
@@ -278,36 +280,45 @@ class SpecializedAssoc:
     trace = _over_den("trace")
 
 
-def _int_run(num: int, den: int):
-    """(U, V) = (P^2, Q^2) over Z[t] for (num/den)^e = P/Q."""
-
-    def run(e: int) -> tuple[int, int]:
-        p, q = (num, den) if e > 0 else (den, num)
-        return p ** (2 * abs(e)), q ** (2 * abs(e))
-
-    return run
+def _unpack(packed: int, k: int) -> tuple[int, ...]:
+    """The coefficients of f in Z[t] from f(2^k), each below 2^(k-1) in
+    absolute value: balanced slots, a slot >= 2^(k-1) borrows from the next."""
+    mask, half, coeffs = (1 << k) - 1, 1 << (k - 1), []
+    while packed:
+        c = packed & mask
+        packed >>= k
+        if c >= half:
+            c -= 1 << k
+            packed += 1
+        coeffs.append(c)
+    return tuple(coeffs)
 
 
 def specialized_assoc(w: WordLike, lam0, mu0) -> SpecializedAssoc:
     """Run the column recursion over Z[t] at (lam0, mu0) = (p/q, r/s).
 
-    The integer column is D times the true one, D = (pq)^sum|a| (rs)^sum|b|.
-    Inverting the parameters (p<->q, r<->s; same D) gives the sigma-partners,
-    as substituting the inverted values commutes with the recursion.  gamma,
-    its partner and the trace are formed in Z[t] too and kept over D.
+    The integer column is D times the true one, D = (pq)^sum|a| (rs)^sum|b|;
+    inverting the parameters (U and V swapped, same D) gives the sigma-partners.
+    Each entry is one integer, its polynomial at t = 2^K: a run multiplies the
+    column's l1 norm by at most 2 max(U, V), gamma and the trace add two bits,
+    and a sign bit makes every coefficient fit a balanced K-bit slot.
     """
     lam0, mu0 = Fraction(lam0), Fraction(mu0)
     _check_specialization(lam0, mu0)
     pairs = as_pairs(w)
     p, q = lam0.numerator, lam0.denominator
     r, s = mu0.numerator, mu0.denominator
-    alpha, beta = _first_column(pairs, _int_run(p, q), _int_run(r, s), 1, 0)
-    alpha_s, beta_s = _first_column(pairs, _int_run(q, p), _int_run(s, r), 1, 0)
-    gamma, gamma_s = add(alpha, [0] + beta), add(alpha_s, [0] + beta_s)
-    trace = add(gamma, gamma_s)
+    runs = _runs(
+        pairs, lambda e: (p ** (2 * e), q ** (2 * e)), lambda e: (r ** (2 * e), s ** (2 * e))
+    )
+    k = 3 + sum(max(u, v).bit_length() + 1 for _, u, v in runs)
+    column = lambda steps: _first_column(steps, operator.mul, operator.add, lambda f: f << k, 1, 0)
+    alpha, beta = column(runs)
+    alpha_s, beta_s = column([(is_x, v, u) for is_x, u, v in runs])
+    gamma, gamma_s = alpha + (beta << k), alpha_s + (beta_s << k)
+    packed = (alpha, beta, alpha_s, beta_s, gamma, gamma_s, gamma + gamma_s)
     den = (p * q) ** sum(abs(a) for a, _ in pairs) * (r * s) ** sum(abs(b) for _, b in pairs)
-    polys = (alpha, beta, alpha_s, beta_s, gamma, gamma_s, trace)
-    return SpecializedAssoc(lam0, mu0, den, *map(tuple, polys))
+    return SpecializedAssoc(lam0, mu0, den, *(_unpack(f, k) for f in packed))
 
 
 # ----------------------------------------------------------------------

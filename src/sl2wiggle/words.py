@@ -124,26 +124,9 @@ def double_commutator_cyclic(k: int, l: int, m: int, n: int) -> Word:
 
         x^m y^(n-l) x^-k y^l x^k y^-n x^-m y^n x^(m-k) y^-l x^k y^l x^-m y^-n
     """
-    syllables = [
-        Syllable(Gen.X, m),
-        Syllable(Gen.Y, n - l),
-        Syllable(Gen.X, -k),
-        Syllable(Gen.Y, l),
-        Syllable(Gen.X, k),
-        Syllable(Gen.Y, -n),
-        Syllable(Gen.X, -m),
-        Syllable(Gen.Y, n),
-        Syllable(Gen.X, m - k),
-        Syllable(Gen.Y, -l),
-        Syllable(Gen.X, k),
-        Syllable(Gen.Y, l),
-        Syllable(Gen.X, -m),
-        Syllable(Gen.Y, -n),
-    ]
-    word = Word.from_syllables(syllables)
-    if double_commutator(k, l, m, n).is_identity():
-        return Word.identity()
-    return word
+    exps = (m, n - l, -k, l, k, -n, -m, n, m - k, -l, k, l, -m, -n)
+    # a conjugate of the word, so it reduces to () exactly when the word does
+    return Word.from_syllables(Syllable((Gen.X, Gen.Y)[i % 2], e) for i, e in enumerate(exps))
 
 
 def word_to_pairs(w: Word) -> tuple[tuple[int, int], ...]:

@@ -1,7 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from sl2wiggle.certify import sweep_box
 from sl2wiggle.cli import main
 from sl2wiggle.exact.laurent import LaurentPoly
 from sl2wiggle.exact.tpoly import TPoly
@@ -122,6 +128,17 @@ def test_grid(capsys):
     assert statuses[(1, 1, 2, 2)] in ("Certified", "SwappedCertified")
 
 
+def test_grid_seeds_match_sweep_box(capsys):
+    code, out, _ = run_cli(
+        capsys, "certify", "--grid=-2:2,-2:2,-2:2,-2:2", "--seed", "0", "--json"
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert len(data) == 5**4
+    nontrivial = [d for d in data if 0 not in d["params"]]
+    assert nontrivial == [c.to_json() for c in sweep_box(2, seed=0)]
+
+
 def test_word_and_dc_mutually_exclusive(capsys):
     code, out, err = run_cli(capsys, "polys", "--word", "x", "--dc", "1,1,2,3")
     assert code == 3
@@ -184,3 +201,20 @@ def test_oracle_accepts_unit_parameters(capsys):
     )
     assert code == 0
     assert json.loads(out) == {"cases": 1, "mismatches": 0}
+
+
+def test_run_sweep_expect_sha256(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    text = json.dumps([c.to_json() for c in sweep_box(1)], indent=2, sort_keys=True)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+
+    def sweep(expected):
+        argv = [sys.executable, str(root / "scripts" / "run_sweep.py"), "--max-abs", "1"]
+        argv += ["--out", str(tmp_path / "sweep.json"), "--expect-sha256", expected]
+        return subprocess.run(argv, capture_output=True, text=True, env=env)
+
+    assert sweep(digest).returncode == 0
+    wrong = sweep("0" * 64)
+    assert wrong.returncode == 1
+    assert "0" * 64 in wrong.stderr and digest in wrong.stderr

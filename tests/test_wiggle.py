@@ -1,14 +1,16 @@
-import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sl2wiggle.exact.laurent import LaurentPoly
-from sl2wiggle.exact.mat2 import identity_q, mat2_q, xi_of
+from sl2wiggle.exact.mat2 import Mat2, identity_q, mat2_q, xi_of
+from sl2wiggle.exact.qpoly import QPoly
 from sl2wiggle.exact.tpoly import TPoly
 from sl2wiggle.wiggle import (
     AssocPolys,
-    CancelledError,
+    _unpack,
     as_pairs,
     assoc_polys,
     eval_direct,
@@ -98,12 +100,6 @@ class TestAssocPolys:
             extended = assoc_polys(tuple(base.pairs) + ((a, b),))
             assert extended.alpha == alpha_next
             assert extended.beta == beta_next
-
-    def test_cancellation(self):
-        cancelled = threading.Event()
-        cancelled.set()
-        with pytest.raises(CancelledError):
-            assoc_polys(parse_word("[x,y]"), cancel=cancelled.is_set)
 
     def test_json_round_trip(self):
         from sl2wiggle.wiggle import AssocPolys
@@ -246,3 +242,71 @@ class TestIdentities:
         report = IdentityReport(False, True, False)
         assert not report.ok
         assert len(report.failures) == 2
+
+
+# ----------------------------------------------------------------------
+# the packed column recursion against the Mat2 product
+
+
+def specialized_column(pairs, lam0, mu0) -> tuple[QPoly, QPoly]:
+    """First column of transfer_matrix(pairs) at (lam0, mu0).  Specializing
+    is a ring homomorphism, so each run matrix is specialized before the
+    product instead of after; the symbolic product of a long word is slow."""
+    m = Mat2(QPoly.one(), QPoly.zero(), QPoly.zero(), QPoly.one())
+    for pair in pairs:
+        run = transfer_matrix([pair])
+        m = Mat2(*(e.specialize(lam0, mu0) for e in (run.e11, run.e12, run.e21, run.e22))) * m
+    return m.e11, m.e21
+
+
+def slot_bits(pairs, lam0: Fraction, mu0: Fraction) -> int:
+    """K = 3 + sum over runs of (bit length of max(U, V)) + 1, where
+    (U, V) = (P^2, Q^2) for lambda^a = P/Q resp. mu^b = P/Q."""
+    k = 3
+    for param, exps in ((lam0, [a for a, _ in pairs]), (mu0, [b for _, b in pairs])):
+        big = max(abs(param.numerator), param.denominator)
+        k += sum((big ** (2 * abs(e))).bit_length() + 1 for e in exps if e)
+    return k
+
+
+side = st.one_of(st.integers(1, 9), st.integers(1, 2**64))
+signed_fractions = st.builds(
+    lambda n, d, sign: Fraction(sign * n, d), side, side, st.sampled_from([1, -1])
+)
+run_lists = st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=16)
+
+
+@given(run_lists, signed_fractions, signed_fractions)
+@example([], Fraction(2), Fraction(3))
+@example([(0, 0), (0, 5)], Fraction(-1), Fraction(2**64 - 1, 3))
+@settings(max_examples=100, deadline=None)
+def test_specialized_assoc_matches_transfer_product(pairs, lam0, mu0):
+    sa = specialized_assoc(pairs, lam0, mu0)
+    alpha, beta = specialized_column(pairs, lam0, mu0)
+    alpha_s, beta_s = specialized_column(pairs, 1 / lam0, 1 / mu0)
+    gamma, gamma_s = alpha + beta * QPoly.t(), alpha_s + beta_s * QPoly.t()
+    expected = (alpha, beta, alpha_s, beta_s, gamma, gamma_s, gamma + gamma_s)
+    got = (sa.alpha, sa.beta, sa.alpha_sigma, sa.beta_sigma, sa.gamma, sa.gamma_sigma, sa.trace)
+    assert got == expected
+    # every numerator coefficient fits a balanced slot of the packed recursion
+    largest = max((abs(c * sa.den) for f in expected for c in f.coeffs), default=0)
+    assert largest < 2 ** (slot_bits(pairs, lam0, mu0) - 1)
+
+
+@pytest.mark.parametrize("k", [2, 3, 8, 61, 64, 200])
+def test_unpack_balanced_slots(k):
+    top = 2 ** (k - 1) - 1
+    cases = [
+        [top],
+        [-top],
+        [top, -top] * 3,
+        [-top, top] * 3 + [-1],
+        [1, -1, 1, -1, 1],
+        [0, 0, -top, 0, top],
+        [-top] * 5,
+        [0, top],
+    ]
+    for coeffs in cases:
+        packed = sum(c << (k * i) for i, c in enumerate(coeffs))
+        assert _unpack(packed, k) == tuple(coeffs)
+    assert _unpack(0, k) == ()

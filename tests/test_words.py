@@ -1,7 +1,10 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2wiggle.certify import DCParams
 from sl2wiggle.errors import ParseError
 from sl2wiggle.words import (
     Gen,
@@ -157,6 +160,14 @@ class TestDoubleCommutator:
         for params in [(1, 1, 2, 3), (2, 1, 1, 3), (1, 1, -1, -1), (1, 1, 2, 1)]:
             w = double_commutator(*params)
             v = double_commutator_cyclic(*params)
+            assert cyclic_reduce(w) == cyclic_reduce(v)
+
+    def test_cyclic_word_trivial_iff_params_trivial(self):
+        # the cyclic form is built without the word, and is trivial exactly when it is
+        for params in product(range(-4, 5), repeat=4):
+            w = double_commutator(*params)
+            v = double_commutator_cyclic(*params)
+            assert v.is_identity() == DCParams(*params).is_trivial() == w.is_identity()
             assert cyclic_reduce(w) == cyclic_reduce(v)
 
     def test_pairs_of_cyclic_form(self):

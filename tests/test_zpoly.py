@@ -25,7 +25,7 @@ from sl2wiggle.exact.qpoly import (
     zgcd,
     zprimitive,
 )
-from sl2wiggle.wiggle import specialized_assoc
+from sl2wiggle.wiggle import as_pairs, specialized_assoc
 
 from fraction_reference import (
     gcd_fraction_euclid,
@@ -198,7 +198,7 @@ def test_attempt_matches_the_fraction_pipeline():
     for _ in range(60):
         params = DCParams(*(rng.choice(values) for _ in range(4)))
         lam0, mu0 = (Fraction(rng.randint(-30, 30) or 1, rng.randint(1, 30)) for _ in "lm")
-        result = _attempt(params, lam0, mu0)
+        result = _attempt(params, as_pairs(params.cyclic_word()), lam0, mu0)
         expected = fraction_pipeline(params, lam0, mu0)
         assert (result and result[0]) == expected, (params, lam0, mu0)
         certified += result is not None
