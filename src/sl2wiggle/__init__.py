@@ -17,13 +17,9 @@ from .exact import (
     LaurentPoly,
     Mat2,
     QPoly,
-    Rat,
     TPoly,
     gcd_q,
-    mat2_q,
     resultant,
-    resultant_q,
-    resultant_sylvester,
     xi_of,
 )
 from .wiggle import (

@@ -350,8 +350,10 @@ def check_certificate(cert: Certificate) -> CheckOutcome:
         return CheckOutcome(valid=ok, reason="no claim to check" if ok else "trivial word")
     if cert.params.is_trivial():
         return CheckOutcome(valid=False, reason="certified status on a trivial word")
-    if cert.hpoly is None or cert.hpoly.degree < 1 or cert.lam0 is None:
+    if cert.hpoly is None or cert.hpoly.degree < 1 or cert.lam0 is None or cert.mu0 is None:
         return CheckOutcome(valid=False, reason="missing h or specialization")
+    if not cert.lam0 or not cert.mu0:
+        return CheckOutcome(valid=False, reason="zero torus parameter")
     eff = cert.effective_params()
     if prefactor_num(eff).evaluate(cert.lam0, cert.mu0) == 0:
         return CheckOutcome(valid=False, reason="degenerate specialization")

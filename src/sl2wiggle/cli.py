@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional
 
 from .certify import (
@@ -24,8 +25,8 @@ from .certify import (
     certify,
     check_certificate,
 )
-from .errors import ParseError, PrecisionExhaustedError
-from .exact.mat2 import mat2_q
+from .errors import PrecisionExhaustedError
+from .exact.mat2 import Mat2, mat2_q
 from .wiggle import assoc_polys, eval_direct, eval_normal_form, gamma_of, trace_poly, verify_identities
 from .words import Word, parse_word
 
@@ -35,57 +36,56 @@ EXIT_TRIVIAL = 2
 EXIT_INPUT = 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    word_text: Optional[str] = None
-    dc_params: Optional[DCParams] = None
-    lam0: Optional[Fraction] = None
-    mu0: Optional[Fraction] = None
-    seed: int = 0
-    precision_digits: int = 64
-    max_attempts: int = 5
-    json_output: bool = False
-    grid: Optional[str] = None
-    g_entries: Optional[tuple[Fraction, Fraction, Fraction, Fraction]] = None
-    count: int = 20
-
-
 def _emit(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _parse_dc(text: str) -> DCParams:
+def _exponents(text: str) -> DCParams:
     parts = text.split(",")
     if len(parts) != 4:
-        raise ValueError("expected four comma-separated integers")
+        raise argparse.ArgumentTypeError("expected four comma-separated integers")
     return DCParams(*[int(p.strip()) for p in parts])
 
 
-def _parse_grid(text: str) -> list[DCParams]:
+def _grid(text: str) -> list[DCParams]:
     ranges = []
     parts = text.split(",")
     if len(parts) != 4:
-        raise ValueError("expected four colon ranges, e.g. 1:2,1:2,1:3,1:3")
+        raise argparse.ArgumentTypeError("expected four colon ranges, e.g. 1:2,1:2,1:3,1:3")
     for part in parts:
         lo, _, hi = part.partition(":")
         lo, hi = int(lo), int(hi or lo)
         if hi < lo:
-            raise ValueError(f"empty range {part.strip()} in --grid")
+            raise argparse.ArgumentTypeError(f"empty range {part.strip()}")
         ranges.append(range(lo, hi + 1))
-    out = []
-    for k in ranges[0]:
-        for l in ranges[1]:
-            for m in ranges[2]:
-                for n in ranges[3]:
-                    out.append(DCParams(k, l, m, n))
-    return out
+    return [DCParams(*e) for e in product(*ranges)]
 
 
-def _resolve_word(config: RunConfig) -> Word:
-    if config.word_text is not None:
-        return parse_word(config.word_text)
-    return config.dc_params.word()
+def _nonzero(text: str) -> Fraction:
+    value = Fraction(text)
+    if not value:
+        raise argparse.ArgumentTypeError("must be nonzero")
+    return value
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
+def _matrix(text: str) -> Mat2[Fraction]:
+    entries = [Fraction(v.strip()) for v in text.split(",")]
+    if len(entries) != 4:
+        raise argparse.ArgumentTypeError("needs four entries a,b,c,d")
+    return mat2_q(*entries)
+
+
+def _resolve_word(args: argparse.Namespace) -> Word:
+    if args.word is not None:
+        return parse_word(args.word)
+    return args.dc.word()
 
 
 def _status_exit(status: CertStatus) -> int:
@@ -96,11 +96,11 @@ def _status_exit(status: CertStatus) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def _cmd_polys(config: RunConfig) -> int:
-    ap = assoc_polys(_resolve_word(config))
+def _cmd_polys(args: argparse.Namespace) -> int:
+    ap = assoc_polys(_resolve_word(args))
     gamma = gamma_of(ap)
     trace = trace_poly(ap)
-    if config.json_output:
+    if args.json:
         _emit(
             {
                 "alpha": ap.alpha.to_json(),
@@ -117,9 +117,9 @@ def _cmd_polys(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    report = verify_identities(assoc_polys(_resolve_word(config)))
-    if config.json_output:
+def _cmd_verify(args: argparse.Namespace) -> int:
+    report = verify_identities(assoc_polys(_resolve_word(args)))
+    if args.json:
         _emit(
             {
                 "det_identity_ok": report.det_identity_ok,
@@ -135,13 +135,9 @@ def _cmd_verify(config: RunConfig) -> int:
     return EXIT_OK if report.ok else EXIT_INCONCLUSIVE
 
 
-def _run_certify(config: RunConfig, params: DCParams, seed: int) -> Certificate:
-    initial = None
-    if config.lam0 is not None and config.mu0 is not None:
-        initial = (config.lam0, config.mu0)
-    cert = certify(
-        params, seed=seed, max_attempts=config.max_attempts, initial=initial
-    )
+def _run_certify(args: argparse.Namespace, params: DCParams, seed: int) -> Certificate:
+    initial = None if args.lam0 is None else (args.lam0, args.mu0)
+    cert = certify(params, seed=seed, max_attempts=args.max_attempts, initial=initial)
     outcome = check_certificate(cert)
     if not outcome.valid:
         raise AssertionError(
@@ -150,12 +146,11 @@ def _run_certify(config: RunConfig, params: DCParams, seed: int) -> Certificate:
     return cert
 
 
-def _cmd_certify(config: RunConfig) -> int:
-    if config.grid is not None:
-        grid = _parse_grid(config.grid)
-        max_abs = max(abs(v) for params in grid for v in params.as_list())  # as sweep_box
-        certs = [_run_certify(config, p, _tuple_seed(config.seed, p, max_abs)) for p in grid]
-        if config.json_output:
+def _cmd_certify(args: argparse.Namespace) -> int:
+    if args.grid is not None:
+        max_abs = max(abs(v) for params in args.grid for v in params.as_list())  # as sweep_box
+        certs = [_run_certify(args, p, _tuple_seed(args.seed, p, max_abs)) for p in args.grid]
+        if args.json:
             _emit([c.to_json() for c in certs])
         else:
             for c in certs:
@@ -163,8 +158,8 @@ def _cmd_certify(config: RunConfig) -> int:
         if any(c.status is CertStatus.INCONCLUSIVE for c in certs):
             return EXIT_INCONCLUSIVE
         return EXIT_OK
-    cert = _run_certify(config, config.dc_params, config.seed)
-    if config.json_output:
+    cert = _run_certify(args, args.dc, args.seed)
+    if args.json:
         _emit(cert.to_json())
     else:
         print(f"status: {cert.status.value} (attempts={cert.attempts})")
@@ -174,16 +169,16 @@ def _cmd_certify(config: RunConfig) -> int:
     return _status_exit(cert.status)
 
 
-def _cmd_witness(config: RunConfig) -> int:
-    cert = _run_certify(config, config.dc_params, config.seed)
+def _cmd_witness(args: argparse.Namespace) -> int:
+    cert = _run_certify(args, args.dc, args.seed)
     if not cert.certified:
-        if config.json_output:
+        if args.json:
             _emit(cert.to_json())
         else:
             print(f"status: {cert.status.value}")
         return _status_exit(cert.status)
-    witness = build_witness(cert, precision_digits=config.precision_digits)
-    if config.json_output:
+    witness = build_witness(cert, precision_digits=args.precision)
+    if args.json:
         payload = cert.to_json()
         payload["witness"] = witness.to_json()
         _emit(payload)
@@ -199,14 +194,14 @@ def _cmd_witness(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(config: RunConfig) -> int:
-    word = _resolve_word(config)
-    rng = random.Random(config.seed)
+def _cmd_oracle(args: argparse.Namespace) -> int:
+    word = _resolve_word(args)
+    rng = random.Random(args.seed)
     cases = []
-    if config.g_entries is not None:
-        cases.append((config.lam0, config.mu0, mat2_q(*config.g_entries)))
+    if args.g is not None:
+        cases.append((args.lam0, args.mu0, args.g))
     else:
-        for _ in range(config.count):
+        for _ in range(args.count):
             lam0 = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             mu0 = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             g = mat2_q(1, rng.randint(-5, 5), 0, 1) * mat2_q(
@@ -220,7 +215,7 @@ def _cmd_oracle(config: RunConfig) -> int:
         direct = eval_direct(word, lam0, mu0, g)
         if nf.matrix != direct:
             mismatches += 1
-    if config.json_output:
+    if args.json:
         _emit({"cases": len(cases), "mismatches": mismatches})
     else:
         print(f"{len(cases)} cases, {mismatches} mismatches")
@@ -237,7 +232,13 @@ _COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports usage errors as input errors instead of exiting with code 2."""
+    """Reports usage errors as input errors instead of exiting with code 2,
+    and reads an argument that starts with "-" and a digit, such as -2/3 or
+    -1,1,2,3, as a value rather than an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
 
     def error(self, message: str):
         raise ValueError(f"{self.prog}: {message}")
@@ -252,81 +253,52 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         if name == "witness":
-            p.add_argument("--dc", required=True, help="k,l,m,n")
+            p.add_argument("--dc", type=_exponents, required=True, help="k,l,m,n")
         else:
             src = p.add_mutually_exclusive_group(required=True)
             if name == "certify":
-                src.add_argument("--dc", help="k,l,m,n")
+                src.add_argument("--dc", type=_exponents, help="k,l,m,n")
                 src.add_argument(
-                    "--grid", help="ranges kmin:kmax,lmin:lmax,mmin:mmax,nmin:nmax"
+                    "--grid", type=_grid, help="ranges kmin:kmax,lmin:lmax,mmin:mmax,nmin:nmax"
                 )
             else:
                 src.add_argument("--word", help="word text, e.g. '[x,y]' or 'x^2 y^-1'")
-                src.add_argument("--dc", help="double commutator exponents k,l,m,n")
+                src.add_argument(
+                    "--dc", type=_exponents, help="double commutator exponents k,l,m,n"
+                )
         if name in ("certify", "witness", "oracle"):
-            p.add_argument("--lambda", dest="lam0", help="rational p/q")
-            p.add_argument("--mu", dest="mu0", help="rational p/q")
+            p.add_argument("--lambda", dest="lam0", type=_nonzero, help="rational p/q")
+            p.add_argument("--mu", dest="mu0", type=_nonzero, help="rational p/q")
             p.add_argument("--seed", type=int, default=0)
         if name in ("certify", "witness"):
-            p.add_argument("--max-attempts", type=int, default=5)
+            p.add_argument("--max-attempts", type=_positive, default=5)
         if name == "witness":
-            p.add_argument("--precision", type=int, default=64)
+            p.add_argument("--precision", type=_positive, default=64)
         if name == "oracle":
-            p.add_argument("--g", help="entries a,b,c,d of a det-1 matrix")
-            p.add_argument("--count", type=int, default=20)
+            p.add_argument("--g", type=_matrix, help="entries a,b,c,d of a det-1 matrix")
+            p.add_argument("--count", type=_positive, default=20)
         p.add_argument("--json", action="store_true")
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command, json_output=args.json)
-    config.word_text = getattr(args, "word", None)
-    if getattr(args, "dc", None) is not None:
-        config.dc_params = _parse_dc(args.dc)
-    config.grid = getattr(args, "grid", None)
-    if getattr(args, "lam0", None) is not None:
-        config.lam0 = Fraction(args.lam0)
-    if getattr(args, "mu0", None) is not None:
-        config.mu0 = Fraction(args.mu0)
-    if (config.lam0 is None) != (config.mu0 is None):
+def _check_options(args: argparse.Namespace) -> None:
+    """The checks that involve more than one option."""
+    lam0, mu0 = getattr(args, "lam0", None), getattr(args, "mu0", None)
+    if (lam0 is None) != (mu0 is None):
         raise ValueError("--lambda and --mu must be given together")
-    if config.lam0 == 0 or config.mu0 == 0:
-        raise ValueError("--lambda and --mu must be nonzero")
     # lambda = +-1 makes every double commutator's prefactor vanish
-    if args.command in ("certify", "witness") and config.lam0 is not None:
-        if abs(config.lam0) == 1 or abs(config.mu0) == 1:
+    if args.command in ("certify", "witness") and lam0 is not None:
+        if abs(lam0) == 1 or abs(mu0) == 1:
             raise ValueError("--lambda and --mu must not be 1 or -1 for " + args.command)
-    config.seed = getattr(args, "seed", config.seed)
-    config.precision_digits = getattr(args, "precision", config.precision_digits)
-    if config.precision_digits < 1:
-        raise ValueError("--precision must be at least 1 digit")
-    config.max_attempts = getattr(args, "max_attempts", config.max_attempts)
-    if config.max_attempts < 1:
-        raise ValueError("--max-attempts must be at least 1")
-    if getattr(args, "g", None) is not None:
-        entries = [Fraction(v.strip()) for v in args.g.split(",")]
-        if len(entries) != 4:
-            raise ValueError("--g needs four entries a,b,c,d")
-        config.g_entries = tuple(entries)
-    if args.command == "oracle" and (config.lam0 is None) != (config.g_entries is None):
+    if args.command == "oracle" and (lam0 is None) != (args.g is None):
         raise ValueError("oracle needs --lambda, --mu and --g together, or none of them")
-    config.count = getattr(args, "count", config.count)
-    if config.count < 1:
-        raise ValueError("--count must be at least 1")
-    return config
-
-
-def run(config: RunConfig) -> int:
-    return _COMMANDS[config.command](config)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        config = config_from_args(build_parser().parse_args(argv))
-        return run(config)
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        args = build_parser().parse_args(argv)
+        _check_options(args)
+        return _COMMANDS[args.command](args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -332,24 +332,10 @@ class LaurentPoly:
         return cls({(int(d["el"]), int(d["em"])): Fraction(d["c"]) for d in data})
 
     def pretty(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for (el, em), c in sorted(self._terms.items(), reverse=True):
-            c = Fraction(c)
-            mono = "".join(_render_var(v, e) for v, e in (("λ", el), ("μ", em)) if e)
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}{mono}"
-            pieces.append(("-" if c < 0 else "+", body))
-        sign, body = pieces[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+        return polycore.signed_sum(
+            (c, "".join(_render_var(v, e) for v, e in (("λ", el), ("μ", em)) if e))
+            for (el, em), c in sorted(self._terms.items(), reverse=True)
+        )
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.pretty()})"

@@ -5,12 +5,12 @@ last entry (the empty list is zero).  Coefficients must support +, -, *,
 **, bool (zero test) and ==; exact division is supplied by the caller, so
 the same code runs over the rational field and over the Laurent ring.
 `power` is the one square-and-multiply loop of the package, for any
-multiplication.
+multiplication; `signed_sum` writes out both QPoly and LaurentPoly.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 C = TypeVar("C")
 Div = Callable[[C, C], C]
@@ -181,56 +181,19 @@ def resultant_prs(
     return sign * res
 
 
-def sylvester_matrix(f: Sequence[C], g: Sequence[C], zero: C) -> list[list[C]]:
-    n, m = degree(f), degree(g)
-    size = n + m
-    rows = []
-    fd = list(reversed(f))
-    gd = list(reversed(g))
-    for i in range(m):
-        rows.append([zero] * i + fd + [zero] * (m - 1 - i))
-    for i in range(n):
-        rows.append([zero] * i + gd + [zero] * (n - 1 - i))
-    return rows
-
-
-def bareiss_det(matrix: list[list[C]], one: C, zero: C, div: Div) -> C:
-    """Fraction-free determinant; divisions are exact over a domain."""
-    m = [row[:] for row in matrix]
-    n = len(m)
-    if n == 0:
-        return one
-    sign_flip = False
-    prev = one
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign_flip = not sign_flip
-                    break
-            else:
-                return zero
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = div(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
-            m[i][k] = zero
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign_flip else det
-
-
-def resultant_sylvester(
-    f: Sequence[C], g: Sequence[C], one: C, zero: C, div: Div
-) -> C:
-    """Resultant as the Bareiss determinant of the Sylvester matrix."""
-    f, g = trim(f), trim(g)
-    if not f or not g:
-        return zero
-    if degree(f) == 0 and degree(g) == 0:
-        return one
-    if degree(f) == 0:
-        return f[0] ** degree(g)
-    if degree(g) == 0:
-        return g[0] ** degree(f)
-    return bareiss_det(sylvester_matrix(f, g, zero), one, zero, div)
+def signed_sum(terms: Iterable[tuple[C, str]], sep: str = "") -> str:
+    """Text of a sum of (coefficient, monomial) terms, leading term first,
+    such as "-3·t^3 - t + 1/2": zero terms are skipped, the constant
+    monomial is "", a coefficient of absolute value 1 is left out before a
+    monomial and `sep` joins any other coefficient to its monomial."""
+    text = ""
+    for c, mono in terms:
+        if not c:
+            continue
+        a = abs(c)
+        body = str(a) if not mono else mono if a == 1 else f"{a}{sep}{mono}"
+        if text:
+            text += f" - {body}" if c < 0 else f" + {body}"
+        else:
+            text = f"-{body}" if c < 0 else body
+    return text or "0"

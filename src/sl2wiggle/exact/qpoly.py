@@ -18,7 +18,6 @@ from ..errors import InexactDivisionError
 from . import polycore
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _div(a: Fraction, b: Fraction) -> Fraction:
@@ -125,13 +124,6 @@ class QPoly:
             raise ValueError("negative polynomial power")
         return polycore.power(self, n, QPoly.one())
 
-    def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
-        quot, rem = polycore.div_rem(self._coeffs, other._coeffs, _div, _ZERO)
-        return _wrap(quot), _wrap(rem)
-
-    def __mod__(self, other: "QPoly") -> "QPoly":
-        return self.divmod(other)[1]
-
     def exact_div(self, other: "QPoly") -> "QPoly":
         return _wrap(
             polycore.div_exact(
@@ -159,10 +151,6 @@ class QPoly:
         ints = zprimitive([c.numerator * (den // c.denominator) for c in self._coeffs])
         return ints if not ints or ints[-1] > 0 else [-c for c in ints]
 
-    def clear_denominators(self) -> "QPoly":
-        """Integer-primitive scalar multiple with a positive leading coefficient."""
-        return QPoly.from_ints(self.primitive_ints())
-
     def rational_roots(self) -> list[Fraction]:
         """All rational roots, in increasing order, found exactly."""
         if self.degree < 1:
@@ -177,26 +165,8 @@ class QPoly:
         return cls([Fraction(s) for s in data])
 
     def pretty(self, var: str = "t") -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[i]
-            if not c:
-                continue
-            mono = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}·{mono}"
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        monos = ("", var, *(f"{var}^{i}" for i in range(2, len(self._coeffs))))
+        return polycore.signed_sum(reversed(list(zip(self._coeffs, monos))), "·")
 
     def __repr__(self) -> str:
         return f"QPoly({self.pretty()})"
@@ -212,34 +182,6 @@ def gcd_q(f: QPoly, g: QPoly) -> QPoly:
     """Monic greatest common divisor over the rationals, from `zgcd`."""
     d = zgcd(f.primitive_ints(), g.primitive_ints())
     return QPoly.from_ints(d, d[-1])
-
-
-def resultant_q(f: QPoly, g: QPoly) -> Fraction:
-    """res(f, g) = lc(f)^deg(g) * product of g over the roots of f."""
-    return polycore.resultant_prs(list(f.coeffs), list(g.coeffs), _ONE, _ZERO, _div)
-
-
-def factor_cubic_or_less(f: QPoly) -> list[QPoly]:
-    """Irreducible monic factors of a squarefree polynomial of degree <= 3.
-
-    Degree <= 3 factorization over Q needs only rational roots: any proper
-    factorization of a quadratic or cubic contains a linear factor.
-    """
-    if f.degree < 1:
-        raise ValueError("nothing to factor")
-    if f.degree > 3:
-        raise ValueError("factorization beyond cubic is not supported")
-    rest = f.monic()
-    factors = []
-    for r in f.rational_roots():
-        lin = QPoly([-r, 1])
-        q, rem = rest.divmod(lin)
-        if not rem:
-            factors.append(lin)
-            rest = q
-    if rest.degree >= 1:
-        factors.append(rest.monic())
-    return factors
 
 
 # ----------------------------------------------------------------------

@@ -202,11 +202,3 @@ def resultant(f: TPoly, g: TPoly) -> LaurentPoly:
         raise ValueError("resultant of a zero polynomial")
     return polycore.resultant_prs(list(f.coeffs), list(g.coeffs), _LONE, _LZERO, _ldiv)
 
-
-def resultant_sylvester(f: TPoly, g: TPoly) -> LaurentPoly:
-    """Same resultant computed by Bareiss elimination, for cross-checking."""
-    if not f or not g:
-        raise ValueError("resultant of a zero polynomial")
-    return polycore.resultant_sylvester(
-        list(f.coeffs), list(g.coeffs), _LONE, _LZERO, _ldiv
-    )

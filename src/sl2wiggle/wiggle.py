@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -24,7 +23,6 @@ from .errors import NotUnimodularError, ZeroParameterError
 from .exact.laurent import LaurentPoly
 from .exact.mat2 import Mat2, identity_q, xi_of
 from .exact.polycore import add, scale
-from .exact.qpoly import QPoly
 from .exact.tpoly import TPoly
 from .words import (
     CyclicForm,
@@ -245,39 +243,20 @@ def eval_normal_form(ap: AssocPolys, lam0, mu0, g: Mat2[Fraction]) -> WiggleValu
     return WiggleValue(matrix=matrix, t_value=t0)
 
 
-def _over_den(name: str) -> cached_property:
-    """The QPoly field `name`: its integer numerator over the denominator."""
-    return cached_property(lambda sa: QPoly.from_ints(getattr(sa, name + "_num"), sa.den))
-
-
 @dataclass(frozen=True)
 class SpecializedAssoc:
-    """(alpha, beta), their sigma-partners, gamma = alpha + beta*t, its
-    sigma-partner and the trace, all at a fixed rational (lam, mu).
-
-    Each is held as an integer numerator over the shared denominator `den`
-    (the `*_num` fields, in Z[t]); the QPoly fields are built from those
-    when first read.
-    """
+    """beta, gamma = alpha + beta*t, their sigma-partners and the trace, all
+    at a fixed rational (lam, mu), each as an integer numerator in Z[t]
+    over the shared denominator `den` (alpha is gamma - t*beta)."""
 
     lam0: Fraction
     mu0: Fraction
     den: int
-    alpha_num: tuple[int, ...]
     beta_num: tuple[int, ...]
-    alpha_sigma_num: tuple[int, ...]
     beta_sigma_num: tuple[int, ...]
     gamma_num: tuple[int, ...]
     gamma_sigma_num: tuple[int, ...]
     trace_num: tuple[int, ...]
-
-    alpha = _over_den("alpha")
-    beta = _over_den("beta")
-    alpha_sigma = _over_den("alpha_sigma")
-    beta_sigma = _over_den("beta_sigma")
-    gamma = _over_den("gamma")
-    gamma_sigma = _over_den("gamma_sigma")
-    trace = _over_den("trace")
 
 
 def _unpack(packed: int, k: int) -> tuple[int, ...]:
@@ -316,7 +295,7 @@ def specialized_assoc(w: WordLike, lam0, mu0) -> SpecializedAssoc:
     alpha, beta = column(runs)
     alpha_s, beta_s = column([(is_x, v, u) for is_x, u, v in runs])
     gamma, gamma_s = alpha + (beta << k), alpha_s + (beta_s << k)
-    packed = (alpha, beta, alpha_s, beta_s, gamma, gamma_s, gamma + gamma_s)
+    packed = (beta, beta_s, gamma, gamma_s, gamma + gamma_s)
     den = (p * q) ** sum(abs(a) for a, _ in pairs) * (r * s) ** sum(abs(b) for _, b in pairs)
     return SpecializedAssoc(lam0, mu0, den, *(_unpack(f, k) for f in packed))
 

@@ -8,9 +8,11 @@ Tests compare the integer functions of sl2wiggle.exact.qpoly with them.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Sequence
 
+from sl2wiggle.exact import polycore
 from sl2wiggle.exact.qpoly import QPoly
 
 
@@ -18,7 +20,7 @@ def gcd_fraction_euclid(f: QPoly, g: QPoly) -> QPoly:
     """Reference gcd: Euclid's algorithm with rational remainders."""
     a, b = f, g
     while b:
-        a, b = b, a % b
+        a, b = b, QPoly(polycore.div_rem(a.coeffs, b.coeffs, operator.truediv, 0)[1])
     return a.monic()
 
 

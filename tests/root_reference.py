@@ -52,14 +52,14 @@ def rational_roots_numeric(f: QPoly) -> list[Fraction]:
     """The rational roots of f by the numeric search, in increasing order."""
     if f.degree < 1:
         return []
-    ints = list(f.clear_denominators().coeffs)
+    ints = f.primitive_ints()
     k = 0
     while not ints[k]:
         k += 1
     found = [] if k == 0 else [Fraction(0)]
     rest = QPoly(ints[k:])
     while rest.degree > 2:
-        rest = rest.clear_denominators()
+        rest = QPoly(rest.primitive_ints())
         cand = None
         for approx in real_root_approximations(rest):
             c = approx.limit_denominator(abs(int(rest.lc)))

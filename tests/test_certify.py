@@ -10,6 +10,7 @@ import pytest
 from sl2wiggle.certify import (
     Certificate,
     CertStatus,
+    CheckOutcome,
     DCParams,
     build_witness,
     certify,
@@ -21,7 +22,7 @@ from sl2wiggle.errors import TrivialWordError
 from sl2wiggle.exact import polycore
 from sl2wiggle.exact.laurent import LaurentPoly
 from sl2wiggle.exact.mat2 import identity_q, mat2_q
-from sl2wiggle.exact.qpoly import QPoly
+from sl2wiggle.exact.qpoly import QPoly, zexact_div
 from sl2wiggle.exact.tpoly import TPoly, resultant
 from sl2wiggle.wiggle import gamma_of, specialized_assoc, trace_poly
 
@@ -111,14 +112,16 @@ class TestCorePolys:
                 assert pref != 0
                 tau = cp.tau.specialize(lam0, mu0)
                 gamma_inner = cp.gamma_inner.specialize(lam0, mu0)
-                assert sa.trace - 2 == tau * (pref / den) ** 2 * t_t1 * t_t1
-                assert sa.gamma - 1 == gamma_inner * (pref / den**2) * t_t1
+                trace = QPoly.from_ints(sa.trace_num, sa.den)
+                gamma = QPoly.from_ints(sa.gamma_num, sa.den)
+                assert trace - 2 == tau * (pref / den) ** 2 * t_t1 * t_t1
+                assert gamma - 1 == gamma_inner * (pref / den**2) * t_t1
 
     def test_degenerate_specialization_returns_none(self):
         # lambda = +-1 makes the prefactor and so trace - 2 vanish identically
         for lam0 in (Fraction(1), Fraction(-1)):
             sa = specialized_assoc(DCParams(1, 1, 2, 3).cyclic_word(), lam0, Fraction(2))
-            assert not (sa.trace - 2)
+            assert QPoly.from_ints(sa.trace_num, sa.den) == 2
             cert = certify(DCParams(1, 1, 2, 3), initial=(lam0, Fraction(2)))
             assert cert.status is CertStatus.CERTIFIED
             assert cert.attempts == 2
@@ -203,15 +206,14 @@ class TestCertify:
         # generic case: nonzero specialized resultant pins h to the stripped
         # squarefree part of tau
         from fraction_reference import squarefree_without
-        from sl2wiggle.exact.qpoly import resultant_q
 
         cert = certify(DCParams(1, 1, 2, 3), seed=7)
         cp = core_polys(cert.params)
         tau = cp.tau.specialize(cert.lam0, cert.mu0)
         gamma_inner = cp.gamma_inner.specialize(cert.lam0, cert.mu0)
-        assert resultant_q(tau, gamma_inner) != 0
+        assert resultant(TPoly(tau.coeffs), TPoly(gamma_inner.coeffs)) != 0
         stripped = squarefree_without(tau, [Fraction(0), Fraction(-1)])
-        assert cert.hpoly == stripped.clear_denominators()
+        assert cert.hpoly == QPoly(stripped.primitive_ints())
 
     def test_tau_vanishing_at_zero_is_logged(self, caplog):
         import logging
@@ -230,6 +232,19 @@ class TestCertify:
         with caplog.at_level(logging.INFO, logger="sl2wiggle.certify"):
             certify(DCParams(1, 1, 2, 3), seed=7)
         assert not caplog.records
+
+    @pytest.mark.parametrize(
+        "change, reason",
+        [
+            ({"mu": None}, "missing h or specialization"),
+            ({"lambda": "0"}, "zero torus parameter"),
+            ({"mu": "0"}, "zero torus parameter"),
+        ],
+    )
+    def test_checker_rejects_malformed_parameters(self, change, reason):
+        data = {**certify(DCParams(1, 1, 2, 3), seed=7).to_json(), **change}
+        cert = Certificate.from_json({k: v for k, v in data.items() if v is not None})
+        assert check_certificate(cert) == CheckOutcome(valid=False, reason=reason)
 
     def test_checker_rejects_wrong_status(self):
         cert = certify(DCParams(1, 1, 1, 1))
@@ -268,7 +283,8 @@ class TestWitness:
         assert w.minimal_poly.degree >= 2
         assert w.residual <= Fraction(1, 10**50)
         assert w.modular.all_ok
-        assert not ((cert.hpoly % w.minimal_poly))
+        h1 = w.minimal_poly.primitive_ints()
+        assert zexact_div(cert.hpoly.primitive_ints(), h1) is not None
 
     def test_numeric_witness_at_fixed_specialization(self):
         cert = certify(

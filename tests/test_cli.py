@@ -139,6 +139,23 @@ def test_grid_seeds_match_sweep_box(capsys):
     assert nontrivial == [c.to_json() for c in sweep_box(2, seed=0)]
 
 
+@pytest.mark.parametrize(
+    "spaced, joined",
+    [
+        (
+            ("--dc", "1,1,2,3", "--lambda", "-2/3", "--mu", "3"),
+            ("--dc", "1,1,2,3", "--lambda=-2/3", "--mu", "3"),
+        ),
+        (("--dc", "-1,1,2,3"), ("--dc=-1,1,2,3",)),
+        (("--grid", "-1:1,-1:1,-1:1,-1:1"), ("--grid=-1:1,-1:1,-1:1,-1:1",)),
+    ],
+)
+def test_negative_values_parse_as_values(capsys, spaced, joined):
+    code, out, err = run_cli(capsys, "certify", *spaced, "--seed", "2", "--json")
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(capsys, "certify", *joined, "--seed", "2", "--json")
+
+
 def test_word_and_dc_mutually_exclusive(capsys):
     code, out, err = run_cli(capsys, "polys", "--word", "x", "--dc", "1,1,2,3")
     assert code == 3

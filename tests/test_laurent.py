@@ -184,3 +184,21 @@ def test_product_at_the_coefficient_bound():
                 pq = p * q
                 assert pq == schoolbook(p, q)
                 assert integral(pq)
+
+
+@pytest.mark.parametrize(
+    "terms, text",
+    [
+        ({}, "0"),
+        (
+            {(2, 1): -1, (0, 0): Fraction(1, 2), (-1, 0): 3, (0, -2): 1},
+            "-λ²μ + 1/2 + μ⁻² + 3λ⁻¹",
+        ),
+        ({(0, 0): Fraction(-2, 3)}, "-2/3"),
+        ({(1, 0): Fraction(-5, 4), (0, 1): -1}, "-5/4λ - μ"),
+        ({(0, 0): 1}, "1"),
+        ({(-3, 12): -1}, "-λ⁻³μ¹²"),
+    ],
+)
+def test_pretty(terms, text):
+    assert LaurentPoly(terms).pretty() == text

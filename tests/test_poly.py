@@ -1,34 +1,47 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl2wiggle.errors import InexactDivisionError, ZeroParameterError
 from sl2wiggle.exact.laurent import LaurentPoly
 from sl2wiggle.exact.mat2 import identity_q
-from sl2wiggle.certify import _stripped_squarefree
-from sl2wiggle.exact.qpoly import (
-    QPoly,
-    factor_cubic_or_less,
-    gcd_q,
-    resultant_q,
-    zderivative,
-    zexact_div,
-    zgcd,
+from sl2wiggle.certify import (
+    Certificate,
+    CertStatus,
+    DCParams,
+    _stripped_squarefree,
+    build_witness,
 )
-from sl2wiggle.exact.tpoly import TPoly, resultant, resultant_sylvester
+from sl2wiggle.exact import polycore
+from sl2wiggle.exact.qpoly import QPoly, gcd_q, real_roots, zderivative, zexact_div, zgcd
+from sl2wiggle.exact.tpoly import TPoly, resultant
 from sl2wiggle.words import Word
 
-from conftest import laurents, nonzero_rationals, random_sl2, words
+from conftest import laurents, nonzero_rationals, random_sl2, small_scalars, words
 from fraction_reference import gcd_fraction_euclid, squarefree_part, squarefree_without
+from resultant_reference import resultant_sylvester
 
 small_qpolys = st.lists(
     st.fractions(min_value=-5, max_value=5, max_denominator=4), max_size=5
 ).map(QPoly)
 
 small_tpolys = st.lists(laurents, max_size=4).map(TPoly)
+
+# few terms and exponents, so that sympy's resultant stays fast
+sympy_tpolys = (
+    st.lists(
+        st.dictionaries(
+            st.tuples(st.integers(-2, 2), st.integers(-2, 2)), small_scalars, max_size=2
+        ).map(LaurentPoly),
+        max_size=4,
+    )
+    .map(TPoly)
+    .filter(bool)
+)
 
 
 class TestSpecialize:
@@ -94,10 +107,10 @@ class TestExactDiv:
 
     @given(small_qpolys, small_qpolys.filter(bool))
     def test_divmod_identity(self, f, g):
-        quot, rem = f.divmod(g)
+        # the long division behind every exact_div
+        quot, rem = map(QPoly, polycore.div_rem(f.coeffs, g.coeffs, operator.truediv, 0))
         assert quot * g + rem == f
         assert rem.degree < g.degree
-        assert f % g == rem
         if f.degree < g.degree:
             assert (quot, rem) == (QPoly.zero(), f)
 
@@ -109,9 +122,10 @@ class TestExactDiv:
         assert QPoly.zero().exact_div(QPoly([1, 1])) == QPoly.zero()
 
     def test_division_by_zero_raises(self):
-        for op in (QPoly.divmod, QPoly.exact_div, QPoly.__mod__):
-            with pytest.raises(ZeroDivisionError):
-                op(QPoly([1, 1]), QPoly.zero())
+        with pytest.raises(ZeroDivisionError):
+            QPoly([1, 1]).exact_div(QPoly.zero())
+        with pytest.raises(ZeroDivisionError):
+            polycore.div_rem([1, 1], [], operator.truediv, 0)
 
     def test_shift_down(self):
         f = TPoly([0, 0, LaurentPoly.lam(1)])
@@ -247,27 +261,34 @@ class TestRationalRootsAndFactor:
 
     def test_irreducible_quadratic(self):
         assert QPoly([2, 0, 1]).rational_roots() == []
-        assert factor_cubic_or_less(QPoly([2, 0, 1])) == [QPoly([2, 0, 1])]
+        assert real_roots(QPoly([2, 0, 1])) == []
 
     def test_factor_mixed_cubic(self):
+        # the rational root splits off the linear factor; the rest is irreducible
         h = QPoly([Fraction(49, 48), 1]) * QPoly([1, 0, 1])
-        factors = factor_cubic_or_less(h)
-        assert factors == [QPoly([Fraction(49, 48), 1]), QPoly([1, 0, 1])]
+        assert h.rational_roots() == [Fraction(-49, 48)]
+        assert h.exact_div(QPoly([Fraction(49, 48), 1])) == QPoly([1, 0, 1])
 
     def test_factor_degree_cap(self):
-        with pytest.raises(ValueError):
-            factor_cubic_or_less(QPoly([1, 0, 0, 0, 1]))
+        # witnesses factor h by its rational roots, which needs degree <= 3
+        cert = Certificate(
+            DCParams(1, 1, 2, 3), CertStatus.CERTIFIED, Fraction(2), Fraction(3),
+            QPoly([1, 0, 0, 0, 1]), None, 1,
+        )
+        with pytest.raises(ValueError, match="degree 1 to 3"):
+            build_witness(cert)
 
     def test_clear_denominators(self):
         p = QPoly([Fraction(1, 2), Fraction(-3, 4)])
-        assert p.clear_denominators() == QPoly([-2, 3])
+        assert p.primitive_ints() == [-2, 3]
+        assert QPoly([Fraction(-2, 7), 0, Fraction(4, 21)]).primitive_ints() == [-3, 0, 2]
 
 
 class TestResultant:
     def test_linear_convention(self):
         # res(t - a, t - b) = lc^1 * (a - b) under the product-over-roots rule
         a, b = Fraction(5), Fraction(2)
-        assert resultant_q(QPoly([-a, 1]), QPoly([-b, 1])) == a - b
+        assert resultant(TPoly([-a, 1]), TPoly([-b, 1])) == a - b
         lam, mu = LaurentPoly.lam(1), LaurentPoly.mu(1)
         f = TPoly([-lam, LaurentPoly.one()])
         g = TPoly([-mu, LaurentPoly.one()])
@@ -297,7 +318,7 @@ class TestResultant:
         g = QPoly.one()
         for r in roots[split:]:
             g = g * QPoly([-r, 1])
-        value = resultant_q(f, g)
+        value = resultant(TPoly(f.coeffs), TPoly(g.coeffs))
         expected = Fraction(1)
         for rf in roots[:split]:
             for rg in roots[split:]:
@@ -309,6 +330,41 @@ class TestResultant:
     def test_prs_matches_sylvester(self, f, g):
         assert resultant(f, g) == resultant_sylvester(f, g)
 
+    @given(sympy_tpolys, sympy_tpolys)
+    @example(TPoly([0, 2]), TPoly([1, 0, 0, 1]))
+    @example(
+        TPoly([LaurentPoly.lam(-1), LaurentPoly.mu(2)]),
+        TPoly([1, LaurentPoly.lam(1), 0, LaurentPoly.mu(-1) * 3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sympy(self, f, g):
+        sympy = pytest.importorskip("sympy")
+        lam, mu, t = sympy.symbols("lam mu t")
+
+        def laurent(c: LaurentPoly):
+            return sum(
+                sympy.Rational(v.numerator, v.denominator) * lam**el * mu**em
+                for (el, em), v in c.terms().items()
+            )
+
+        def cleared(p: TPoly):
+            """(c p, c) for the monomial c that makes p's coefficients polynomial."""
+            exps = [e for c in p.coeffs for e in c.terms()]
+            c = lam ** -min(el for el, _ in exps) * mu ** -min(em for _, em in exps)
+            return sympy.expand(c * sum(laurent(a) * t**i for i, a in enumerate(p.coeffs))), c
+
+        (cf, c), (cg, d) = cleared(f), cleared(g)
+        # sympy 1.14 returns res(g, f) when deg f < deg g, without the swap's
+        # sign (-1)^(deg f deg g) (its resultant of 2t and t^3 + 1 is -8 in
+        # both orders), so it is asked with the higher degree first
+        if f.degree < g.degree:
+            expected = (-1) ** (f.degree * g.degree) * sympy.resultant(cg, cf, t)
+        else:
+            expected = sympy.resultant(cf, cg, t)
+        # res(c f, d g) = c^deg g d^deg f res(f, g)
+        expected /= c**g.degree * d**f.degree
+        assert sympy.expand(expected - laurent(resultant(f, g))) == 0
+
     def test_swap_sign_rule(self):
         rng = random.Random(5)
         for _ in range(20):
@@ -317,4 +373,22 @@ class TestResultant:
             if not f or not g or f.degree < 1 or g.degree < 1:
                 continue
             sign = (-1) ** (f.degree * g.degree)
-            assert resultant_q(f, g) == sign * resultant_q(g, f)
+            f, g = TPoly(f.coeffs), TPoly(g.coeffs)
+            assert resultant(f, g) == sign * resultant(g, f)
+
+
+class TestPretty:
+    @pytest.mark.parametrize(
+        "coeffs, text",
+        [
+            ([], "0"),
+            ([Fraction(1, 2), -1, 0, -3], "-3·t^3 - t + 1/2"),
+            ([-1, 1], "t - 1"),
+            ([0, Fraction(-2, 3)], "-2/3·t"),
+            ([-7], "-7"),
+            ([1, 0, 1], "t^2 + 1"),
+        ],
+    )
+    def test_qpoly(self, coeffs, text):
+        assert QPoly(coeffs).pretty() == text
+        assert QPoly(coeffs).pretty("x") == text.replace("t", "x")

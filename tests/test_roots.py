@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sl2wiggle.certify import _witness_point
-from sl2wiggle.exact.qpoly import QPoly, factor_cubic_or_less, real_roots
+from sl2wiggle.exact.qpoly import QPoly, real_roots, zexact_div
 
 from fraction_reference import squarefree_part
 from root_reference import (
@@ -99,7 +99,7 @@ def _check_isolation(f: QPoly, roots) -> None:
             assert previous <= lo
         previous = hi
         poly = QPoly(root.poly)
-        assert not f % poly
+        assert zexact_div(f.primitive_ints(), root.poly) is not None
         a, b = poly.evaluate(lo), poly.evaluate(hi)
         if lo == hi:
             assert b == 0
@@ -134,7 +134,7 @@ class TestRealRoots:
     def test_intervals_match_numeric_roots(self, f):
         roots = real_roots(f)
         _check_isolation(f, roots)
-        squarefree = QPoly(roots[0].poly) if roots else f.clear_denominators()
+        squarefree = QPoly(roots[0].poly if roots else f.primitive_ints())
         try:
             approx = real_root_approximations(squarefree)
         except NotConverged:
@@ -220,9 +220,6 @@ class TestRationalRoots:
         ]
         for f, roots in cases:
             assert f.rational_roots() == roots
-        # so a reducible cubic is no longer reported irreducible
-        cubic = cases[0][0]
-        assert factor_cubic_or_less(cubic) == [lin(Fraction(-2, 3)), lin(r1), lin(r2)]
 
     def test_high_degree(self):
         roots = [Fraction(n, d) for n, d in ((1, 7), (-3, 2), (5, 9), (11, 4), (-7, 13))]
@@ -233,27 +230,40 @@ class TestRationalRoots:
         assert f.rational_roots() == sorted(roots)
 
 
+def factors_by_rational_roots(f: QPoly) -> list[QPoly]:
+    """The monic irreducible factors of a squarefree f of degree <= 3, the
+    way witnesses split h: t - r for each rational root r, and the rest."""
+    factors = [QPoly([-r, 1]) for r in f.rational_roots()]
+    rest = f.monic()
+    for lin in factors:
+        rest = rest.exact_div(lin)
+    return factors + ([rest] if rest.degree >= 1 else [])
+
+
 class TestFactorCubicOrLess:
+    """Degree <= 3 factorization over Q needs only rational roots: any
+    proper factorization of a quadratic or cubic has a linear factor."""
+
     @given(rooted_polys(max_degree=3) | int_polys())
     @settings(max_examples=80, deadline=None)
     def test_matches_sympy_factor_list(self, f):
         sympy = pytest.importorskip("sympy")
         f = squarefree_part(f)
         assume(1 <= f.degree <= 3)
-        factors = factor_cubic_or_less(f)
         _, expected = sympy.factor_list(_sympy_poly(f))
         want = sorted(
             tuple(Fraction(int(c.p), int(c.q)) for c in reversed(g.monic().all_coeffs()))
             for g, _ in expected
         )
-        assert sorted(g.coeffs for g in factors) == want
+        assert sorted(g.coeffs for g in factors_by_rational_roots(f)) == want
+        assert f.rational_roots() == sorted(-g[0] for g in want if len(g) == 2)
 
     @given(rooted_polys(max_degree=3) | int_polys())
     @settings(max_examples=60, deadline=None)
     def test_product_of_irreducible_monic_factors(self, f):
         f = squarefree_part(f)
         assume(1 <= f.degree <= 3)
-        factors = factor_cubic_or_less(f)
+        factors = factors_by_rational_roots(f)
         product = QPoly.one()
         for g in factors:
             assert g.lc == 1
@@ -295,7 +305,7 @@ class TestWitnessPoint:
 
     @staticmethod
     def _check(h: QPoly):
-        h = h.clear_denominators()
+        h = QPoly(h.primitive_ints())
         digits = max(len(str(abs(c.numerator))) for c in h.coeffs)
         with mpmath.workdps(120 + 3 * digits):
             expected = smallest_root_numeric(h)

@@ -10,6 +10,7 @@ from sl2wiggle.exact.qpoly import QPoly
 from sl2wiggle.exact.tpoly import TPoly
 from sl2wiggle.wiggle import (
     AssocPolys,
+    SpecializedAssoc,
     _unpack,
     as_pairs,
     assoc_polys,
@@ -180,14 +181,15 @@ class TestEvaluation:
             lam0 = random_nonzero_fraction(rng, bound)
             mu0 = random_nonzero_fraction(rng, bound)
             sa = specialized_assoc(w, lam0, mu0)
-            assert sa.alpha == ap.alpha.specialize(lam0, mu0)
-            assert sa.beta == ap.beta.specialize(lam0, mu0)
-            assert sa.alpha_sigma == ap.alpha.sigma().specialize(lam0, mu0)
-            assert sa.beta_sigma == ap.beta.sigma().specialize(lam0, mu0)
-            gamma = gamma_of(ap)
-            assert sa.gamma == gamma.specialize(lam0, mu0)
-            assert sa.gamma_sigma == gamma.sigma().specialize(lam0, mu0)
-            assert sa.trace == trace_poly(ap).specialize(lam0, mu0)
+            beta, beta_s = over_den(sa, "beta"), over_den(sa, "beta_sigma")
+            gamma, gamma_s = over_den(sa, "gamma"), over_den(sa, "gamma_sigma")
+            assert beta == ap.beta.specialize(lam0, mu0)
+            assert beta_s == ap.beta.sigma().specialize(lam0, mu0)
+            assert gamma - beta * QPoly.t() == ap.alpha.specialize(lam0, mu0)
+            assert gamma_s - beta_s * QPoly.t() == ap.alpha.sigma().specialize(lam0, mu0)
+            assert gamma == gamma_of(ap).specialize(lam0, mu0)
+            assert gamma_s == gamma_of(ap).sigma().specialize(lam0, mu0)
+            assert over_den(sa, "trace") == trace_poly(ap).specialize(lam0, mu0)
 
     def test_specialized_assoc_at_unit_parameters(self):
         # lambda, mu = +-1 make runs act trivially or by sign flips
@@ -195,8 +197,8 @@ class TestEvaluation:
         ap = reference_assoc(w)
         for lam0, mu0 in ((1, 1), (-1, 2), (3, -1), (-1, -1)):
             sa = specialized_assoc(w, lam0, mu0)
-            assert sa.trace == trace_poly(ap).specialize(lam0, mu0)
-            assert sa.beta_sigma == ap.beta.sigma().specialize(lam0, mu0)
+            assert over_den(sa, "trace") == trace_poly(ap).specialize(lam0, mu0)
+            assert over_den(sa, "beta_sigma") == ap.beta.sigma().specialize(lam0, mu0)
 
     def test_word_value_on_upper_triangular(self):
         # [x^a, y^b] with non-diagonal upper-triangular x is unipotent
@@ -248,6 +250,11 @@ class TestIdentities:
 # the packed column recursion against the Mat2 product
 
 
+def over_den(sa: SpecializedAssoc, name: str) -> QPoly:
+    """The polynomial `name` of sa: its integer numerator over sa.den."""
+    return QPoly.from_ints(getattr(sa, name + "_num"), sa.den)
+
+
 def specialized_column(pairs, lam0, mu0) -> tuple[QPoly, QPoly]:
     """First column of transfer_matrix(pairs) at (lam0, mu0).  Specializing
     is a ring homomorphism, so each run matrix is specialized before the
@@ -284,10 +291,13 @@ def test_specialized_assoc_matches_transfer_product(pairs, lam0, mu0):
     sa = specialized_assoc(pairs, lam0, mu0)
     alpha, beta = specialized_column(pairs, lam0, mu0)
     alpha_s, beta_s = specialized_column(pairs, 1 / lam0, 1 / mu0)
-    gamma, gamma_s = alpha + beta * QPoly.t(), alpha_s + beta_s * QPoly.t()
-    expected = (alpha, beta, alpha_s, beta_s, gamma, gamma_s, gamma + gamma_s)
-    got = (sa.alpha, sa.beta, sa.alpha_sigma, sa.beta_sigma, sa.gamma, sa.gamma_sigma, sa.trace)
-    assert got == expected
+    gamma, gamma_s = over_den(sa, "gamma"), over_den(sa, "gamma_sigma")
+    beta_got, beta_s_got = over_den(sa, "beta"), over_den(sa, "beta_sigma")
+    assert (beta_got, beta_s_got) == (beta, beta_s)
+    # alpha = gamma - t*beta
+    assert (gamma - beta * QPoly.t(), gamma_s - beta_s * QPoly.t()) == (alpha, alpha_s)
+    assert over_den(sa, "trace") == gamma + gamma_s
+    expected = (beta, beta_s, gamma, gamma_s, gamma + gamma_s)
     # every numerator coefficient fits a balanced slot of the packed recursion
     largest = max((abs(c * sa.den) for f in expected for c in f.coeffs), default=0)
     assert largest < 2 ** (slot_bits(pairs, lam0, mu0) - 1)

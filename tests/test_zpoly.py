@@ -1,6 +1,7 @@
 """The integer polynomial layer of sl2wiggle.exact.qpoly against the
 rational-arithmetic oracles in fraction_reference, and against sympy."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from sl2wiggle.certify import (
     _check_record,
     _stripped_squarefree,
 )
-from sl2wiggle.exact.polycore import add, mul, trim
+from sl2wiggle.exact.polycore import add, div_rem, mul, trim
 from sl2wiggle.exact.qpoly import (
     QPoly,
     gcd_q,
@@ -75,9 +76,9 @@ class TestExactDiv:
     def test_matches_rational_division(self, f, g):
         # g | f in Z[t] exactly when the rational quotient has integer
         # coefficients and there is no remainder
-        quot, rem = QPoly(f).divmod(QPoly(g))
-        integral = not rem and all(c.denominator == 1 for c in quot.coeffs)
-        expected = [int(c) for c in quot.coeffs] if integral else None
+        quot, rem = div_rem([Fraction(c) for c in f], g, operator.truediv, 0)
+        integral = not rem and all(c.denominator == 1 for c in quot)
+        expected = [int(c) for c in quot] if integral else None
         assert zexact_div(f, g) == expected
 
     def test_non_divisible_inputs(self):
@@ -181,14 +182,15 @@ def fraction_pipeline(params: DCParams, lam0: Fraction, mu0: Fraction):
     """The certificate h the search took before the integer pipeline: in
     Fractions, from the specialized trace - 2 and gamma - 1."""
     sa = specialized_assoc(params.cyclic_word(), lam0, mu0)
-    trace_minus_2, gamma_minus_1 = sa.trace - 2, sa.gamma - 1
+    trace_minus_2 = QPoly.from_ints(sa.trace_num, sa.den) - 2
+    gamma_minus_1 = QPoly.from_ints(sa.gamma_num, sa.den) - 1
     if not trace_minus_2:
         return None
     s = squarefree_without(trace_minus_2, [0, -1])
     if s.degree < 1:
         return None
     h = s.exact_div(gcd_fraction_euclid(s, gamma_minus_1))
-    return h.clear_denominators() if h.degree >= 1 else None
+    return QPoly(h.primitive_ints()) if h.degree >= 1 else None
 
 
 def test_attempt_matches_the_fraction_pipeline():
