@@ -61,8 +61,15 @@ def _grid(text: str) -> list[DCParams]:
     return [DCParams(*e) for e in product(*ranges)]
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text.strip()}") from None
+
+
 def _nonzero(text: str) -> Fraction:
-    value = Fraction(text)
+    value = _fraction(text)
     if not value:
         raise argparse.ArgumentTypeError("must be nonzero")
     return value
@@ -76,7 +83,7 @@ def _positive(text: str) -> int:
 
 
 def _matrix(text: str) -> Mat2[Fraction]:
-    entries = [Fraction(v.strip()) for v in text.split(",")]
+    entries = [_fraction(v) for v in text.split(",")]
     if len(entries) != 4:
         raise argparse.ArgumentTypeError("needs four entries a,b,c,d")
     return mat2_q(*entries)

@@ -5,15 +5,19 @@ Terms live in a dict keyed by the exponent pair (e_lambda, e_mu); zero
 coefficients are never stored.  Coefficients are Fraction or plain int
 (ints keep the hot multiplication loops on fast integer arithmetic).
 A product of two operands with more than a few terms each is computed by
-Kronecker substitution, as one big-integer multiplication.
+Kronecker substitution, as one big-integer multiplication; so is a product
+of two polynomials in t over this ring (see tpoly).  Exact division by a
+monomial is a shift, and by a larger integer divisor it runs over lambda-rows
+packed into integers, checked by one product; otherwise, and whenever that
+declines, a sparse long division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
-from typing import Iterable, Mapping, Union
+from math import gcd, lcm, prod
+from typing import Iterable, Mapping, Sequence, Union
 
 from ..errors import InexactDivisionError, NotAUnitError
 from . import polycore
@@ -36,10 +40,12 @@ def _scalar_div(a: Scalar, b: Scalar) -> Scalar:
 
 # Products whose smaller operand has at most this many terms keep the dict
 # double loop: on them packing costs more than the big-integer product saves.
+# The same size decides whether a division tries the row-packed quotient and
+# whether a product of polynomials in t is packed whole.
 _SCHOOLBOOK_MAX_TERMS = 4
 
 
-def _integer_terms(terms: Terms) -> tuple[int, Terms]:
+def _integer_terms(terms: dict[tuple, Scalar]) -> tuple[int, dict[tuple, Scalar]]:
     """(d, d * terms) with d the lcm of the coefficient denominators."""
     if all(type(c) is int for c in terms.values()):
         return 1, terms
@@ -47,14 +53,15 @@ def _integer_terms(terms: Terms) -> tuple[int, Terms]:
     return d, {e: c.numerator * (d // c.denominator) for e, c in terms.items()}
 
 
-def _packed_product(a: Terms, b: Terms) -> Terms | None:
+def _packed_product(a: dict[tuple, Scalar], b: dict[tuple, Scalar]) -> dict | None:
     """The product a * b by Kronecker substitution: one big-integer product.
 
-    Denominators are cleared, each support is shifted to start at exponent
-    0, and the exponents are divided by their gcd over both operands, per
-    variable, so that strided supports do not inflate the packing.  The
-    monomial lambda^i mu^j (deflated) goes to slot i * width + j, where a
-    row is wide enough for every mu-degree of the product.  A product
+    The keys are exponent tuples, one entry per variable.  Denominators are
+    cleared, each support is shifted to start at exponent 0, and the
+    exponents are divided by their gcd over both operands, per variable, so
+    that strided supports do not inflate the packing.  The packed box has,
+    per variable, room for every exponent of the product; a monomial goes to
+    its mixed-radix slot, the last variable varying fastest.  A product
     coefficient is a sum of at most min(#a, #b) products of coefficients,
     so it fits a signed slot of s bytes; adding 2^(8s-1) to every slot of
     the product makes every slot non-negative, so the bytes of the sum are
@@ -63,14 +70,17 @@ def _packed_product(a: Terms, b: Terms) -> Terms | None:
     Returns None, leaving the product to the double loop, when the packed
     box has more slots than there are pairs of terms.
     """
-    ela, ema = zip(*a)
-    elb, emb = zip(*b)
-    la, ma, lb, mb = min(ela), min(ema), min(elb), min(emb)
-    gl = gcd(*[e - la for e in ela], *[e - lb for e in elb]) or 1
-    gm = gcd(*[e - ma for e in ema], *[e - mb for e in emb]) or 1
-    rows = (max(ela) - la + max(elb) - lb) // gl + 1
-    width = (max(ema) - ma + max(emb) - mb) // gm + 1
-    if rows * width > len(a) * len(b):
+    cols_a, cols_b = list(zip(*a)), list(zip(*b))
+    lows_a, lows_b, steps, sizes = [], [], [], []
+    for ca, cb in zip(cols_a, cols_b):
+        la, lb = min(ca), min(cb)
+        g = gcd(*[e - la for e in ca], *[e - lb for e in cb]) or 1
+        lows_a.append(la)
+        lows_b.append(lb)
+        steps.append(g)
+        sizes.append((max(ca) - la + max(cb) - lb) // g + 1)
+    slots = prod(sizes)
+    if slots > len(a) * len(b):
         # a sparse product, such as one with a factor lambda^1000 - 1: reading
         # its empty slots would cost more than the double loop's term pairs
         return None
@@ -78,13 +88,16 @@ def _packed_product(a: Terms, b: Terms) -> Terms | None:
     db, b = _integer_terms(b)
     bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
     s = (bound.bit_length() + 8) // 8  # 2^(8s-1) > bound
-    nbytes = rows * width * s
+    nbytes = slots * s
+    strides = [s * prod(sizes[i + 1 :]) for i in range(len(sizes))]  # in bytes
 
-    def pack(terms: Terms, l0: int, m0: int) -> int:
+    def pack(terms: dict, cols: list, lows: list[int]) -> int:
+        offsets = [0] * len(terms)
+        for col, low, g, stride in zip(cols, lows, steps, strides):
+            offsets = [k + (e - low) // g * stride for k, e in zip(offsets, col)]
         pos = bytearray(nbytes)
         neg = bytearray(nbytes)
-        for (el, em), c in terms.items():
-            k = ((el - l0) // gl * width + (em - m0) // gm) * s
+        for k, c in zip(offsets, terms.values()):
             if c > 0:
                 pos[k : k + s] = c.to_bytes(s, "little")
             else:
@@ -92,19 +105,152 @@ def _packed_product(a: Terms, b: Terms) -> Terms | None:
         return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
     bias = 1 << (8 * s - 1)
-    biased = pack(a, la, ma) * pack(b, lb, mb) + int.from_bytes(
-        bias.to_bytes(s, "little") * (rows * width), "little"
+    biased = pack(a, cols_a, lows_a) * pack(b, cols_b, lows_b) + int.from_bytes(
+        bias.to_bytes(s, "little") * slots, "little"
     )
     buf = biased.to_bytes(nbytes, "little")
     values = [int.from_bytes(buf[k : k + s], "little") - bias for k in range(0, nbytes, s)]
     exponents = product(
-        range(la + lb, la + lb + rows * gl, gl), range(ma + mb, ma + mb + width * gm, gm)
+        *[
+            range(la + lb, la + lb + size * g, g)
+            for la, lb, size, g in zip(lows_a, lows_b, sizes, steps)
+        ]
     )
     out = {e: c for e, c in zip(exponents, values) if c}
     d = da * db
     if d != 1:
         out = {e: _normalize_scalar(Fraction(c, d)) for e, c in out.items()}
     return out
+
+
+def _row_quotient(num: Terms, den: Terms) -> Terms | None:
+    """A candidate for num / den by long division over lambda-rows.
+
+    Each row, a polynomial in mu, is held as one integer: its value at
+    mu = 2^K after shifting (and deflating, as in _packed_product) the mu
+    exponents to start at 0.  A quotient row is one exact big-integer
+    division of the top remainder row by the divisor's leading row,
+    decoded into balanced K-bit slots.  Evaluation at 2^K is a ring
+    homomorphism, so when den divides num every row division is exact; a
+    decoded row is the true one when its coefficients fit their slots.
+    K leaves room for quotient coefficients up to #num times the largest
+    coefficient of num.
+
+    Returns None when a coefficient is not an integer, a row division
+    leaves a remainder or a row overflows the quotient's mu-width.  A
+    returned quotient is unchecked: the caller must multiply it back.
+    """
+    if not all(type(c) is int for c in num.values()) or not all(
+        type(c) is int for c in den.values()
+    ):
+        return None
+    nl, nm = zip(*num)
+    dl, dm = zip(*den)
+    fl, fm, gl, gm = min(nl), min(nm), min(dl), min(dm)
+    g = gcd(*[e - fm for e in nm], *[e - gm for e in dm]) or 1
+    nrows, drows = max(nl) - fl + 1, max(dl) - gl + 1
+    width = ((max(nm) - fm) - (max(dm) - gm)) // g + 1
+    if nrows < drows or width < 1:
+        return None
+    k = max(map(abs, num.values())).bit_length() + len(num).bit_length() + 1
+
+    def rows(terms: Terms, l0: int, m0: int, n: int) -> list[int]:
+        out = [0] * n
+        for (el, em), c in terms.items():
+            out[el - l0] += c << ((em - m0) // g * k)
+        return out
+
+    rem = rows(num, fl, fm, nrows)
+    div = [(j, d) for j, d in enumerate(rows(den, gl, gm, drows)) if d]
+    lead = div[-1][1]
+    quot: Terms = {}
+    for i in range(nrows - drows, -1, -1):
+        q, r = divmod(rem[i + drows - 1], lead)
+        if r:
+            return None
+        if not q:
+            continue
+        for j, d in div:
+            rem[i + j] -= q * d
+        coeffs = polycore.unpack(q, k)
+        if len(coeffs) > width:
+            return None
+        el = i + fl - gl
+        for j, c in enumerate(coeffs):
+            if c:
+                quot[(el, j * g + fm - gm)] = c
+    return quot
+
+
+def _sparse_quotient(num: Terms, den: Terms) -> Terms:
+    """num / den by sparse long division; raises InexactDivisionError.
+
+    Shift both operands to plain-polynomial exponents, then cancel leading
+    terms under lex order.  Minimal exponents are additive under
+    multiplication in a domain, so the shifted quotient stays polynomial
+    and the loop terminates (lex on N^2 is a well-order).
+    """
+    fl = min(el for el, _ in num)
+    fm = min(em for _, em in num)
+    gl = min(el for el, _ in den)
+    gm = min(em for _, em in den)
+    num = {(el - fl, em - fm): c for (el, em), c in num.items()}
+    den = {(el - gl, em - gm): c for (el, em), c in den.items()}
+    dlead = max(den)
+    dcoef = den[dlead]
+    quot: Terms = {}
+    while num:
+        lead = max(num)
+        de = (lead[0] - dlead[0], lead[1] - dlead[1])
+        if de[0] < 0 or de[1] < 0:
+            raise InexactDivisionError("Laurent division left a remainder")
+        c = _scalar_div(num[lead], dcoef)
+        quot[de] = c
+        for (el, em), dc in den.items():
+            e = (el + de[0], em + de[1])
+            s = num.get(e, 0) - c * dc
+            if s == 0:
+                num.pop(e, None)
+            else:
+                num[e] = s
+    shift = (fl - gl, fm - gm)
+    return {(el + shift[0], em + shift[1]): c for (el, em), c in quot.items()}
+
+
+def _from_terms(terms: Terms) -> "LaurentPoly":
+    """Wrap a dict of nonzero, normalized coefficients without copying it."""
+    res = LaurentPoly.__new__(LaurentPoly)
+    res._terms = terms
+    return res
+
+
+def _packed_poly_product(
+    f: Sequence["LaurentPoly"], g: Sequence["LaurentPoly"]
+) -> list["LaurentPoly"] | None:
+    """The product of two polynomials in t over the Laurent ring, given as
+    coefficient lists lowest degree first, as one packed product over
+    (t, lambda, mu).
+
+    None, leaving the product to the coefficientwise double loop, when that
+    loop would pack none of its coefficient products (no coefficient of f
+    or none of g has more than _SCHOOLBOOK_MAX_TERMS terms; tested before
+    anything is flattened), or when the packed box is too sparse.  Products
+    of a small run matrix into a large one stay coefficientwise: one
+    operand's few terms make the double loop cheaper than packing the other.
+    """
+    for p in (f, g):
+        if max([len(c._terms) for c in p], default=0) <= _SCHOOLBOOK_MAX_TERMS:
+            return None
+    flat = _packed_product(
+        {(i, el, em): c for i, p in enumerate(f) for (el, em), c in p._terms.items()},
+        {(i, el, em): c for i, p in enumerate(g) for (el, em), c in p._terms.items()},
+    )
+    if flat is None:
+        return None
+    out: list[Terms] = [{} for _ in range(len(f) + len(g) - 1)]
+    for (i, el, em), c in flat.items():
+        out[i][(el, em)] = c
+    return [_from_terms(t) for t in out]
 
 
 class LaurentPoly:
@@ -192,16 +338,12 @@ class LaurentPoly:
                 out.pop(e, None)
             else:
                 out[e] = s
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = out
-        return res
+        return _from_terms(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = {e: -c for e, c in self._terms.items()}
-        return res
+        return _from_terms({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
@@ -232,9 +374,7 @@ class LaurentPoly:
                         out.pop(e, None)
                     else:
                         out[e] = s
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = out
-        return res
+        return _from_terms(out)
 
     __rmul__ = __mul__
 
@@ -252,9 +392,7 @@ class LaurentPoly:
 
     def sigma(self) -> "LaurentPoly":
         """Substitute lambda -> lambda^-1 and mu -> mu^-1."""
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = {(-el, -em): c for (el, em), c in self._terms.items()}
-        return res
+        return _from_terms({(-el, -em): c for (el, em), c in self._terms.items()})
 
     # ------------------------------------------------------------------
     # evaluation and exact division
@@ -281,42 +419,28 @@ class LaurentPoly:
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient self / divisor; raises InexactDivisionError otherwise.
 
-        Shift both operands to plain-polynomial exponents, then cancel
-        leading terms under lex order.  Minimal exponents are additive under
-        multiplication in a domain, so the shifted quotient stays polynomial
-        and the loop terminates (lex on N^2 is a well-order).
+        A monomial divisor shifts the exponents.  A divisor of more than
+        _SCHOOLBOOK_MAX_TERMS terms first tries _row_quotient, whose
+        quotient is returned only if it multiplies back to self.  Every
+        other case, and every one that declines, runs _sparse_quotient.
         """
         if not divisor:
             raise ZeroDivisionError("Laurent division by zero")
         if not self:
             return LaurentPoly.zero()
-        fl = min(el for el, _ in self._terms)
-        fm = min(em for _, em in self._terms)
-        gl = min(el for el, _ in divisor._terms)
-        gm = min(em for _, em in divisor._terms)
-        num = {(el - fl, em - fm): c for (el, em), c in self._terms.items()}
-        den = {(el - gl, em - gm): c for (el, em), c in divisor._terms.items()}
-        dlead = max(den)
-        dcoef = den[dlead]
-        quot: dict[tuple[int, int], Scalar] = {}
-        while num:
-            lead = max(num)
-            de = (lead[0] - dlead[0], lead[1] - dlead[1])
-            if de[0] < 0 or de[1] < 0:
-                raise InexactDivisionError("Laurent division left a remainder")
-            c = _scalar_div(num[lead], dcoef)
-            quot[de] = c
-            for (el, em), dc in den.items():
-                e = (el + de[0], em + de[1])
-                s = num.get(e, 0) - c * dc
-                if s == 0:
-                    num.pop(e, None)
-                else:
-                    num[e] = s
-        shift = (fl - gl, fm - gm)
-        return LaurentPoly(
-            {(el + shift[0], em + shift[1]): c for (el, em), c in quot.items()}
-        )
+        if len(divisor._terms) == 1:
+            ((gl, gm), d), = divisor._terms.items()
+            return _from_terms(
+                {(el - gl, em - gm): c if d == 1 else _scalar_div(c, d)
+                 for (el, em), c in self._terms.items()}
+            )
+        if len(divisor._terms) > _SCHOOLBOOK_MAX_TERMS:
+            terms = _row_quotient(self._terms, divisor._terms)
+            if terms is not None:
+                quot = _from_terms(terms)
+                if quot * divisor == self:
+                    return quot
+        return _from_terms(_sparse_quotient(self._terms, divisor._terms))
 
     # ------------------------------------------------------------------
     # serialization and display

@@ -5,7 +5,8 @@ last entry (the empty list is zero).  Coefficients must support +, -, *,
 **, bool (zero test) and ==; exact division is supplied by the caller, so
 the same code runs over the rational field and over the Laurent ring.
 `power` is the one square-and-multiply loop of the package, for any
-multiplication; `signed_sum` writes out both QPoly and LaurentPoly.
+multiplication; `unpack` decodes a polynomial packed into one integer;
+`signed_sum` writes out both QPoly and LaurentPoly.
 """
 
 from __future__ import annotations
@@ -55,6 +56,20 @@ def mul(f: Sequence[C], g: Sequence[C], zero: C) -> list[C]:
             if b:
                 out[i + j] = out[i + j] + a * b
     return trim(out)
+
+
+def unpack(packed: int, k: int) -> tuple[int, ...]:
+    """The coefficients of f in Z[t] from f(2^k), each below 2^(k-1) in
+    absolute value: balanced slots, a slot >= 2^(k-1) borrows from the next."""
+    mask, half, coeffs = (1 << k) - 1, 1 << (k - 1), []
+    while packed:
+        c = packed & mask
+        packed >>= k
+        if c >= half:
+            c -= 1 << k
+            packed += 1
+        coeffs.append(c)
+    return tuple(coeffs)
 
 
 def power(base, n: int, one):

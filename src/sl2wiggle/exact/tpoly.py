@@ -1,7 +1,10 @@
 """Polynomials in t whose coefficients are bivariate Laurent polynomials.
 
 This is the ring where the associated polynomials of the wiggle normal
-form live: t is a formal stand-in for det(xi_g).
+form live: t is a formal stand-in for det(xi_g).  A product of two
+operands that each have a coefficient of more than a few terms is one
+Kronecker product over (t, lambda, mu), computed by the LaurentPoly
+packing kernel.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from typing import Iterable, Sequence
 
 from ..errors import InexactDivisionError, ZeroParameterError
 from . import polycore
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _packed_poly_product
 from .qpoly import QPoly
 
 _LZERO = LaurentPoly.zero()
@@ -111,7 +114,10 @@ class TPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _wrap(polycore.mul(self._coeffs, other._coeffs, _LZERO))
+        out = _packed_poly_product(self._coeffs, other._coeffs)
+        if out is None:
+            out = polycore.mul(self._coeffs, other._coeffs, _LZERO)
+        return _wrap(out)
 
     __rmul__ = __mul__
 
@@ -164,23 +170,23 @@ class TPoly:
         return cls([LaurentPoly.from_json(c) for c in data])
 
     def pretty(self, var: str = "t") -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
+        """Leading term first; a coefficient of several terms is parenthesized,
+        and a later one-term coefficient with a negative scalar is subtracted."""
+        text = ""
         for i in range(len(self._coeffs) - 1, -1, -1):
             c = self._coeffs[i]
             if not c:
                 continue
+            terms = c.terms()
+            minus = bool(text) and len(terms) == 1 and next(iter(terms.values())) < 0
+            if minus:
+                c = -c
             mono = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
-            if not mono:
-                parts.append(c.pretty() if len(c.terms()) == 1 else f"({c.pretty()})")
-            elif c.is_one():
-                parts.append(mono)
-            elif len(c.terms()) == 1:
-                parts.append(f"{c.pretty()}·{mono}")
-            else:
-                parts.append(f"({c.pretty()})·{mono}")
-        return " + ".join(parts)
+            body = c.pretty() if len(terms) == 1 else f"({c.pretty()})"
+            if mono:
+                body = mono if c.is_one() else f"{body}·{mono}"
+            text += (" - " if minus else " + ") + body if text else body
+        return text or "0"
 
     def __repr__(self) -> str:
         return f"TPoly({self.pretty()})"

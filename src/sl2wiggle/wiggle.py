@@ -22,7 +22,7 @@ from typing import Sequence, Union
 from .errors import NotUnimodularError, ZeroParameterError
 from .exact.laurent import LaurentPoly
 from .exact.mat2 import Mat2, identity_q, xi_of
-from .exact.polycore import add, scale
+from .exact.polycore import add, scale, unpack
 from .exact.tpoly import TPoly
 from .words import (
     CyclicForm,
@@ -259,20 +259,6 @@ class SpecializedAssoc:
     trace_num: tuple[int, ...]
 
 
-def _unpack(packed: int, k: int) -> tuple[int, ...]:
-    """The coefficients of f in Z[t] from f(2^k), each below 2^(k-1) in
-    absolute value: balanced slots, a slot >= 2^(k-1) borrows from the next."""
-    mask, half, coeffs = (1 << k) - 1, 1 << (k - 1), []
-    while packed:
-        c = packed & mask
-        packed >>= k
-        if c >= half:
-            c -= 1 << k
-            packed += 1
-        coeffs.append(c)
-    return tuple(coeffs)
-
-
 def specialized_assoc(w: WordLike, lam0, mu0) -> SpecializedAssoc:
     """Run the column recursion over Z[t] at (lam0, mu0) = (p/q, r/s).
 
@@ -297,7 +283,7 @@ def specialized_assoc(w: WordLike, lam0, mu0) -> SpecializedAssoc:
     gamma, gamma_s = alpha + (beta << k), alpha_s + (beta_s << k)
     packed = (beta, beta_s, gamma, gamma_s, gamma + gamma_s)
     den = (p * q) ** sum(abs(a) for a, _ in pairs) * (r * s) ** sum(abs(b) for _, b in pairs)
-    return SpecializedAssoc(lam0, mu0, den, *(_unpack(f, k) for f in packed))
+    return SpecializedAssoc(lam0, mu0, den, *(unpack(f, k) for f in packed))
 
 
 # ----------------------------------------------------------------------

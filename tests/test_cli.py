@@ -211,6 +211,19 @@ def test_input_errors_exit_3(capsys, argv):
     assert err.startswith("input error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("certify", "--dc", "1,1,2,3", "--lambda", "1/0", "--mu", "2"), "--lambda"),
+        (("oracle", "--word", "x", "--lambda", "2", "--mu", "3", "--g", "1/0,0,0,1"), "--g"),
+    ],
+)
+def test_zero_denominator_names_the_option(capsys, argv, option):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert f"argument {option}: zero denominator in 1/0" in err
+
+
 def test_oracle_accepts_unit_parameters(capsys):
     code, out, _ = run_cli(
         capsys, "oracle", "--word", "[x,y^2]", "--lambda", "-1", "--mu", "1",

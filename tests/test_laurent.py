@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2wiggle.errors import InexactDivisionError, NotAUnitError
-from sl2wiggle.exact.laurent import LaurentPoly
+from sl2wiggle.exact.laurent import LaurentPoly, _row_quotient, _sparse_quotient
 
 from conftest import laurents, nonzero_laurents, nonzero_rationals
 
@@ -184,6 +184,69 @@ def test_product_at_the_coefficient_bound():
                 pq = p * q
                 assert pq == schoolbook(p, q)
                 assert integral(pq)
+
+
+division_coeffs = {
+    "small": st.integers(-9, 9),
+    "big": st.integers(-(2**80), 2**80),
+    "fraction": st.fractions(min_value=-9, max_value=9, max_denominator=12),
+}
+
+
+@st.composite
+def division_operands(draw, sizes=(0, 12)):
+    """min..max terms of one coefficient kind on a strided grid with negative
+    exponents, such as the lambda^2- and mu^2-strided tables polynomials."""
+    coeffs = division_coeffs[draw(st.sampled_from(sorted(division_coeffs)))]
+    stride = draw(st.tuples(st.sampled_from([1, 2, 3]), st.sampled_from([1, 2])))
+    offset = draw(st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
+    grid = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    lo, hi = sizes
+    terms = draw(st.dictionaries(grid, coeffs.filter(bool), min_size=lo, max_size=hi))
+    return LaurentPoly(
+        {(offset[0] + stride[0] * i, offset[1] + stride[1] * j): c for (i, j), c in terms.items()}
+    )
+
+
+# a monomial, 2-4 terms (the sparse loop) and more than 4 (the row-packed path)
+divisors = st.sampled_from([(1, 1), (2, 4), (5, 12)]).flatmap(division_operands)
+
+
+def largest(p: LaurentPoly):
+    return max(abs(c) for c in p.terms().values())
+
+
+@given(division_operands(), divisors)
+@settings(max_examples=100, deadline=None)
+def test_exact_division_matches_the_sparse_loop(p, q):
+    pq = p * q
+    assert pq.exact_div(q) == p
+    if pq:
+        assert LaurentPoly(_sparse_quotient(pq._terms, q._terms)) == p
+    # the row-packed path accepts whenever the quotient fits its slots
+    if p and integral(p) and integral(q) and len(q.terms()) > 4:
+        if largest(p) <= largest(pq) * len(pq.terms()):
+            assert LaurentPoly(_row_quotient(pq._terms, q._terms)) == p
+
+
+@given(division_operands(), st.sampled_from([(2, 4), (5, 12)]).flatmap(division_operands),
+       st.tuples(st.integers(-9, 9), st.integers(-9, 9)), st.integers(1, 5))
+@settings(max_examples=50, deadline=None)
+def test_inexact_division_raises(p, q, e, c):
+    # q has two terms or more, so it divides no monomial
+    with pytest.raises(InexactDivisionError):
+        (p * q + LaurentPoly.mono(c, *e)).exact_div(q)
+
+
+def test_rational_quotient_of_integer_operands():
+    # the divisor's leading row 2 does not divide the dividend's 1: the row
+    # path declines and the sparse loop finds the rational quotient
+    cyclotomic = LaurentPoly({(i, 0): 1 for i in range(5)})
+    num = (LaurentPoly.lam(1) + 1) * cyclotomic
+    den = cyclotomic * 2
+    assert _row_quotient(num._terms, den._terms) is None
+    half = Fraction(1, 2)
+    assert num.exact_div(den) == LaurentPoly({(1, 0): half, (0, 0): half})
 
 
 @pytest.mark.parametrize(

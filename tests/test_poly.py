@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl2wiggle.errors import InexactDivisionError, ZeroParameterError
-from sl2wiggle.exact.laurent import LaurentPoly
+from sl2wiggle.exact.laurent import LaurentPoly, _packed_poly_product
 from sl2wiggle.exact.mat2 import identity_q
 from sl2wiggle.certify import (
     Certificate,
@@ -132,6 +132,51 @@ class TestExactDiv:
         assert f.shift_down(2) == TPoly.const(LaurentPoly.lam(1))
         with pytest.raises(InexactDivisionError):
             TPoly.one().shift_down(1)
+
+
+@st.composite
+def product_tpolys(draw):
+    """2 to 5 coefficients in t, some zero, the others with 5 to 10 terms of
+    one kind on a lambda^2-, mu^2-strided grid with negative exponents:
+    dense enough that most products are packed."""
+    scalars = draw(st.sampled_from([st.integers(-9, 9), st.integers(-(2**70), 2**70),
+                                    st.fractions(-9, 9, max_denominator=10)]))
+    laurent = st.dictionaries(
+        st.tuples(st.integers(-2, 1), st.integers(-2, 1)), scalars.filter(bool),
+        min_size=5, max_size=10,
+    ).map(lambda terms: LaurentPoly({(2 * i, 2 * j): c for (i, j), c in terms.items()}))
+    coeffs = st.one_of(st.just(LaurentPoly.zero()), laurent, laurent)
+    return TPoly(draw(st.lists(coeffs, min_size=2, max_size=5)))
+
+
+_dense = LaurentPoly({(2 * i, 2 * j - 2): i - j + 3 for i in range(3) for j in range(3)})
+
+
+class TestProduct:
+    """A TPoly product whose operands each have a coefficient of more than a
+    few terms is one packed product over (t, lambda, mu); the
+    coefficientwise polycore.mul is the reference."""
+
+    @given(product_tpolys(), product_tpolys())
+    @example(TPoly([_dense, 0, _dense]), TPoly([0, -_dense, 0, 0, _dense.sigma()]))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_coefficientwise_product(self, p, q):
+        expected = TPoly(polycore.mul(p.coeffs, q.coeffs, LaurentPoly.zero()))
+        packed = _packed_poly_product(p.coeffs, q.coeffs)
+        if packed is not None:
+            assert TPoly(packed) == expected
+        pq = p * q
+        assert pq == expected and hash(pq) == hash(expected)
+        assert p * (-p) + p * p == TPoly.zero()
+
+    def test_cancels_inside_the_box(self):
+        # (1 + ... + t^4) A times (1 - t) B is (1 - t^5) A B: every interior
+        # t-coefficient of the packed product sums to zero
+        a = _dense * Fraction(3, 7)
+        b = LaurentPoly({(2 * i, 2 * j): 1 - 2 * j for i in range(2) for j in range(3)})
+        p, q = TPoly([a] * 5), TPoly([b, -b])
+        assert _packed_poly_product(p.coeffs, q.coeffs) is not None
+        assert p * q == TPoly([a * b, 0, 0, 0, 0, -(a * b)])
 
 
 # products with a shared factor, so gcds of every degree occur; the empty
@@ -392,3 +437,24 @@ class TestPretty:
     def test_qpoly(self, coeffs, text):
         assert QPoly(coeffs).pretty() == text
         assert QPoly(coeffs).pretty("x") == text.replace("t", "x")
+
+    @pytest.mark.parametrize(
+        "coeffs, text",
+        [
+            ([], "0"),
+            ([0, 1, 1], "t^2 + t"),
+            ([LaurentPoly.lam(), 0, 1], "t^2 + λ"),
+            ([LaurentPoly.lam() - 1, 1 - LaurentPoly.mu(-1)], "(1 - μ⁻¹)·t + (λ - 1)"),
+            ([2, -LaurentPoly.lam(2)], "-λ²·t + 2"),
+            ([1, -2 + LaurentPoly.lam(-1)], "(-2 + λ⁻¹)·t + 1"),
+            # a later one-term coefficient with a negative scalar is subtracted
+            (
+                [-3 * LaurentPoly.lam(), 0, 1 - LaurentPoly.mu(-1), -LaurentPoly.lam(2)],
+                "-λ²·t^3 + (1 - μ⁻¹)·t^2 - 3λ",
+            ),
+            ([1, -1, 2 * LaurentPoly.lam() * LaurentPoly.mu(), 1], "t^3 + 2λμ·t^2 - t + 1"),
+        ],
+    )
+    def test_tpoly(self, coeffs, text):
+        assert TPoly(coeffs).pretty() == text
+        assert TPoly(coeffs).pretty("s") == text.replace("t", "s")

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from sl2wiggle.exact.laurent import LaurentPoly
 from sl2wiggle.exact.mat2 import Mat2, identity_q, mat2_q, xi_of
+from sl2wiggle.exact.polycore import unpack
 from sl2wiggle.exact.qpoly import QPoly
 from sl2wiggle.exact.tpoly import TPoly
 from sl2wiggle.wiggle import (
     AssocPolys,
     SpecializedAssoc,
-    _unpack,
     as_pairs,
     assoc_polys,
     eval_direct,
@@ -318,5 +318,5 @@ def test_unpack_balanced_slots(k):
     ]
     for coeffs in cases:
         packed = sum(c << (k * i) for i, c in enumerate(coeffs))
-        assert _unpack(packed, k) == tuple(coeffs)
-    assert _unpack(0, k) == ()
+        assert unpack(packed, k) == tuple(coeffs)
+    assert unpack(0, k) == ()
