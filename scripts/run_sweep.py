@@ -17,13 +17,14 @@ from collections import Counter
 from pathlib import Path
 
 from sl2wiggle.certify import check_certificate, sweep_box
+from sl2wiggle.cli import _positive
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-abs", type=int, default=3, help="exponent bound")
+    parser.add_argument("--max-abs", type=_positive, default=3, help="exponent bound")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-attempts", type=int, default=5)
+    parser.add_argument("--max-attempts", type=_positive, default=5)
     parser.add_argument("--out", type=Path, default=Path("sweep.json"))
     parser.add_argument(
         "--expect-sha256", metavar="HEX", help="exit 1 if the written file has another sha256"

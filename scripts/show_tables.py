@@ -9,20 +9,22 @@ for eyeball comparison.
 import argparse
 import time
 
-from sl2wiggle.certify import DCParams, core_polys
+from sl2wiggle.certify import core_polys
+from sl2wiggle.cli import _exponents
 from sl2wiggle.exact.tpoly import resultant
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--dc", required=True, help="exponents k,l,m,n")
+    parser.add_argument("--dc", type=_exponents, required=True, help="exponents k,l,m,n")
     parser.add_argument("--resultant", action="store_true", help="also print res(tau, gamma_inner)")
     args = parser.parse_args()
 
-    k, l, m, n = (int(v) for v in args.dc.split(","))
+    if args.dc.is_trivial():
+        parser.error(f"--dc {args.dc.as_list()} gives the trivial word")
     start = time.perf_counter()
-    cp = core_polys(DCParams(k, l, m, n))
-    print(f"parameters (k, l, m, n) = ({k}, {l}, {m}, {n})")
+    cp = core_polys(args.dc)
+    print(f"parameters (k, l, m, n) = {tuple(args.dc.as_list())}")
     print(f"prefactor  = {cp.prefactor_num.pretty()}")
     print(f"denominator = {cp.prefactor_den.pretty()}")
     print()

@@ -234,9 +234,9 @@ def _packed_poly_product(
     None, leaving the product to the coefficientwise double loop, when that
     loop would pack none of its coefficient products (no coefficient of f
     or none of g has more than _SCHOOLBOOK_MAX_TERMS terms; tested before
-    anything is flattened), or when the packed box is too sparse.  Products
-    of a small run matrix into a large one stay coefficientwise: one
-    operand's few terms make the double loop cheaper than packing the other.
+    anything is flattened), or when the packed box is too sparse.  A
+    product of a small operand and a large one stays coefficientwise: the
+    small one's few terms make the double loop cheaper than packing the other.
     """
     for p in (f, g):
         if max([len(c._terms) for c in p], default=0) <= _SCHOOLBOOK_MAX_TERMS:

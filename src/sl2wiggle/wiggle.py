@@ -47,21 +47,6 @@ class AssocPolys:
     beta: TPoly
     pairs: Pairs
 
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha.to_json(),
-            "beta": self.beta.to_json(),
-            "pairs": [list(p) for p in self.pairs],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "AssocPolys":
-        return cls(
-            alpha=TPoly.from_json(data["alpha"]),
-            beta=TPoly.from_json(data["beta"]),
-            pairs=tuple((int(a), int(b)) for a, b in data.get("pairs", [])),
-        )
-
 
 @dataclass(frozen=True)
 class WiggleValue:
@@ -92,21 +77,7 @@ class IdentityReport:
 
 
 # ----------------------------------------------------------------------
-# transfer matrices
-
-
-def _steps(invert_params: bool) -> tuple[Mat2[TPoly], Mat2[TPoly]]:
-    """Transfer matrices of x and y; their powers are the run matrices."""
-    lam = LaurentPoly.lam(-1 if invert_params else 1)
-    mu = LaurentPoly.mu(-1 if invert_params else 1)
-    lam_inv, mu_inv = lam.unit_inverse(), mu.unit_inverse()
-    zero = TPoly.zero()
-    x_step = Mat2(TPoly.const(lam), TPoly([0, lam - lam_inv]), zero, TPoly.const(lam_inv))
-    y_step = Mat2(TPoly.const(mu), zero, TPoly.const(mu - mu_inv), TPoly.const(mu_inv))
-    return x_step, y_step
-
-
-_T_IDENTITY = Mat2(TPoly.one(), TPoly.zero(), TPoly.zero(), TPoly.one())
+# the column recursion
 
 
 def as_pairs(w: WordLike) -> Pairs:
@@ -121,16 +92,6 @@ def as_pairs(w: WordLike) -> Pairs:
     return tuple((int(a), int(b)) for a, b in w)
 
 
-def transfer_matrix(w: WordLike, invert_params: bool = False) -> Mat2[TPoly]:
-    """Product of per-run transfer matrices, applied rightmost run first;
-    the identity checks and the tests' reference for the column recursion."""
-    x_step, y_step = _steps(invert_params)
-    m = _T_IDENTITY
-    for a, b in as_pairs(w):
-        m = y_step.pow_det1(b, _T_IDENTITY) * x_step.pow_det1(a, _T_IDENTITY) * m
-    return m
-
-
 def _runs(pairs: Pairs, x_pow, y_pow) -> list[tuple[bool, object, object]]:
     """The steps (is_x, U, V) of a run list, one per nonzero exponent e:
     (U, V) = x_pow(e) resp. y_pow(e) for e > 0, and (V, U) of -e for e < 0."""
@@ -143,8 +104,15 @@ def _runs(pairs: Pairs, x_pow, y_pow) -> list[tuple[bool, object, object]]:
     return runs
 
 
-def _first_column(runs, scale, add, times_t, one, zero):
-    """First column (alpha, beta) of the transfer product, in closed form.
+def _swapped(runs):
+    """The runs with U and V swapped: the same word at inverted parameters."""
+    return [(is_x, v, u) for is_x, u, v in runs]
+
+
+def _column(runs, scale, add, times_t, top, bottom):
+    """The column of the transfer product that starts as (top, bottom), in
+    closed form: (1, 0) gives the first column (alpha, beta) and (0, 1) the
+    second.
 
     Each step (is_x, U, V) of `runs` has U/V = lambda^2a resp. mu^2b; up to
     the scalar sqrt(UV) the runs act by
@@ -157,7 +125,7 @@ def _first_column(runs, scale, add, times_t, one, zero):
     lambda^-a, scalar 1), or on one integer standing for a polynomial in
     Z[t] evaluated at t = 2^K (U, V = P^2, Q^2 for lambda^a = P/Q, scalar PQ).
     """
-    alpha, beta = one, zero
+    alpha, beta = top, bottom
     for is_x, u, v in runs:
         if is_x:
             alpha = add(scale(alpha, u), scale(times_t(beta), u - v))
@@ -168,14 +136,23 @@ def _first_column(runs, scale, add, times_t, one, zero):
     return alpha, beta
 
 
+def _laurent_runs(pairs: Pairs) -> list[tuple[bool, LaurentPoly, LaurentPoly]]:
+    lam, mu = LaurentPoly.lam, LaurentPoly.mu
+    return _runs(pairs, lambda e: (lam(e), lam(-e)), lambda e: (mu(e), mu(-e)))
+
+
+def _laurent_column(runs, top: list, bottom: list) -> tuple[TPoly, TPoly]:
+    """_column over the Laurent ring, from coefficient lists top, bottom."""
+    zero = LaurentPoly.zero()
+    column = _column(runs, scale, add, lambda f: [zero] + f, top, bottom)
+    return TPoly(column[0]), TPoly(column[1])
+
+
 def assoc_polys(w: WordLike) -> AssocPolys:
     """Compute (alpha, beta) for a word, cyclic form or explicit run list."""
     pairs = as_pairs(w)
-    lam, mu = LaurentPoly.lam, LaurentPoly.mu
-    runs = _runs(pairs, lambda e: (lam(e), lam(-e)), lambda e: (mu(e), mu(-e)))
-    zero = LaurentPoly.zero()
-    alpha, beta = _first_column(runs, scale, add, lambda f: [zero] + f, [LaurentPoly.one()], [])
-    return AssocPolys(alpha=TPoly(alpha), beta=TPoly(beta), pairs=pairs)
+    alpha, beta = _laurent_column(_laurent_runs(pairs), [LaurentPoly.one()], [])
+    return AssocPolys(alpha=alpha, beta=beta, pairs=pairs)
 
 
 def gamma_of(ap: AssocPolys) -> TPoly:
@@ -277,9 +254,9 @@ def specialized_assoc(w: WordLike, lam0, mu0) -> SpecializedAssoc:
         pairs, lambda e: (p ** (2 * e), q ** (2 * e)), lambda e: (r ** (2 * e), s ** (2 * e))
     )
     k = 3 + sum(max(u, v).bit_length() + 1 for _, u, v in runs)
-    column = lambda steps: _first_column(steps, operator.mul, operator.add, lambda f: f << k, 1, 0)
+    column = lambda steps: _column(steps, operator.mul, operator.add, lambda f: f << k, 1, 0)
     alpha, beta = column(runs)
-    alpha_s, beta_s = column([(is_x, v, u) for is_x, u, v in runs])
+    alpha_s, beta_s = column(_swapped(runs))
     gamma, gamma_s = alpha + (beta << k), alpha_s + (beta_s << k)
     packed = (beta, beta_s, gamma, gamma_s, gamma + gamma_s)
     den = (p * q) ** sum(abs(a) for a, _ in pairs) * (r * s) ** sum(abs(b) for _, b in pairs)
@@ -300,13 +277,16 @@ def verify_identities(ap: AssocPolys) -> IdentityReport:
     t_t1 = TPoly.t() * (TPoly.t() + TPoly.one())
     det_ok = gamma * gamma.sigma() - ap.beta * ap.beta.sigma() * t_t1 == TPoly.one()
 
-    # At the scalar level the parameter-inverted system computes exactly
-    # the sigma-substituted pair (sigma applied to each coefficient).
-    m_inv = transfer_matrix(ap.pairs, invert_params=True)
-    sigma_ok = m_inv.e11 == ap.alpha.sigma() and m_inv.e21 == ap.beta.sigma()
+    # Inverting the parameters swaps U and V in every run; at the scalar
+    # level that computes exactly the sigma-substituted pair.
+    runs = _laurent_runs(ap.pairs)
+    one = [LaurentPoly.one()]
+    sigma_ok = _laurent_column(_swapped(runs), one, []) == (ap.alpha.sigma(), ap.beta.sigma())
 
-    m = transfer_matrix(ap.pairs)
-    bezout_ok = m.det() == TPoly.one()
+    # The second column (c, delta) of the product makes alpha*delta - c*beta
+    # = 1 a Bezout relation, so alpha and beta are coprime.
+    c, delta = _laurent_column(runs, [], one)
+    bezout_ok = ap.alpha * delta - c * ap.beta == TPoly.one()
 
     return IdentityReport(
         det_identity_ok=det_ok,

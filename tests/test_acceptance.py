@@ -27,7 +27,6 @@ from sl2wiggle.wiggle import (
     assoc_polys,
     eval_direct,
     eval_normal_form,
-    transfer_matrix,
     verify_identities,
     word_value,
 )
@@ -40,6 +39,7 @@ from dc_reference import (
     tau_coeffs,
     tau_equal_inner_x_exponents,
 )
+from transfer_reference import transfer_matrix
 
 SWEEP_BOX3_SHA256 = "8e2e725233d1364d32bad6fbbae32ab2a639b5e5f226cbb0f513a041a6298a09"
 

@@ -233,18 +233,40 @@ def test_oracle_accepts_unit_parameters(capsys):
     assert json.loads(out) == {"cases": 1, "mismatches": 0}
 
 
-def test_run_sweep_expect_sha256(tmp_path):
+def run_script(name, *argv):
     root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = [sys.executable, str(root / "scripts" / name), *argv]
+    return subprocess.run(argv, capture_output=True, text=True, env=env)
+
+
+def test_run_sweep_expect_sha256(tmp_path):
     text = json.dumps([c.to_json() for c in sweep_box(1)], indent=2, sort_keys=True)
     digest = hashlib.sha256(text.encode()).hexdigest()
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
 
     def sweep(expected):
-        argv = [sys.executable, str(root / "scripts" / "run_sweep.py"), "--max-abs", "1"]
-        argv += ["--out", str(tmp_path / "sweep.json"), "--expect-sha256", expected]
-        return subprocess.run(argv, capture_output=True, text=True, env=env)
+        out = str(tmp_path / "sweep.json")
+        return run_script("run_sweep.py", "--max-abs", "1", "--out", out, "--expect-sha256", expected)
 
     assert sweep(digest).returncode == 0
     wrong = sweep("0" * 64)
     assert wrong.returncode == 1
     assert "0" * 64 in wrong.stderr and digest in wrong.stderr
+
+
+@pytest.mark.parametrize(
+    "argv", [("--max-abs", "0"), ("--max-abs", "-2"), ("--max-abs", "1", "--max-attempts", "0")]
+)
+def test_run_sweep_rejects_bounds_below_1(tmp_path, argv):
+    out = tmp_path / "sweep.json"
+    result = run_script("run_sweep.py", *argv, "--out", str(out))
+    assert result.returncode == 2 and "must be at least 1" in result.stderr
+    assert result.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("dc", ["1,2,3", "1,1,2,x", "1,1,1,1"])
+def test_show_tables_rejects_bad_dc(dc):
+    result = run_script("show_tables.py", "--dc", dc)
+    assert result.returncode != 0 and result.stdout == ""
+    assert "argument --dc" in result.stderr or "trivial word" in result.stderr
+    assert "Traceback" not in result.stderr

@@ -12,6 +12,9 @@ from sl2wiggle.exact.tpoly import TPoly
 from sl2wiggle.wiggle import (
     AssocPolys,
     SpecializedAssoc,
+    _laurent_column,
+    _laurent_runs,
+    _swapped,
     as_pairs,
     assoc_polys,
     eval_direct,
@@ -19,7 +22,6 @@ from sl2wiggle.wiggle import (
     gamma_of,
     specialized_assoc,
     trace_poly,
-    transfer_matrix,
     verify_identities,
     word_value,
 )
@@ -31,6 +33,7 @@ from conftest import (
     random_sl2,
     random_word,
 )
+from transfer_reference import transfer_matrix
 
 T = TPoly.t()
 ONE = TPoly.one()
@@ -101,15 +104,6 @@ class TestAssocPolys:
             extended = assoc_polys(tuple(base.pairs) + ((a, b),))
             assert extended.alpha == alpha_next
             assert extended.beta == beta_next
-
-    def test_json_round_trip(self):
-        from sl2wiggle.wiggle import AssocPolys
-
-        ap = assoc_polys(parse_word("x y^-2"))
-        data = ap.to_json()
-        back = AssocPolys.from_json(data)
-        assert back.alpha == ap.alpha and back.beta == ap.beta
-        assert back.pairs == ap.pairs
 
 
 class TestGammaAndTrace:
@@ -237,6 +231,39 @@ class TestIdentities:
         for _ in range(20):
             w = random_word(rng, max_syllables=6)
             assert assoc_polys(w) == reference_assoc(w)
+            runs = _laurent_runs(as_pairs(w))
+            one = [LaurentPoly.one()]
+            m = transfer_matrix(w)
+            assert _laurent_column(runs, [], one) == (m.e12, m.e22)
+            m_inv = transfer_matrix(w, invert_params=True)
+            assert _laurent_column(_swapped(runs), one, []) == (m_inv.e11, m_inv.e21)
+
+    @pytest.mark.parametrize(
+        "tamper, det_ok",
+        [
+            ("alpha + 1", False),
+            ("beta * lambda", False),
+            ("alpha, beta swapped", False),
+            ("pairs of another word", True),
+            ("pairs reversed", True),
+        ],
+    )
+    def test_tampered_input_fails(self, tamper, det_ok):
+        ap = assoc_polys(parse_word("[[x,y],[x^2,y]]"))
+        alpha, beta, pairs = ap.alpha, ap.beta, ap.pairs
+        if tamper == "alpha + 1":
+            alpha = alpha + ONE
+        elif tamper == "beta * lambda":
+            beta = beta.scale(LaurentPoly.lam(1))
+        elif tamper == "alpha, beta swapped":
+            alpha, beta = beta, alpha
+        elif tamper == "pairs of another word":
+            pairs = as_pairs(parse_word("[[x,y],[x,y^2]]"))
+        else:
+            pairs = pairs[::-1]
+        report = verify_identities(AssocPolys(alpha, beta, pairs))
+        assert not report.ok and not report.sigma_symmetry_ok and not report.bezout_ok
+        assert report.det_identity_ok == det_ok
 
     def test_report_names_failures(self):
         from sl2wiggle.wiggle import IdentityReport

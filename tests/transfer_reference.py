@@ -1,0 +1,35 @@
+"""The full transfer product as a product of 2x2 matrices over Z[t].
+
+Each x-run or y-run of a word is a power of one elementary transfer matrix,
+multiplied out with Mat2.pow_det1, and the word's product is the product of
+its run matrices.  sl2wiggle.wiggle computes single columns of this product
+with a closed-form loop instead; tests compare that loop with this product.
+"""
+
+from sl2wiggle.exact.laurent import LaurentPoly
+from sl2wiggle.exact.mat2 import Mat2
+from sl2wiggle.exact.tpoly import TPoly
+from sl2wiggle.wiggle import WordLike, as_pairs
+
+
+def _steps(invert_params: bool) -> tuple[Mat2[TPoly], Mat2[TPoly]]:
+    """Transfer matrices of x and y; their powers are the run matrices."""
+    lam = LaurentPoly.lam(-1 if invert_params else 1)
+    mu = LaurentPoly.mu(-1 if invert_params else 1)
+    lam_inv, mu_inv = lam.unit_inverse(), mu.unit_inverse()
+    zero = TPoly.zero()
+    x_step = Mat2(TPoly.const(lam), TPoly([0, lam - lam_inv]), zero, TPoly.const(lam_inv))
+    y_step = Mat2(TPoly.const(mu), zero, TPoly.const(mu - mu_inv), TPoly.const(mu_inv))
+    return x_step, y_step
+
+
+_T_IDENTITY = Mat2(TPoly.one(), TPoly.zero(), TPoly.zero(), TPoly.one())
+
+
+def transfer_matrix(w: WordLike, invert_params: bool = False) -> Mat2[TPoly]:
+    """Product of per-run transfer matrices, applied rightmost run first."""
+    x_step, y_step = _steps(invert_params)
+    m = _T_IDENTITY
+    for a, b in as_pairs(w):
+        m = y_step.pow_det1(b, _T_IDENTITY) * x_step.pow_det1(a, _T_IDENTITY) * m
+    return m
