@@ -26,10 +26,8 @@ from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import isqrt, log2, log10
 from typing import Optional
-
-import mpmath
 
 from .errors import PrecisionExhaustedError, TrivialWordError
 from .exact.laurent import LaurentPoly
@@ -389,9 +387,10 @@ class Witness:
     """A point where the wiggle value is a non-trivial unipotent.
 
     Exact witnesses (rational t0) carry exact g and u with trace(u) = 2 and
-    det(u) = 1 on the nose.  Numeric witnesses carry a high-precision root
-    of the minimal polynomial plus a measured residual bound; the modular
-    certificate is the authoritative exactness statement.
+    det(u) = 1 on the nose.  Numeric witnesses carry t0 and u printed to
+    precision_digits significant digits, and as residual a proven bound on
+    |trace(u) - 2| and |det(u) - 1| at a rational point near t0.  Either
+    way the modular certificate is the authoritative exactness statement.
     """
 
     params: DCParams
@@ -431,27 +430,147 @@ class Witness:
         return data
 
 
-def _wiggle_at(sa: SpecializedAssoc, t0) -> tuple:
-    """The entries gamma, beta p, -sigma(beta) q, sigma(gamma) of the wiggle
-    value at t0, for p = 1 + t0 and q = -t0, a Fraction or an mpc.  Each
-    polynomial is its integer numerator by Horner, then one division by D."""
+def _wiggle_at(sa: SpecializedAssoc, points: list[tuple[int, int]], b: int):
+    """The wiggle value at t0 = a / b for each Gaussian integer a = (re, im)
+    in points, and b > 0: (E, one list per point of gamma, beta p,
+    -sigma(beta) q, sigma(gamma), for p = 1 + t0 and q = -t0), each entry
+    a Gaussian integer numerator over the common denominator E = |D| b^d,
+    d the entries' top degree.
 
-    def at(num):
-        acc = 0 * t0
-        for c in reversed(num):
-            acc = acc * t0 + c
-        return acc / sa.den
+    Each entry is its polynomial f homogenized to degree d, evaluated by
+    Horner as the sum of f_i a^i b^(d - i)."""
+    polys = (
+        sa.gamma_num,
+        add(sa.beta_num, (0, *sa.beta_num)),
+        (0, *sa.beta_sigma_num),
+        sa.gamma_sigma_num,
+    )
+    d = max(map(len, polys)) - 1
+    powers = [-1 if sa.den < 0 else 1]
+    for _ in range(d):
+        powers.append(powers[-1] * b)
+    # highest degree first, with the sign that makes E positive
+    homogenized = [
+        [c * p for c, p in zip(reversed(f), powers[d + 1 - len(f) :])] for f in polys
+    ]
+    values = []
+    for re, im in points:
+        entries = []
+        for f in homogenized:
+            x = y = 0
+            if im:
+                for c in f:
+                    x, y = x * re - y * im + c, x * im + y * re
+            else:
+                for c in f:
+                    x = x * re + c
+            entries.append((x, y))
+        values.append(entries)
+    return sa.den * powers[d], values
 
-    gamma, beta = at(sa.gamma_num), at(sa.beta_num)
-    return gamma, beta * (1 + t0), at(sa.beta_sigma_num) * t0, at(sa.gamma_sigma_num)
+
+def _times(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    """The exact value of an mpmath mpf."""
-    # plain ints: the mantissa is an mpz when mpmath runs on the gmpy backend
-    sign, man, exp, _ = x._mpf_
-    value = Fraction(int(man) << max(int(exp), 0), 1 << max(-int(exp), 0))
-    return -value if sign else value
+def _ceil_abs(z: tuple[int, int], den: int, scale: int) -> int:
+    """The least integer >= |z| scale / den, for a Gaussian integer z and
+    positive den and scale."""
+    if z[1]:
+        norm = (z[0] * z[0] + z[1] * z[1]) * scale * scale
+        r = isqrt(norm)
+        r += r * r < norm
+    else:
+        r = abs(z[0]) * scale
+    return -(-r // den)
+
+
+_LOG10_2 = log10(2)
+
+
+def _decimal(num: int, den: int, dps: int) -> str:
+    """num / den, den > 0, as a decimal literal of dps >= 1 significant
+    digits, trailing zeros kept.
+
+    The first dps digits of the value are rounded half up on the next one;
+    a carry out of 99...9 raises the exponent.  An exponent strictly
+    between min(-(dps // 3), -5) and dps prints in fixed notation, any
+    other as a mantissa with a signed exponent.
+    """
+    if not num:
+        return "0.0"
+    sign, num = ("-", -num) if num < 0 else ("", num)
+    # the exponent e of the leading digit: num / den > 2^(nb - db - 1), so
+    # this starts at or below e, and each pass that finds too many digits
+    # raises it by one
+    e = int((num.bit_length() - den.bit_length() - 1) * _LOG10_2) - 1
+    while True:
+        s = dps - e
+        q = num * 10**s // den if s >= 0 else num // (den * 10**-s)
+        if q < 10 ** (dps + 1):
+            break
+        e += 1
+    digits, last = divmod(q, 10)
+    if last >= 5:
+        digits += 1
+        if digits == 10**dps:
+            digits, e = digits // 10, e + 1
+    text = str(digits)
+    if min(-(dps // 3), -5) < e < dps:
+        if e < 0:
+            return f"{sign}0.{'0' * (-e - 1)}{text}"
+        return f"{sign}{text[: e + 1]}.{text[e + 1 :]}"
+    return f"{sign}{text[0]}.{text[1:]}e{e:+d}"
+
+
+def _witness_points(h: list[int], root: Optional[RealRoot], bits: int):
+    """Three points lo, mid, hi within 2^-bits of the witness root, as
+    Gaussian integer numerators over one denominator b > 0.
+
+    The witness root is `root`, a real root of h, or, when it is None, the
+    root of the quadratic h = a t^2 + b t + c below the real axis,
+    (-b - i sqrt(d)) / 2a with d = 4ac - b^2 > 0, where
+    isqrt(d 4^bits) <= sqrt(d) 2^bits < isqrt(d 4^bits) + 1.
+    """
+    if root is not None:
+        r = root.refined(bits)
+        return [(2 * r.lo, 0), (r.lo + r.hi, 0), (2 * r.hi, 0)], 1 << (r.k + 1)
+    c, b, a = h
+    s = isqrt((4 * a * c - b * b) << (2 * bits))
+    re = -b << (bits + 1)
+    return [(re, -2 * s), (re, -2 * s - 1), (re, -2 * s - 2)], a << (bits + 2)
+
+
+def _numeric_approx(
+    sa: SpecializedAssoc, h: list[int], root: Optional[RealRoot], digits: int, bits: int
+):
+    """(texts, residual) at the points of _witness_points(h, root, bits).
+
+    texts is t0 and u printed to `digits` significant digits, t0 as a pair
+    (re, im) and u as rows of pairs, or None when lo, mid and hi print
+    differently.  residual is max(|trace(u) - 2|, |det(u) - 1|) at mid,
+    rounded up to a multiple of 10^-(digits + 10).
+    """
+    points, b = _witness_points(h, root, bits)
+    den, values = _wiggle_at(sa, points, b)
+    fmt = lambda z, q: (_decimal(z[0], q, digits), _decimal(z[1], q, digits))
+    texts = [
+        (fmt(a, b), [[fmt(u[0], den), fmt(u[1], den)], [fmt(u[2], den), fmt(u[3], den)]])
+        for a, u in zip(points, values)
+    ]
+    g, bp, bq, gs = values[1]
+    trace = (g[0] + gs[0] - 2 * den, g[1] + gs[1])
+    x, y = _times(g, gs), _times(bp, bq)
+    det = (x[0] - y[0] - den * den, x[1] - y[1])
+    scale = 10 ** (digits + 10)
+    residual = Fraction(
+        max(_ceil_abs(trace, den, scale), _ceil_abs(det, den * den, scale)), scale
+    )
+    return (texts[1] if texts[0] == texts[1] == texts[2] else None), residual
+
+
+# widths tried for a numeric witness: the first, then four doublings
+_WITNESS_DOUBLINGS = 5
 
 
 def build_witness(cert: Certificate, precision_digits: int = 64) -> Witness:
@@ -463,9 +582,11 @@ def build_witness(cert: Certificate, precision_digits: int = 64) -> Witness:
     and h1 = h.  Either way the facts trace - 2 = 0 and beta * sigma(beta)
     invertible are certified in Q[t]/(h1), by exact division and
     pseudo-remainders in Z[t].  Without a rational root, the witness point
-    is the smallest real root of h1, refined by Newton steps to the
-    working precision; an h1 without real roots is a quadratic, and its
-    root with negative imaginary part is taken.
+    is the smallest real root of h1 or, for an h1 without real roots (a
+    quadratic), its root below the real axis.  That root is bracketed to
+    about digits log2(10) + 64 bits, doubled until t0 and u print the same
+    at both ends and the middle of the bracket and the residual at the
+    middle is at most 10^-(digits - 14).  All of it is integer arithmetic.
     """
     if not cert.certified:
         raise ValueError("witness construction needs a certified certificate")
@@ -484,83 +605,46 @@ def build_witness(cert: Certificate, precision_digits: int = 64) -> Witness:
     )
     if not modular.all_ok:
         raise AssertionError("modular certificate failed; certificate unsound")
+    common = dict(
+        params=cert.params, lam0=cert.lam0, mu0=cert.mu0, minimal_poly=QPoly(h1), modular=modular
+    )
 
     if t0 is None:
-        return _numeric_witness(cert, sa, h1, roots, modular, precision_digits)
-    g = mat2_q(1, 1, t0, 1 + t0)
-    u = Mat2(*_wiggle_at(sa, t0))
-    if u.trace() != 2 or u.det() != 1 or u == Mat2(*map(Fraction, (1, 0, 0, 1))):
+        target = Fraction(1, 10 ** max(precision_digits - 14, 1))
+        bits = int(precision_digits * log2(10)) + 64
+        for _ in range(_WITNESS_DOUBLINGS):
+            texts, residual = _numeric_approx(
+                sa, h1, roots[0] if roots else None, precision_digits, bits
+            )
+            if texts is not None and residual <= target:
+                return Witness(
+                    **common,
+                    exact=False,
+                    residual=residual,
+                    t0_approx=texts[0],
+                    u_approx=texts[1],
+                    precision_digits=precision_digits,
+                )
+            bits *= 2
+        raise PrecisionExhaustedError(
+            f"t0 and u did not print stably to {precision_digits} digits with residual"
+            f" at most {target} within {bits // 2} bits"
+        )
+    den, (u,) = _wiggle_at(sa, [(t0.numerator, 0)], t0.denominator)
+    u11, u12, u21, u22 = (x for x, _ in u)
+    if (
+        u11 + u22 != 2 * den
+        or u11 * u22 - u12 * u21 != den * den
+        or (u11 == u22 == den and not u12 and not u21)
+    ):
         raise AssertionError("exact witness failed its defining identities")
     return Witness(
-        params=cert.params,
-        lam0=cert.lam0,
-        mu0=cert.mu0,
-        minimal_poly=QPoly(h1),
-        modular=modular,
+        **common,
         exact=True,
         residual=Fraction(0),
         t0=t0,
-        g=g,
-        u=u,
-    )
-
-
-def _witness_point(h_int: QPoly, roots: list[RealRoot]):
-    """At the working precision: the smallest real root of h_int or, when
-    there is none, the root of the quadratic h_int below the real axis."""
-    if roots:
-        # a few bits beyond the working precision, so the rounding is mpf's
-        root = roots[0].refined(mpmath.mp.prec + 8)
-        return mpmath.mpc(mpmath.mpf((root.lo + root.hi, -root.k - 1)))
-    c, b, a = (int(v) for v in h_int.coeffs)
-    return mpmath.mpc(-b, -mpmath.sqrt(4 * a * c - b * b)) / (2 * a)
-
-
-def _numeric_witness(
-    cert: Certificate,
-    sa: SpecializedAssoc,
-    h: list[int],
-    roots: list[RealRoot],
-    modular: ModularCertificate,
-    precision_digits: int,
-) -> Witness:
-    target = Fraction(1, 10 ** max(precision_digits - 14, 1))
-    h_poly = QPoly(h)
-    coeff_digits = max(len(str(abs(c))) for c in h)
-    # digits of the reduced fractions (trace - 2)_i = T_i / D
-    trace_digits = max(
-        len(str(abs(c) // g)) + len(str(sa.den // g))
-        for c, g in ((c, gcd(c, sa.den)) for c in _minus_2_and_1(sa)[0])
-    )
-    for extra in (0, precision_digits):
-        dps = precision_digits + 30 + coeff_digits + trace_digits + extra
-        with mpmath.workdps(dps):
-            t0 = _witness_point(h_poly, roots)
-            u11, u12, u21, u22 = _wiggle_at(sa, t0)
-            measured = max(abs(u11 + u22 - 2), abs(u11 * u22 - u12 * u21 - 1))
-            bound = 2 * _mpf_to_fraction(mpmath.mpf(measured))
-            bound += Fraction(1, 10 ** (precision_digits + 10))
-            if bound > target:
-                continue
-            fmt = lambda z: (
-                mpmath.nstr(z.real, precision_digits, strip_zeros=False),
-                mpmath.nstr(z.imag, precision_digits, strip_zeros=False),
-            )
-            return Witness(
-                params=cert.params,
-                lam0=cert.lam0,
-                mu0=cert.mu0,
-                minimal_poly=h_poly,
-                modular=modular,
-                exact=False,
-                residual=bound,
-                t0_approx=fmt(t0),
-                u_approx=[[fmt(u11), fmt(u12)], [fmt(u21), fmt(u22)]],
-                precision_digits=precision_digits,
-            )
-    raise PrecisionExhaustedError(
-        f"could not reach residual {target} at {precision_digits} digits;"
-        " retry with higher precision"
+        g=mat2_q(1, 1, t0, 1 + t0),
+        u=Mat2(*(Fraction(x, den) for x in (u11, u12, u21, u22))),
     )
 
 

@@ -40,21 +40,31 @@ def _emit(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _integers(parts: list[str], expected: str, text: str) -> list[int]:
+    """The parts as ints, or an ArgumentTypeError saying what was expected."""
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {expected}, not {text.strip()!r}") from None
+
+
 def _exponents(text: str) -> DCParams:
+    expected = "four comma-separated integers k,l,m,n"
     parts = text.split(",")
     if len(parts) != 4:
-        raise argparse.ArgumentTypeError("expected four comma-separated integers")
-    return DCParams(*[int(p.strip()) for p in parts])
+        raise argparse.ArgumentTypeError(f"expected {expected}, not {text.strip()!r}")
+    return DCParams(*_integers(parts, expected, text))
 
 
 def _grid(text: str) -> list[DCParams]:
+    expected = "four integer colon ranges, e.g. 1:2,1:2,1:3,1:3"
     ranges = []
     parts = text.split(",")
     if len(parts) != 4:
-        raise argparse.ArgumentTypeError("expected four colon ranges, e.g. 1:2,1:2,1:3,1:3")
+        raise argparse.ArgumentTypeError(f"expected {expected}")
     for part in parts:
         lo, _, hi = part.partition(":")
-        lo, hi = int(lo), int(hi or lo)
+        lo, hi = _integers([lo, hi or lo], expected, text)
         if hi < lo:
             raise argparse.ArgumentTypeError(f"empty range {part.strip()}")
         ranges.append(range(lo, hi + 1))
@@ -76,7 +86,7 @@ def _nonzero(text: str) -> Fraction:
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    (value,) = _integers([text], "a positive integer", text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
     return value

@@ -30,4 +30,5 @@ class TrivialWordError(ValueError):
 
 
 class PrecisionExhaustedError(RuntimeError):
-    """Numeric root isolation could not meet the requested tolerance."""
+    """A numeric witness did not print stably, or meet its residual target,
+    within the cap on the bits of its root bracket."""

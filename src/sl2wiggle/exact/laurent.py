@@ -136,14 +136,10 @@ def _row_quotient(num: Terms, den: Terms) -> Terms | None:
     K leaves room for quotient coefficients up to #num times the largest
     coefficient of num.
 
-    Returns None when a coefficient is not an integer, a row division
-    leaves a remainder or a row overflows the quotient's mu-width.  A
-    returned quotient is unchecked: the caller must multiply it back.
+    Both operands have integer coefficients.  Returns None when a row
+    division leaves a remainder or a row overflows the quotient's mu-width.
+    A returned quotient is unchecked: the caller must multiply it back.
     """
-    if not all(type(c) is int for c in num.values()) or not all(
-        type(c) is int for c in den.values()
-    ):
-        return None
     nl, nm = zip(*num)
     dl, dm = zip(*den)
     fl, fm, gl, gm = min(nl), min(nm), min(dl), min(dm)
@@ -180,6 +176,26 @@ def _row_quotient(num: Terms, den: Terms) -> Terms | None:
             if c:
                 quot[(el, j * g + fm - gm)] = c
     return quot
+
+
+def _scaled_row_quotient(num: Terms, den: Terms) -> Terms | None:
+    """_row_quotient(num, den) for operands with any coefficients.
+
+    Integer operands go straight to it.  Otherwise num is scaled to an
+    integer polynomial n num and den to a primitive integer one d den / c.
+    When den divides num, Gauss's lemma makes their quotient integral, so
+    the row division can find it; it is scaled back by d / (n c).
+    """
+    n, num = _integer_terms(num)
+    d, den = _integer_terms(den)
+    if n == d == 1:
+        return _row_quotient(num, den)
+    c = gcd(*den.values())
+    quot = _row_quotient(num, {e: v // c for e, v in den.items()})
+    if quot is None:
+        return None
+    scale = Fraction(d, n * c)
+    return {e: _normalize_scalar(v * scale) for e, v in quot.items()}
 
 
 def _sparse_quotient(num: Terms, den: Terms) -> Terms:
@@ -420,7 +436,7 @@ class LaurentPoly:
         """Exact quotient self / divisor; raises InexactDivisionError otherwise.
 
         A monomial divisor shifts the exponents.  A divisor of more than
-        _SCHOOLBOOK_MAX_TERMS terms first tries _row_quotient, whose
+        _SCHOOLBOOK_MAX_TERMS terms first tries _scaled_row_quotient, whose
         quotient is returned only if it multiplies back to self.  Every
         other case, and every one that declines, runs _sparse_quotient.
         """
@@ -435,7 +451,7 @@ class LaurentPoly:
                  for (el, em), c in self._terms.items()}
             )
         if len(divisor._terms) > _SCHOOLBOOK_MAX_TERMS:
-            terms = _row_quotient(self._terms, divisor._terms)
+            terms = _scaled_row_quotient(self._terms, divisor._terms)
             if terms is not None:
                 quot = _from_terms(terms)
                 if quot * divisor == self:

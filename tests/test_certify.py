@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -12,17 +13,18 @@ from sl2wiggle.certify import (
     CertStatus,
     CheckOutcome,
     DCParams,
+    _numeric_approx,
     build_witness,
     certify,
     check_certificate,
     core_polys,
     sweep_box,
 )
-from sl2wiggle.errors import TrivialWordError
+from sl2wiggle.errors import PrecisionExhaustedError, TrivialWordError
 from sl2wiggle.exact import polycore
 from sl2wiggle.exact.laurent import LaurentPoly
 from sl2wiggle.exact.mat2 import identity_q, mat2_q
-from sl2wiggle.exact.qpoly import QPoly, zexact_div
+from sl2wiggle.exact.qpoly import QPoly, real_roots, zexact_div
 from sl2wiggle.exact.tpoly import TPoly, resultant
 from sl2wiggle.wiggle import gamma_of, specialized_assoc, trace_poly
 
@@ -331,6 +333,115 @@ class TestWitness:
         assert data["t0"] == "-49/48"
         assert data["g"][1][0] == "-49/48"
 
+
+    # printed by the mpmath evaluation that numeric witnesses used before
+    # they moved to integers, for h1 = 5t^2 - 3t + 7 (no real root) with the
+    # specialization of certify([1, 1, 2, 3], seed=7)
+    COMPLEX_ROOT_STRINGS = {
+        64: (
+            ("0.3000000000000000000000000000000000000000000000000000000000000000",
+             "-1.144552314225959703904343428819218413204911180701030508819019841"),
+            [[("-2496855.102363965296450078841051531138938953048865091194366186700",
+               "550245.3722683053738192424343227078452890257163815417721961196548"),
+              ("-2443582.615134441613512683370723779774389059161714312649533071177",
+               "655471.6799889343324692913986081993643675482100664058114253964498")],
+             [("136989.3007454709523527725813578625220257601277645170372504018897",
+               "-23495.80926977875975319748726208716944721483038382511393730358716"),
+              ("134365.5459854541313844163380822557478619708622895964669510308496",
+               "-29345.93129577931049299138168943330586703803571576076582140758448")]],
+        ),
+        20: (
+            ("0.30000000000000000000", "-1.1445523142259597039"),
+            [[("-2496855.1023639652965", "550245.37226830537382"),
+              ("-2443582.6151344416135", "655471.67998893433247")],
+             [("136989.30074547095235", "-23495.809269778759753"),
+              ("134365.54598545413138", "-29345.931295779310493")]],
+        ),
+    }
+
+    @pytest.mark.parametrize("digits", [64, 20])
+    def test_complex_root_strings_are_pinned(self, digits):
+        # no certificate of boxes 3 to 5 has an h without real roots, so the
+        # branch is pinned on a hand-picked quadratic; its root is no root of
+        # trace - 2 here, so the residual is large
+        cert = certify(DCParams(1, 1, 2, 3), seed=7)
+        sa = specialized_assoc(cert.params.cyclic_word(), cert.lam0, cert.mu0)
+        bits = int(digits * math.log2(10)) + 64
+        texts, residual = _numeric_approx(sa, [7, -3, 5], None, digits, bits)
+        assert texts == self.COMPLEX_ROOT_STRINGS[digits]
+        # residual is the least multiple of 10^-(digits + 10) at or above the
+        # larger modulus at the midpoint (3 - i s) / 10, where
+        # s = (2 isqrt(131 4^bits) + 1) / 2^(bits + 1)
+        s = Fraction(2 * math.isqrt(131 << (2 * bits)) + 1, 1 << (bits + 1))
+        t0 = (Fraction(3, 10), -s / 10)
+        times = lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+        def at(num):
+            acc = (Fraction(0), Fraction(0))
+            for c in reversed(num):
+                acc = times(acc, t0)
+                acc = (acc[0] + c, acc[1])
+            return acc[0] / sa.den, acc[1] / sa.den
+
+        g, gs = at(sa.gamma_num), at(sa.gamma_sigma_num)
+        bp = times(at(sa.beta_num), (1 + t0[0], t0[1]))
+        bq = times(at(sa.beta_sigma_num), t0)
+        gg, bb = times(g, gs), times(bp, bq)
+        norm = max(
+            (g[0] + gs[0] - 2) ** 2 + (g[1] + gs[1]) ** 2,
+            (gg[0] - bb[0] - 1) ** 2 + (gg[1] - bb[1]) ** 2,
+        )
+        ulp = Fraction(1, 10 ** (digits + 10))
+        assert (residual - ulp) ** 2 < norm <= residual**2
+        assert residual > 1
+
+    def test_unstable_bracket_is_widened(self):
+        # a box-3 witness: at the first width lo and mid print the same and
+        # hi does not, and the stable strings are not mid's; sha256 of the
+        # witness JSON without "residual", from the mpmath evaluation that
+        # numeric witnesses used before they moved to integers
+        cert = certify(DCParams(-1, -3, -3, 3), initial=(Fraction(4, 83), Fraction(17, 71)))
+        sa = specialized_assoc(cert.params.cyclic_word(), cert.lam0, cert.mu0)
+        root = real_roots(cert.hpoly)[0]
+        h = cert.hpoly.primitive_ints()
+        assert _numeric_approx(sa, h, root, 64, 276)[0] is None
+        data = build_witness(cert, 64).to_json()
+        data.pop("residual")
+        digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+        assert digest == "c44c4e3f2aa62e2f046a104a9eb4bf7690fe3e413273b3523f961ef3004a7fa8"
+
+    def test_numeric_residual_is_exact_at_the_bracket_midpoint(self):
+        cert = certify(DCParams(1, 1, 2, 3), seed=7)
+        w = build_witness(cert, precision_digits=40)
+        scale = 10**50
+        assert w.residual <= Fraction(1, 10**26) and (w.residual * scale).denominator == 1
+        # the same bound from Fractions, at the midpoint the witness used
+        sa = specialized_assoc(cert.params.cyclic_word(), cert.lam0, cert.mu0)
+        root = real_roots(cert.hpoly)[0].refined(int(40 * math.log2(10)) + 64)
+        t0 = Fraction(root.lo + root.hi, 1 << (root.k + 1))
+        u11, u12, u21, u22 = (
+            QPoly(sa.gamma_num).evaluate(t0) / sa.den,
+            QPoly(sa.beta_num).evaluate(t0) * (1 + t0) / sa.den,
+            QPoly(sa.beta_sigma_num).evaluate(t0) * t0 / sa.den,
+            QPoly(sa.gamma_sigma_num).evaluate(t0) / sa.den,
+        )
+        bound = max(abs(u11 + u22 - 2), abs(u11 * u22 - u12 * u21 - 1))
+        assert w.residual == Fraction(math.ceil(bound * scale), scale)
+
+    def test_precision_cap_raises(self, monkeypatch):
+        # a bracket that never prints stably uses up every doubling
+        cert = certify(DCParams(1, 1, 2, 3), seed=7)
+        widths = []
+
+        def unstable(sa, h, root, digits, bits):
+            widths.append(bits)
+            return None, Fraction(0)
+
+        module = importlib.import_module("sl2wiggle.certify")
+        monkeypatch.setattr(module, "_numeric_approx", unstable)
+        with pytest.raises(PrecisionExhaustedError, match="did not print stably"):
+            build_witness(cert)
+        assert widths == [276 << i for i in range(5)]
 
     def test_box2_witnesses_are_pinned(self):
         # sha256 of the JSON of every box-2 witness without its "residual",

@@ -270,3 +270,39 @@ def test_show_tables_rejects_bad_dc(dc):
     assert result.returncode != 0 and result.stdout == ""
     assert "argument --dc" in result.stderr or "trivial word" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("polys", "--dc", "1,1,2,x"), "argument --dc: expected four comma-separated integers"),
+        (("witness", "--dc", "1,1,2,3", "--precision", "x"),
+         "argument --precision: expected a positive integer, not 'x'"),
+        (("certify", "--dc", "1,1,2,3", "--max-attempts", "2.5"),
+         "argument --max-attempts: expected a positive integer, not '2.5'"),
+        (("certify", "--grid", "1:x,1:1,1:1,1:2"),
+         "argument --grid: expected four integer colon ranges"),
+    ],
+)
+def test_non_integer_values_name_the_option(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert message in err
+    assert "invalid" not in err
+
+
+@pytest.mark.parametrize(
+    "script, argv, message",
+    [
+        ("show_tables.py", ("--dc", "1,1,2,x"),
+         "argument --dc: expected four comma-separated integers k,l,m,n, not '1,1,2,x'"),
+        ("run_sweep.py", ("--max-abs", "x"),
+         "argument --max-abs: expected a positive integer, not 'x'"),
+    ],
+)
+def test_scripts_name_the_option_of_a_non_integer(tmp_path, script, argv, message):
+    out = tmp_path / "sweep.json"
+    result = run_script(script, *argv, *(("--out", str(out)) if script == "run_sweep.py" else ()))
+    assert result.returncode == 2 and result.stdout == ""
+    assert message in result.stderr
+    assert not out.exists()

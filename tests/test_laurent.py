@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2wiggle.errors import InexactDivisionError, NotAUnitError
-from sl2wiggle.exact.laurent import LaurentPoly, _row_quotient, _sparse_quotient
+from sl2wiggle.exact import laurent
+from sl2wiggle.exact.laurent import (
+    LaurentPoly,
+    _row_quotient,
+    _scaled_row_quotient,
+    _sparse_quotient,
+)
 
 from conftest import laurents, nonzero_laurents, nonzero_rationals
 
@@ -236,6 +242,31 @@ def test_inexact_division_raises(p, q, e, c):
     # q has two terms or more, so it divides no monomial
     with pytest.raises(InexactDivisionError):
         (p * q + LaurentPoly.mono(c, *e)).exact_div(q)
+
+
+@given(division_operands(), st.sampled_from([(5, 12)]).flatmap(division_operands),
+       st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool))
+@settings(max_examples=50, deadline=None)
+def test_scaled_row_quotient_of_rational_operands(p, q, r):
+    # a rational multiple of q has a Fraction coefficient whenever r does
+    q = q * LaurentPoly.const(r)
+    pq = p * q
+    quot = _scaled_row_quotient(pq._terms, q._terms) if pq else None
+    assert quot is None or LaurentPoly(quot) == p
+
+
+def test_rational_divisor_takes_the_row_path(monkeypatch):
+    # the divisor 1/2 (1 + ... + lambda^4) (mu + 3) / 5 has Fraction
+    # coefficients and more than four terms
+    cyclotomic = LaurentPoly({(i, 0): 1 for i in range(5)})
+    q = cyclotomic * (LaurentPoly.mu(1) + 3) * LaurentPoly.const(Fraction(1, 10))
+    p = LaurentPoly({(0, 0): Fraction(2, 3), (1, -1): 7, (3, 2): Fraction(-5, 4)})
+
+    def unexpected(num, den):
+        raise AssertionError("fell back to the sparse loop")
+
+    monkeypatch.setattr(laurent, "_sparse_quotient", unexpected)
+    assert (p * q).exact_div(q) == p
 
 
 def test_rational_quotient_of_integer_operands():

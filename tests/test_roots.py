@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sl2wiggle.certify import _witness_point
+from sl2wiggle.certify import _witness_points
 from sl2wiggle.exact.qpoly import QPoly, real_roots, zexact_div
 
 from fraction_reference import squarefree_part
@@ -274,7 +274,7 @@ class TestFactorCubicOrLess:
 
 
 class TestWitnessPoint:
-    """The witness root equals the one the polyroots search selected."""
+    """The witness root bracket holds the root the polyroots search selected."""
 
     @pytest.mark.parametrize(
         "coeffs",
@@ -307,11 +307,15 @@ class TestWitnessPoint:
     def _check(h: QPoly):
         h = QPoly(h.primitive_ints())
         digits = max(len(str(abs(c.numerator))) for c in h.coeffs)
+        roots = real_roots(h)
+        # 2^-400 < 10^-120: all three points are well inside the bound
+        points, b = _witness_points(h.primitive_ints(), roots[0] if roots else None, 400)
         with mpmath.workdps(120 + 3 * digits):
             expected = smallest_root_numeric(h)
-            got = _witness_point(h, real_roots(h))
-            assert mpmath.mpc(got).imag <= 0
-            if expected.imag == 0:
-                assert got.imag == 0
             scale = max(1, abs(expected))
-            assert abs(got - expected) <= mpmath.mpf(10) ** (-100) * scale
+            for re, im in points:
+                got = mpmath.mpc(mpmath.mpf(re) / b, mpmath.mpf(im) / b)
+                assert got.imag <= 0
+                if expected.imag == 0:
+                    assert got.imag == 0
+                assert abs(got - expected) <= mpmath.mpf(10) ** (-100) * scale
