@@ -16,9 +16,7 @@ from .certify import (
 from .exact import (
     LaurentPoly,
     Mat2,
-    QPoly,
     TPoly,
-    gcd_q,
     resultant,
     xi_of,
 )

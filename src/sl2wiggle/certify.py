@@ -32,9 +32,8 @@ from typing import Optional
 from .errors import PrecisionExhaustedError, TrivialWordError
 from .exact.laurent import LaurentPoly
 from .exact.mat2 import Mat2, mat2_q
-from .exact.polycore import add, mul
+from .exact.polycore import add, mul, trim
 from .exact.qpoly import (
-    QPoly,
     RealRoot,
     real_roots,
     zderivative,
@@ -177,7 +176,7 @@ class Certificate:
     status: CertStatus
     lam0: Optional[Fraction]
     mu0: Optional[Fraction]
-    hpoly: Optional[QPoly]
+    hpoly: Optional[tuple[int, ...]]
     checks: Optional[CheckRecord]
     attempts: int
 
@@ -201,7 +200,7 @@ class Certificate:
             data["lambda"] = str(self.lam0)
             data["mu"] = str(self.mu0)
         if self.hpoly is not None:
-            data["h"] = self.hpoly.to_json()
+            data["h"] = [str(c) for c in self.hpoly]
         if self.checks is not None:
             data["checks"] = self.checks.to_json()
         return data
@@ -216,7 +215,7 @@ class Certificate:
             status=CertStatus(data["status"]),
             lam0=Fraction(data["lambda"]) if "lambda" in data else None,
             mu0=Fraction(data["mu"]) if "mu" in data else None,
-            hpoly=QPoly.from_json(data["h"]) if "h" in data else None,
+            hpoly=tuple(trim([int(c) for c in data["h"]])) if "h" in data else None,
             checks=checks,
             attempts=int(data["attempts"]),
         )
@@ -284,7 +283,7 @@ def _attempt(params: DCParams, runs: Pairs, lam0: Fraction, mu0: Fraction):
             f"pipeline produced an unsound h for {params.as_list()} at"
             f" ({lam0}, {mu0}); this is a bug"
         )
-    return QPoly(h), checks
+    return tuple(h), checks
 
 
 def certify(
@@ -348,7 +347,7 @@ def check_certificate(cert: Certificate) -> CheckOutcome:
         return CheckOutcome(valid=ok, reason="no claim to check" if ok else "trivial word")
     if cert.params.is_trivial():
         return CheckOutcome(valid=False, reason="certified status on a trivial word")
-    if cert.hpoly is None or cert.hpoly.degree < 1 or cert.lam0 is None or cert.mu0 is None:
+    if cert.hpoly is None or len(cert.hpoly) < 2 or cert.lam0 is None or cert.mu0 is None:
         return CheckOutcome(valid=False, reason="missing h or specialization")
     if not cert.lam0 or not cert.mu0:
         return CheckOutcome(valid=False, reason="zero torus parameter")
@@ -356,7 +355,7 @@ def check_certificate(cert: Certificate) -> CheckOutcome:
     if prefactor_num(eff).evaluate(cert.lam0, cert.mu0) == 0:
         return CheckOutcome(valid=False, reason="degenerate specialization")
     sa = specialized_assoc(eff.cyclic_word(), cert.lam0, cert.mu0)
-    h = cert.hpoly.primitive_ints()
+    h = zprimitive(cert.hpoly)  # Gauss's lemma needs a primitive h
     checks = _check_record(h, *_minus_2_and_1(sa))
     valid = checks.all_ok and zgcd(h, zderivative(h)) == [1]  # h squarefree
     reason = "" if valid else "a recorded fact failed re-verification"
@@ -396,7 +395,7 @@ class Witness:
     params: DCParams
     lam0: Fraction
     mu0: Fraction
-    minimal_poly: QPoly
+    minimal_poly: tuple[int, ...]
     modular: ModularCertificate
     exact: bool
     residual: Fraction
@@ -412,7 +411,7 @@ class Witness:
             "params": self.params.as_list(),
             "lambda": str(self.lam0),
             "mu": str(self.mu0),
-            "minimal_poly": self.minimal_poly.to_json(),
+            "minimal_poly": [str(c) for c in self.minimal_poly],
             "modular": self.modular.to_json(),
             "exact": self.exact,
             "residual": str(self.residual),
@@ -590,13 +589,15 @@ def build_witness(cert: Certificate, precision_digits: int = 64) -> Witness:
     """
     if not cert.certified:
         raise ValueError("witness construction needs a certified certificate")
-    if not 1 <= cert.hpoly.degree <= 3:
+    if not 2 <= len(cert.hpoly) <= 4:
         raise ValueError("witnesses need a certificate h of degree 1 to 3")
     eff = cert.effective_params()
     roots = real_roots(cert.hpoly)
     rational = [x for x in map(RealRoot.rational, roots) if x is not None]
     t0 = rational[-1] if rational else None
-    h1 = [-t0.numerator, t0.denominator] if rational else cert.hpoly.primitive_ints()
+    h1 = [-t0.numerator, t0.denominator] if rational else zprimitive(cert.hpoly)
+    if h1[-1] < 0:  # a certificate read from JSON may hold -h
+        h1 = [-c for c in h1]
     sa = specialized_assoc(eff.cyclic_word(), cert.lam0, cert.mu0)
     beta_prod = mul(zprem(sa.beta_num, h1), zprem(sa.beta_sigma_num, h1), 0)
     modular = ModularCertificate(
@@ -606,7 +607,7 @@ def build_witness(cert: Certificate, precision_digits: int = 64) -> Witness:
     if not modular.all_ok:
         raise AssertionError("modular certificate failed; certificate unsound")
     common = dict(
-        params=cert.params, lam0=cert.lam0, mu0=cert.mu0, minimal_poly=QPoly(h1), modular=modular
+        params=cert.params, lam0=cert.lam0, mu0=cert.mu0, minimal_poly=tuple(h1), modular=modular
     )
 
     if t0 is None:

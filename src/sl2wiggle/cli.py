@@ -27,6 +27,7 @@ from .certify import (
 )
 from .errors import PrecisionExhaustedError
 from .exact.mat2 import Mat2, mat2_q
+from .exact.polycore import pretty
 from .wiggle import assoc_polys, eval_direct, eval_normal_form, gamma_of, trace_poly, verify_identities
 from .words import Word, parse_word
 
@@ -182,7 +183,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         print(f"status: {cert.status.value} (attempts={cert.attempts})")
         if cert.certified:
             print(f"lambda = {cert.lam0}, mu = {cert.mu0}")
-            print(f"h(t) = {cert.hpoly.pretty()}")
+            print(f"h(t) = {pretty(cert.hpoly)}")
     return _status_exit(cert.status)
 
 

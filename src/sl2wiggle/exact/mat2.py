@@ -1,7 +1,7 @@
 """Generic 2x2 matrices over a commutative coefficient ring.
 
-Entries may be Fraction, LaurentPoly, TPoly or QPoly; anything with ring
-dunders works.  The xi map sends a determinant-1 matrix g to
+Entries may be Fraction, LaurentPoly or TPoly; anything with ring dunders
+works.  The xi map sends a determinant-1 matrix g to
 g^-1 E11 g - E11, the matrix controlling conjugation of diagonals.
 """
 
@@ -95,8 +95,3 @@ def xi_of(g: Mat2) -> Mat2:
     a, b, c, d = g.e11, g.e12, g.e21, g.e22
     bc = b * c
     return Mat2(bc, b * d, -(a * c), -bc)
-
-
-def conjugate(x: Mat2, g: Mat2) -> Mat2:
-    """x^g = g^-1 x g for determinant-1 g."""
-    return g.inv_det1() * x * g

@@ -6,7 +6,8 @@ last entry (the empty list is zero).  Coefficients must support +, -, *,
 the same code runs over the rational field and over the Laurent ring.
 `power` is the one square-and-multiply loop of the package, for any
 multiplication; `unpack` decodes a polynomial packed into one integer;
-`signed_sum` writes out both QPoly and LaurentPoly.
+`signed_sum` writes out LaurentPoly and, through `pretty`, coefficient
+lists in t such as a certificate's h.
 """
 
 from __future__ import annotations
@@ -212,3 +213,10 @@ def signed_sum(terms: Iterable[tuple[C, str]], sep: str = "") -> str:
         else:
             text = f"-{body}" if c < 0 else body
     return text or "0"
+
+
+def pretty(coeffs: Sequence[C], var: str = "t") -> str:
+    """Text of the polynomial with these coefficients, lowest degree first,
+    leading term first: [1/2, -1, 0, -3] gives "-3·t^3 - t + 1/2"."""
+    monos = ("", var, *(f"{var}^{i}" for i in range(2, len(coeffs))))
+    return signed_sum(reversed(list(zip(coeffs, monos))), "·")

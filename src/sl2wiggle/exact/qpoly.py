@@ -1,9 +1,9 @@
-"""Univariate polynomials in t over the rationals and over the integers.
+"""Univariate integer polynomials in t, and their exact real roots.
 
-These are the specializations of the Laurent-coefficient polynomials at a
-concrete torus parameter pair.  `QPoly` holds rational coefficients for the
-library API; the certification pipeline works on integer polynomials
-(plain lists of ints), where a primitive divisor always has an integral
+A polynomial is a sequence of ints, lowest degree first, with a nonzero
+last entry (the empty sequence is zero).  These are the specializations
+of the Laurent-coefficient polynomials at a concrete torus parameter
+pair, cleared of denominators: a primitive divisor always has an integral
 quotient by Gauss's lemma, so gcds and divisibility need no fractions.
 """
 
@@ -11,181 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd, lcm
-from typing import Iterable, Optional, Sequence
-
-from ..errors import InexactDivisionError
-from . import polycore
-
-_ZERO = Fraction(0)
-
-
-def _div(a: Fraction, b: Fraction) -> Fraction:
-    return a / b
-
-
-class QPoly:
-    """Immutable dense rational polynomial, coefficients lowest degree first."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        self._coeffs = tuple(polycore.trim([Fraction(c) for c in coeffs]))
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def zero(cls) -> "QPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "QPoly":
-        return cls([1])
-
-    @classmethod
-    def const(cls, c) -> "QPoly":
-        return cls([Fraction(c)])
-
-    @classmethod
-    def t(cls) -> "QPoly":
-        return cls([0, 1])
-
-    @classmethod
-    def from_ints(cls, coeffs: Sequence[int], den: int = 1) -> "QPoly":
-        """The polynomial with coefficients c / den for integers c."""
-        return _wrap([Fraction(c, den) for c in coeffs])
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def lc(self) -> Fraction:
-        return self._coeffs[-1] if self._coeffs else _ZERO
-
-    def coeff(self, i: int) -> Fraction:
-        return self._coeffs[i] if 0 <= i < len(self._coeffs) else _ZERO
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, QPoly):
-            return self._coeffs == other._coeffs
-        if isinstance(other, (int, Fraction)):
-            return self._coeffs == QPoly.const(other)._coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _coerce(other) -> "QPoly":
-        if isinstance(other, QPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QPoly.const(other)
-        return NotImplemented
-
-    def __add__(self, other) -> "QPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _wrap(polycore.add(self._coeffs, other._coeffs))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QPoly":
-        return _wrap(polycore.neg(self._coeffs))
-
-    def __sub__(self, other) -> "QPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _wrap(polycore.sub(self._coeffs, other._coeffs))
-
-    def __rsub__(self, other) -> "QPoly":
-        return (-self) + other
-
-    def __mul__(self, other) -> "QPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _wrap(polycore.mul(self._coeffs, other._coeffs, _ZERO))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "QPoly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        return polycore.power(self, n, QPoly.one())
-
-    def exact_div(self, other: "QPoly") -> "QPoly":
-        return _wrap(
-            polycore.div_exact(
-                self._coeffs, other._coeffs, _div, _ZERO, InexactDivisionError
-            )
-        )
-
-    def evaluate(self, x: Fraction) -> Fraction:
-        acc = _ZERO
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
-
-    def monic(self) -> "QPoly":
-        if not self:
-            return self
-        inv = 1 / self.lc
-        return _wrap([c * inv for c in self._coeffs])
-
-    # ------------------------------------------------------------------
-    def primitive_ints(self) -> list[int]:
-        """The primitive integer polynomial with a positive leading
-        coefficient that is a rational multiple of self (zero for zero)."""
-        den = lcm(*(c.denominator for c in self._coeffs))
-        ints = zprimitive([c.numerator * (den // c.denominator) for c in self._coeffs])
-        return ints if not ints or ints[-1] > 0 else [-c for c in ints]
-
-    def rational_roots(self) -> list[Fraction]:
-        """All rational roots, in increasing order, found exactly."""
-        if self.degree < 1:
-            return []
-        return [x for x in map(RealRoot.rational, real_roots(self)) if x is not None]
-
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self._coeffs]
-
-    @classmethod
-    def from_json(cls, data: Iterable[str]) -> "QPoly":
-        return cls([Fraction(s) for s in data])
-
-    def pretty(self, var: str = "t") -> str:
-        monos = ("", var, *(f"{var}^{i}" for i in range(2, len(self._coeffs))))
-        return polycore.signed_sum(reversed(list(zip(self._coeffs, monos))), "·")
-
-    def __repr__(self) -> str:
-        return f"QPoly({self.pretty()})"
-
-
-def _wrap(coeffs: Sequence[Fraction]) -> QPoly:
-    p = QPoly.__new__(QPoly)
-    p._coeffs = tuple(polycore.trim(list(coeffs)))
-    return p
-
-
-def gcd_q(f: QPoly, g: QPoly) -> QPoly:
-    """Monic greatest common divisor over the rationals, from `zgcd`."""
-    d = zgcd(f.primitive_ints(), g.primitive_ints())
-    return QPoly.from_ints(d, d[-1])
-
-
-# ----------------------------------------------------------------------
-# integer polynomials: lists of ints, lowest degree first, trimmed
+from math import gcd as int_gcd
+from typing import Optional, Sequence
 
 
 def zprimitive(f: Sequence[int]) -> list[int]:
@@ -333,8 +160,8 @@ class RealRoot:
         return None
 
 
-def real_roots(f: QPoly) -> list[RealRoot]:
-    """The distinct real roots of a nonconstant f, in increasing order.
+def real_roots(f: Sequence[int]) -> list[RealRoot]:
+    """The distinct real roots of a nonconstant integer f, in increasing order.
 
     Works on the squarefree primitive integer polynomial p with the roots
     of f.  Its Sturm sequence, built from integer pseudo-remainders, counts
@@ -344,9 +171,9 @@ def real_roots(f: QPoly) -> list[RealRoot]:
     most one root isolates them all.  Signs are exact: p(a / 2^k) is taken
     as the integer p(a / 2^k) 2^(k deg p).
     """
-    if f.degree < 1:
+    if len(f) < 2:
         raise ValueError("a constant has no roots to isolate")
-    p = f.primitive_ints()
+    p = zprimitive(f)
     chain = _sturm_chain(p)
     if len(chain[-1]) > 1:  # the chain ends in gcd(p, p'): repeated roots
         p = zexact_div(p, chain[-1])

@@ -15,7 +15,6 @@ from typing import Iterable, Sequence
 from ..errors import InexactDivisionError, ZeroParameterError
 from . import polycore
 from .laurent import LaurentPoly, _packed_poly_product
-from .qpoly import QPoly
 
 _LZERO = LaurentPoly.zero()
 _LONE = LaurentPoly.one()
@@ -134,12 +133,13 @@ class TPoly:
         """Apply lambda -> lambda^-1, mu -> mu^-1 coefficientwise; t is fixed."""
         return _wrap([c.sigma() for c in self._coeffs])
 
-    def specialize(self, lam0, mu0) -> QPoly:
-        """Evaluate every Laurent coefficient at a rational parameter pair."""
+    def specialize(self, lam0, mu0) -> tuple[Fraction, ...]:
+        """Evaluate every Laurent coefficient at a rational parameter pair:
+        the coefficients in t, lowest degree first, trimmed."""
         lam0, mu0 = Fraction(lam0), Fraction(mu0)
         if lam0 == 0 or mu0 == 0:
             raise ZeroParameterError("torus parameters must be nonzero")
-        return QPoly([c.evaluate(lam0, mu0) for c in self._coeffs])
+        return tuple(polycore.trim([c.evaluate(lam0, mu0) for c in self._coeffs]))
 
     def exact_div(self, other: "TPoly") -> "TPoly":
         """Exact quotient in the Laurent-coefficient polynomial ring.

@@ -210,10 +210,17 @@ def eval_normal_form(ap: AssocPolys, lam0, mu0, g: Mat2[Fraction]) -> WiggleValu
     p, q = xi.e12, xi.e21
     gamma = gamma_of(ap)
     beta = ap.beta
-    g11 = gamma.specialize(lam0, mu0).evaluate(t0)
-    g22 = gamma.sigma().specialize(lam0, mu0).evaluate(t0)
-    b12 = beta.specialize(lam0, mu0).evaluate(t0) * p
-    b21 = -beta.sigma().specialize(lam0, mu0).evaluate(t0) * q
+
+    def at_t0(f: TPoly) -> Fraction:
+        acc = Fraction(0)
+        for c in reversed(f.specialize(lam0, mu0)):
+            acc = acc * t0 + c
+        return acc
+
+    g11 = at_t0(gamma)
+    g22 = at_t0(gamma.sigma())
+    b12 = at_t0(beta) * p
+    b21 = -at_t0(beta.sigma()) * q
     matrix = Mat2(g11, b12, b21, g22)
     if matrix.det() != 1:
         raise AssertionError("normal-form value must have determinant 1")

@@ -32,6 +32,11 @@ laurents = st.dictionaries(
 nonzero_laurents = laurents.filter(bool)
 
 
+def conjugate(x: Mat2, g: Mat2) -> Mat2:
+    """x^g = g^-1 x g for determinant-1 g."""
+    return g.inv_det1() * x * g
+
+
 def random_sl2(rng: random.Random, size: int = 4, steps: int = 3) -> Mat2:
     """Random determinantated-1 rational matrix as a product of elementary ones."""
     g = identity_q()

@@ -1,19 +1,120 @@
 """Rational-arithmetic oracles for the integer polynomial layer.
 
-These are the Fraction versions the certification pipeline used before it
-moved to Z[t]: Euclid's algorithm with rational remainders, the squarefree
-part as f / gcd(f, f'), and the removal of given linear factors after it.
-Tests compare the integer functions of sl2wiggle.exact.qpoly with them.
+`QPoly` is a dense polynomial with Fraction coefficients, the
+representation the certification pipeline used before it moved to Z[t].
+On top of it sit the Fraction versions of that pipeline: Euclid's
+algorithm with rational remainders, the squarefree part as
+f / gcd(f, f'), and the removal of given linear factors after it.  Tests
+compare the integer functions of sl2wiggle.exact.qpoly with them.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
+from typing import Iterable, Sequence
 
+from sl2wiggle.errors import InexactDivisionError
 from sl2wiggle.exact import polycore
-from sl2wiggle.exact.qpoly import QPoly
+from sl2wiggle.exact.qpoly import RealRoot, real_roots, zprimitive
+
+
+class QPoly:
+    """Immutable dense rational polynomial, coefficients lowest degree first."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[Fraction | int] = ()):
+        self.coeffs = tuple(polycore.trim([Fraction(c) for c in coeffs]))
+
+    @classmethod
+    def zero(cls) -> "QPoly":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "QPoly":
+        return cls([1])
+
+    @classmethod
+    def t(cls) -> "QPoly":
+        return cls([0, 1])
+
+    @classmethod
+    def from_ints(cls, coeffs: Sequence[int], den: int = 1) -> "QPoly":
+        """The polynomial with coefficients c / den for integers c."""
+        return cls([Fraction(c, den) for c in coeffs])
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def lc(self) -> Fraction:
+        return self.coeffs[-1] if self.coeffs else Fraction(0)
+
+    def coeff(self, i: int) -> Fraction:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, QPoly):
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    @staticmethod
+    def _coerce(other) -> "QPoly":
+        return other if isinstance(other, QPoly) else QPoly([other])
+
+    def __add__(self, other) -> "QPoly":
+        return QPoly(polycore.add(self.coeffs, self._coerce(other).coeffs))
+
+    def __sub__(self, other) -> "QPoly":
+        return QPoly(polycore.sub(self.coeffs, self._coerce(other).coeffs))
+
+    def __mul__(self, other) -> "QPoly":
+        return QPoly(polycore.mul(self.coeffs, self._coerce(other).coeffs, Fraction(0)))
+
+    def __pow__(self, n: int) -> "QPoly":
+        if n < 0:
+            raise ValueError("negative polynomial power")
+        return polycore.power(self, n, QPoly.one())
+
+    def exact_div(self, other: "QPoly") -> "QPoly":
+        return QPoly(
+            polycore.div_exact(
+                self.coeffs, other.coeffs, operator.truediv, Fraction(0), InexactDivisionError
+            )
+        )
+
+    def evaluate(self, x: Fraction) -> Fraction:
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def monic(self) -> "QPoly":
+        return QPoly([c / self.lc for c in self.coeffs]) if self else self
+
+    def primitive_ints(self) -> list[int]:
+        """The primitive integer polynomial with a positive leading
+        coefficient that is a rational multiple of self (zero for zero)."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        ints = zprimitive([c.numerator * (den // c.denominator) for c in self.coeffs])
+        return ints if not ints or ints[-1] > 0 else [-c for c in ints]
+
+    def rational_roots(self) -> list[Fraction]:
+        """All rational roots, in increasing order, from the exact real
+        roots of sl2wiggle."""
+        if self.degree < 1:
+            return []
+        roots = map(RealRoot.rational, real_roots(self.primitive_ints()))
+        return [x for x in roots if x is not None]
+
+    def __repr__(self) -> str:
+        return f"QPoly({polycore.pretty(self.coeffs)})"
 
 
 def gcd_fraction_euclid(f: QPoly, g: QPoly) -> QPoly:

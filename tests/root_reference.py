@@ -15,7 +15,7 @@ from math import isqrt
 
 import mpmath
 
-from sl2wiggle.exact.qpoly import QPoly
+from fraction_reference import QPoly
 
 
 class NotConverged(Exception):

@@ -20,7 +20,7 @@ from sl2wiggle.certify import (
     core_polys,
     sweep_box,
 )
-from sl2wiggle.exact.mat2 import conjugate, identity_q, mat2_q, xi_of
+from sl2wiggle.exact.mat2 import identity_q, mat2_q, xi_of
 from sl2wiggle.exact.qpoly import zexact_div
 from sl2wiggle.exact.tpoly import TPoly, resultant
 from sl2wiggle.wiggle import (
@@ -32,7 +32,7 @@ from sl2wiggle.wiggle import (
 )
 from sl2wiggle.words import parse_word
 
-from conftest import random_nonzero_fraction, random_sl2, random_word
+from conftest import conjugate, random_nonzero_fraction, random_sl2, random_word
 from dc_reference import (
     alpha_core_coeffs,
     resultant_closed_form,
@@ -178,8 +178,7 @@ def test_criterion_8_numeric_witness():
     witness = build_witness(cert, precision_digits=64)
     assert witness.modular.all_ok
     assert witness.residual <= Fraction(1, 10**50)
-    h1 = witness.minimal_poly.primitive_ints()
-    assert zexact_div(cert.hpoly.primitive_ints(), h1) is not None
+    assert zexact_div(cert.hpoly, witness.minimal_poly) is not None
     _report(
         8,
         f"64-digit witness residual bound {float(witness.residual):.2e} <= 1e-50"

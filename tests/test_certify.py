@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -24,10 +25,11 @@ from sl2wiggle.errors import PrecisionExhaustedError, TrivialWordError
 from sl2wiggle.exact import polycore
 from sl2wiggle.exact.laurent import LaurentPoly
 from sl2wiggle.exact.mat2 import identity_q, mat2_q
-from sl2wiggle.exact.qpoly import QPoly, real_roots, zexact_div
+from sl2wiggle.exact.qpoly import real_roots, zexact_div
 from sl2wiggle.exact.tpoly import TPoly, resultant
 from sl2wiggle.wiggle import gamma_of, specialized_assoc, trace_poly
 
+from fraction_reference import QPoly, squarefree_without
 from dc_reference import (
     alpha_core_coeffs,
     resultant_closed_form,
@@ -112,8 +114,8 @@ class TestCorePolys:
                 pref = cp.prefactor_num.evaluate(lam0, mu0)
                 den = cp.prefactor_den.evaluate(lam0, mu0)
                 assert pref != 0
-                tau = cp.tau.specialize(lam0, mu0)
-                gamma_inner = cp.gamma_inner.specialize(lam0, mu0)
+                tau = QPoly(cp.tau.specialize(lam0, mu0))
+                gamma_inner = QPoly(cp.gamma_inner.specialize(lam0, mu0))
                 trace = QPoly.from_ints(sa.trace_num, sa.den)
                 gamma = QPoly.from_ints(sa.gamma_num, sa.den)
                 assert trace - 2 == tau * (pref / den) ** 2 * t_t1 * t_t1
@@ -123,7 +125,7 @@ class TestCorePolys:
         # lambda = +-1 makes the prefactor and so trace - 2 vanish identically
         for lam0 in (Fraction(1), Fraction(-1)):
             sa = specialized_assoc(DCParams(1, 1, 2, 3).cyclic_word(), lam0, Fraction(2))
-            assert QPoly.from_ints(sa.trace_num, sa.den) == 2
+            assert QPoly.from_ints(sa.trace_num, sa.den) == QPoly([2])
             cert = certify(DCParams(1, 1, 2, 3), initial=(lam0, Fraction(2)))
             assert cert.status is CertStatus.CERTIFIED
             assert cert.attempts == 2
@@ -151,7 +153,7 @@ class TestCertify:
     def test_generic_certifies_first_attempt(self):
         cert = certify(DCParams(1, 1, 2, 3), seed=7)
         assert cert.status is CertStatus.CERTIFIED
-        assert cert.hpoly.degree == 3
+        assert len(cert.hpoly) == 4  # degree 3
         assert cert.checks.all_ok
         assert check_certificate(cert).valid
 
@@ -178,8 +180,8 @@ class TestCertify:
         )
         assert cert.status is CertStatus.CERTIFIED
         assert cert.attempts == 1
-        assert cert.hpoly == QPoly([49, 48])
-        assert cert.hpoly.rational_roots() == [Fraction(-49, 48)]
+        assert cert.hpoly == (49, 48)
+        assert QPoly(cert.hpoly).rational_roots() == [Fraction(-49, 48)]
 
     def test_degenerate_specialization_resampled(self):
         # at lam = mu = 2 the emerging root collides with -1 and must be rejected
@@ -193,6 +195,13 @@ class TestCertify:
         cert = certify(DCParams(1, 1, 2, 3), seed=9)
         assert Certificate.from_json(cert.to_json()) == cert
 
+    def test_from_json_reads_h_as_integers(self):
+        data = certify(DCParams(1, 1, -1, -1), seed=1, initial=(2, 3)).to_json()
+        assert data["h"] == ["49", "48"]
+        assert Certificate.from_json({**data, "h": ["49", "48", "0"]}).hpoly == (49, 48)
+        with pytest.raises(ValueError):
+            Certificate.from_json({**data, "h": ["1/2", "1"]})
+
     def test_checker_rejects_tampered_h(self):
         cert = certify(DCParams(1, 1, 2, 3), seed=11)
         tampered = Certificate(
@@ -200,7 +209,7 @@ class TestCertify:
             status=cert.status,
             lam0=cert.lam0,
             mu0=cert.mu0,
-            hpoly=cert.hpoly * QPoly([1, 1]),
+            hpoly=tuple(polycore.mul(cert.hpoly, [1, 1], 0)),
             checks=cert.checks,
             attempts=cert.attempts,
         )
@@ -209,15 +218,13 @@ class TestCertify:
     def test_resultant_consistency_at_specialization(self):
         # generic case: nonzero specialized resultant pins h to the stripped
         # squarefree part of tau
-        from fraction_reference import squarefree_without
-
         cert = certify(DCParams(1, 1, 2, 3), seed=7)
         cp = core_polys(cert.params)
         tau = cp.tau.specialize(cert.lam0, cert.mu0)
         gamma_inner = cp.gamma_inner.specialize(cert.lam0, cert.mu0)
-        assert resultant(TPoly(tau.coeffs), TPoly(gamma_inner.coeffs)) != 0
-        stripped = squarefree_without(tau, [Fraction(0), Fraction(-1)])
-        assert cert.hpoly == QPoly(stripped.primitive_ints())
+        assert resultant(TPoly(tau), TPoly(gamma_inner)) != 0
+        stripped = squarefree_without(QPoly(tau), [Fraction(0), Fraction(-1)])
+        assert cert.hpoly == tuple(stripped.primitive_ints())
 
     def test_tau_vanishing_at_zero_is_logged(self, caplog):
         import logging
@@ -227,7 +234,7 @@ class TestCertify:
         lam0 = mu0 = Fraction(2)
         for params, seed, root in [((2, 1, 1, 2), 4, 0), ((1, 1, -1, -1), 5, -1)]:
             p = DCParams(*params)
-            assert core_polys(p).tau.specialize(lam0, mu0).evaluate(root) == 0
+            assert QPoly(core_polys(p).tau.specialize(lam0, mu0)).evaluate(root) == 0
             with caplog.at_level(logging.INFO, logger="sl2wiggle.certify"):
                 cert = certify(p, seed=seed, initial=(lam0, mu0))
             assert cert.certified
@@ -284,11 +291,10 @@ class TestWitness:
         cert = certify(DCParams(1, 1, 2, 3), seed=7)
         w = build_witness(cert, precision_digits=64)
         assert not w.exact
-        assert w.minimal_poly.degree >= 2
+        assert len(w.minimal_poly) >= 3  # degree 2 or more
         assert w.residual <= Fraction(1, 10**50)
         assert w.modular.all_ok
-        h1 = w.minimal_poly.primitive_ints()
-        assert zexact_div(cert.hpoly.primitive_ints(), h1) is not None
+        assert zexact_div(cert.hpoly, w.minimal_poly) is not None
 
     def test_numeric_witness_at_fixed_specialization(self):
         cert = certify(
@@ -313,11 +319,18 @@ class TestWitness:
         # does not, so beta * sigma(beta) is not invertible mod 8t - 1
         cert = Certificate(
             DCParams(1, 1, 2, 1), CertStatus.CERTIFIED, Fraction(2), Fraction(3),
-            QPoly([-9, 64, 64]), None, 1,
+            (-9, 64, 64), None, 1,
         )
         assert not check_certificate(cert).valid
         with pytest.raises(AssertionError, match="modular certificate"):
             build_witness(cert)
+
+    def test_witness_of_negated_h(self):
+        # a certificate may hold -h; its witness is the one of h
+        cert = certify(DCParams(1, 1, 2, 3), seed=7)
+        negated = dataclasses.replace(cert, hpoly=tuple(-c for c in cert.hpoly))
+        assert check_certificate(negated).valid
+        assert build_witness(negated, 20) == build_witness(cert, 20)
 
     def test_trivial_certificate_rejected(self):
         cert = certify(DCParams(1, 1, 1, 1))
@@ -403,8 +416,7 @@ class TestWitness:
         cert = certify(DCParams(-1, -3, -3, 3), initial=(Fraction(4, 83), Fraction(17, 71)))
         sa = specialized_assoc(cert.params.cyclic_word(), cert.lam0, cert.mu0)
         root = real_roots(cert.hpoly)[0]
-        h = cert.hpoly.primitive_ints()
-        assert _numeric_approx(sa, h, root, 64, 276)[0] is None
+        assert _numeric_approx(sa, list(cert.hpoly), root, 64, 276)[0] is None
         data = build_witness(cert, 64).to_json()
         data.pop("residual")
         digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()

@@ -29,6 +29,24 @@ def test_certify_json(capsys):
     assert len(data["h"]) == 4
 
 
+OPPOSITE = ("--dc", "1,1,-1,-1", "--lambda", "2", "--mu", "3", "--seed", "1")
+
+
+def test_h_is_printed_as_text_and_json(capsys):
+    code, out, _ = run_cli(capsys, "certify", *OPPOSITE)
+    assert code == 0
+    assert "h(t) = 48·t + 49" in out.splitlines()
+    _, out, _ = run_cli(capsys, "certify", *OPPOSITE, "--json")
+    assert json.loads(out)["h"] == ["49", "48"]
+    _, out, _ = run_cli(capsys, "witness", *OPPOSITE, "--json")
+    assert json.loads(out)["witness"]["minimal_poly"] == ["49", "48"]
+    _, out, _ = run_cli(capsys, "certify", "--dc", "1,1,2,3", "--seed", "7")
+    assert out.splitlines()[-1] == (
+        "h(t) = 94827342831545872390095·t^3 + 295628527481521773963699·t^2"
+        " + 225908871840285019682724·t - 222696577733128453696"
+    )
+
+
 def test_certify_trivial_exit_code(capsys):
     code, out, _ = run_cli(capsys, "certify", "--dc", "1,1,1,1")
     assert code == 2

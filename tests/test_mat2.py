@@ -2,9 +2,9 @@ import pytest
 
 from sl2wiggle.errors import NotUnimodularError
 from sl2wiggle.exact.laurent import LaurentPoly
-from sl2wiggle.exact.mat2 import Mat2, conjugate, identity_q, mat2_q, xi_of
+from sl2wiggle.exact.mat2 import Mat2, identity_q, mat2_q, xi_of
 
-from conftest import random_nonzero_fraction, random_sl2
+from conftest import conjugate, random_nonzero_fraction, random_sl2
 
 
 def diag(a, b) -> Mat2:

@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sl2wiggle.certify import _witness_points
-from sl2wiggle.exact.qpoly import QPoly, real_roots, zexact_div
+from sl2wiggle.exact.qpoly import real_roots, zexact_div
 
-from fraction_reference import squarefree_part
+from fraction_reference import QPoly, squarefree_part
 from root_reference import (
     NotConverged,
     rational_roots_numeric,
@@ -109,30 +109,41 @@ def _check_isolation(f: QPoly, roots) -> None:
 
 class TestRealRoots:
     def test_small_examples(self):
-        cubic = QPoly([-6, 11, -6, 1])  # (t-1)(t-2)(t-3)
+        cubic = [-6, 11, -6, 1]  # (t-1)(t-2)(t-3)
         intervals = [r.bounds for r in real_roots(cubic)]
         assert len(intervals) == 3
         for (lo, hi), r in zip(intervals, (1, 2, 3)):
             assert lo < r <= hi
-        assert real_roots(QPoly([1, 0, 1])) == []
-        (root,) = real_roots(QPoly([0, 5]))
+        assert real_roots([1, 0, 1]) == []
+        (root,) = real_roots([0, 5])
         assert root.refined(10).bounds == (0, 0)  # bisection lands on 0
+
+    @given(int_polys(), st.integers(-5, 5).filter(bool))
+    @settings(max_examples=40, deadline=None)
+    def test_content_and_sign_do_not_matter(self, f, scale):
+        # real_roots takes any integer coefficients and works on their
+        # primitive part, whatever the sign of the leading coefficient
+        ints = f.primitive_ints()
+        expected = real_roots(ints)
+        roots = real_roots([scale * c for c in ints])
+        assert [r.bounds for r in roots] == [r.bounds for r in expected]
+        assert [r.rational() for r in roots] == [r.rational() for r in expected]
 
     def test_repeated_roots_are_isolated_once(self):
         f = QPoly([-1, 3]) ** 3 * QPoly([0, 1]) ** 2 * QPoly([-2, 0, 1])
-        roots = real_roots(f)
+        roots = real_roots(f.primitive_ints())
         assert len(roots) == 4
         assert QPoly(roots[0].poly).degree == 4  # the squarefree part
         _check_isolation(f, roots)
 
     def test_constant_is_rejected(self):
         with pytest.raises(ValueError):
-            real_roots(QPoly([3]))
+            real_roots([3])
 
     @given(int_polys())
     @settings(max_examples=40, deadline=None)
     def test_intervals_match_numeric_roots(self, f):
-        roots = real_roots(f)
+        roots = real_roots(f.primitive_ints())
         _check_isolation(f, roots)
         squarefree = QPoly(roots[0].poly if roots else f.primitive_ints())
         try:
@@ -149,7 +160,7 @@ class TestRealRoots:
     @settings(max_examples=80, deadline=None)
     def test_intervals_match_sympy(self, f):
         sp = _sympy_poly(f)
-        roots = real_roots(f)
+        roots = real_roots(f.primitive_ints())
         _check_isolation(f, roots)
         assert len(roots) == sp.count_roots()
         for root in roots:
@@ -305,11 +316,12 @@ class TestWitnessPoint:
 
     @staticmethod
     def _check(h: QPoly):
-        h = QPoly(h.primitive_ints())
-        digits = max(len(str(abs(c.numerator))) for c in h.coeffs)
-        roots = real_roots(h)
+        ints = h.primitive_ints()
+        h = QPoly(ints)
+        digits = max(len(str(abs(c))) for c in ints)
+        roots = real_roots(ints)
         # 2^-400 < 10^-120: all three points are well inside the bound
-        points, b = _witness_points(h.primitive_ints(), roots[0] if roots else None, 400)
+        points, b = _witness_points(ints, roots[0] if roots else None, 400)
         with mpmath.workdps(120 + 3 * digits):
             expected = smallest_root_numeric(h)
             scale = max(1, abs(expected))

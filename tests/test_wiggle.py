@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from sl2wiggle.exact.laurent import LaurentPoly
 from sl2wiggle.exact.mat2 import Mat2, identity_q, mat2_q, xi_of
 from sl2wiggle.exact.polycore import unpack
-from sl2wiggle.exact.qpoly import QPoly
 from sl2wiggle.exact.tpoly import TPoly
 from sl2wiggle.wiggle import (
     AssocPolys,
@@ -27,6 +26,7 @@ from sl2wiggle.wiggle import (
 )
 from sl2wiggle.words import Word, cyclic_reduce, parse_word
 
+from fraction_reference import QPoly
 from conftest import (
     random_commutator_subgroup_word,
     random_nonzero_fraction,
@@ -177,13 +177,13 @@ class TestEvaluation:
             sa = specialized_assoc(w, lam0, mu0)
             beta, beta_s = over_den(sa, "beta"), over_den(sa, "beta_sigma")
             gamma, gamma_s = over_den(sa, "gamma"), over_den(sa, "gamma_sigma")
-            assert beta == ap.beta.specialize(lam0, mu0)
-            assert beta_s == ap.beta.sigma().specialize(lam0, mu0)
-            assert gamma - beta * QPoly.t() == ap.alpha.specialize(lam0, mu0)
-            assert gamma_s - beta_s * QPoly.t() == ap.alpha.sigma().specialize(lam0, mu0)
-            assert gamma == gamma_of(ap).specialize(lam0, mu0)
-            assert gamma_s == gamma_of(ap).sigma().specialize(lam0, mu0)
-            assert over_den(sa, "trace") == trace_poly(ap).specialize(lam0, mu0)
+            assert beta == QPoly(ap.beta.specialize(lam0, mu0))
+            assert beta_s == QPoly(ap.beta.sigma().specialize(lam0, mu0))
+            assert gamma - beta * QPoly.t() == QPoly(ap.alpha.specialize(lam0, mu0))
+            assert gamma_s - beta_s * QPoly.t() == QPoly(ap.alpha.sigma().specialize(lam0, mu0))
+            assert gamma == QPoly(gamma_of(ap).specialize(lam0, mu0))
+            assert gamma_s == QPoly(gamma_of(ap).sigma().specialize(lam0, mu0))
+            assert over_den(sa, "trace") == QPoly(trace_poly(ap).specialize(lam0, mu0))
 
     def test_specialized_assoc_at_unit_parameters(self):
         # lambda, mu = +-1 make runs act trivially or by sign flips
@@ -191,8 +191,8 @@ class TestEvaluation:
         ap = reference_assoc(w)
         for lam0, mu0 in ((1, 1), (-1, 2), (3, -1), (-1, -1)):
             sa = specialized_assoc(w, lam0, mu0)
-            assert over_den(sa, "trace") == trace_poly(ap).specialize(lam0, mu0)
-            assert over_den(sa, "beta_sigma") == ap.beta.sigma().specialize(lam0, mu0)
+            assert over_den(sa, "trace") == QPoly(trace_poly(ap).specialize(lam0, mu0))
+            assert over_den(sa, "beta_sigma") == QPoly(ap.beta.sigma().specialize(lam0, mu0))
 
     def test_word_value_on_upper_triangular(self):
         # [x^a, y^b] with non-diagonal upper-triangular x is unipotent
@@ -289,7 +289,8 @@ def specialized_column(pairs, lam0, mu0) -> tuple[QPoly, QPoly]:
     m = Mat2(QPoly.one(), QPoly.zero(), QPoly.zero(), QPoly.one())
     for pair in pairs:
         run = transfer_matrix([pair])
-        m = Mat2(*(e.specialize(lam0, mu0) for e in (run.e11, run.e12, run.e21, run.e22))) * m
+        entries = (run.e11, run.e12, run.e21, run.e22)
+        m = Mat2(*(QPoly(e.specialize(lam0, mu0)) for e in entries)) * m
     return m.e11, m.e21
 
 
