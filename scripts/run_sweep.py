@@ -8,7 +8,6 @@ written; the exit code is nonzero if any nontrivial tuple stays
 inconclusive, any check fails, or the digest differs from --expect-sha256.
 """
 
-import argparse
 import hashlib
 import json
 import sys
@@ -17,11 +16,11 @@ from collections import Counter
 from pathlib import Path
 
 from sl2wiggle.certify import check_certificate, sweep_box
-from sl2wiggle.cli import _positive
+from sl2wiggle.cli import _NumericParser, _positive
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _NumericParser(description=__doc__)
     parser.add_argument("--max-abs", type=_positive, default=3, help="exponent bound")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-attempts", type=_positive, default=5)

@@ -6,16 +6,15 @@ degree-5 gamma cofactor and res(tau, gamma_inner) in lambda/mu/t notation
 for eyeball comparison.
 """
 
-import argparse
 import time
 
 from sl2wiggle.certify import core_polys
-from sl2wiggle.cli import _exponents
+from sl2wiggle.cli import _NumericParser, _exponents
 from sl2wiggle.exact.tpoly import resultant
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _NumericParser(description=__doc__)
     parser.add_argument("--dc", type=_exponents, required=True, help="exponents k,l,m,n")
     parser.add_argument("--resultant", action="store_true", help="also print res(tau, gamma_inner)")
     args = parser.parse_args()

@@ -72,11 +72,14 @@ def _grid(text: str) -> list[DCParams]:
     return [DCParams(*e) for e in product(*ranges)]
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str, message: str = "") -> Fraction:
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"zero denominator in {text.strip()}") from None
+    except ValueError:
+        message = message or f"expected a rational p/q, not {text.strip()!r}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def _nonzero(text: str) -> Fraction:
@@ -94,10 +97,11 @@ def _positive(text: str) -> int:
 
 
 def _matrix(text: str) -> Mat2[Fraction]:
-    entries = [_fraction(v) for v in text.split(",")]
-    if len(entries) != 4:
-        raise argparse.ArgumentTypeError("needs four entries a,b,c,d")
-    return mat2_q(*entries)
+    message = f"expected four rationals a,b,c,d, not {text.strip()!r}"
+    parts = text.split(",")
+    if len(parts) != 4:
+        raise argparse.ArgumentTypeError(message)
+    return mat2_q(*[_fraction(v, message) for v in parts])
 
 
 def _resolve_word(args: argparse.Namespace) -> Word:
@@ -249,14 +253,17 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports usage errors as input errors instead of exiting with code 2,
-    and reads an argument that starts with "-" and a digit, such as -2/3 or
+class _NumericParser(argparse.ArgumentParser):
+    """Reads an argument that starts with "-" and a digit, such as -2/3 or
     -1,1,2,3, as a value rather than an option."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-\d")
+
+
+class _Parser(_NumericParser):
+    """Reports usage errors as input errors instead of exiting with code 2."""
 
     def error(self, message: str):
         raise ValueError(f"{self.prog}: {message}")

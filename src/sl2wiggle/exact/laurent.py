@@ -7,16 +7,16 @@ coefficients are never stored.  Coefficients are Fraction or plain int
 A product of two operands with more than a few terms each is computed by
 Kronecker substitution, as one big-integer multiplication; so is a product
 of two polynomials in t over this ring (see tpoly).  Exact division by a
-monomial is a shift, and by a larger integer divisor it runs over lambda-rows
-packed into integers, checked by one product; otherwise, and whenever that
-declines, a sparse long division.
+monomial is a shift.  Any other exact division is one long division over
+lambda-rows packed into integers, with a slot width that holds every
+quotient coefficient, checked by one product (see _row_quotient).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence, Union
 
 from ..errors import InexactDivisionError, NotAUnitError
@@ -40,8 +40,7 @@ def _scalar_div(a: Scalar, b: Scalar) -> Scalar:
 
 # Products whose smaller operand has at most this many terms keep the dict
 # double loop: on them packing costs more than the big-integer product saves.
-# The same size decides whether a division tries the row-packed quotient and
-# whether a product of polynomials in t is packed whole.
+# The same size decides whether a product of polynomials in t is packed whole.
 _SCHOOLBOOK_MAX_TERMS = 4
 
 
@@ -124,43 +123,53 @@ def _packed_product(a: dict[tuple, Scalar], b: dict[tuple, Scalar]) -> dict | No
 
 
 def _row_quotient(num: Terms, den: Terms) -> Terms | None:
-    """A candidate for num / den by long division over lambda-rows.
+    """num / den by long division over lambda-rows; None if den does not
+    divide num.
 
-    Each row, a polynomial in mu, is held as one integer: its value at
-    mu = 2^K after shifting (and deflating, as in _packed_product) the mu
-    exponents to start at 0.  A quotient row is one exact big-integer
-    division of the top remainder row by the divisor's leading row,
-    decoded into balanced K-bit slots.  Evaluation at 2^K is a ring
-    homomorphism, so when den divides num every row division is exact; a
-    decoded row is the true one when its coefficients fit their slots.
-    K leaves room for quotient coefficients up to #num times the largest
-    coefficient of num.
+    Both operands have integer coefficients.  Each is shifted to start at
+    exponent 0, and the lambda and the mu exponents are divided by their
+    gcd over both operands, as in _packed_product; an exact quotient q lies
+    in the same deflated ring, of degree a = nrows - drows in lambda and
+    b = width - 1 in mu.  Each row, a polynomial in mu, is held as one
+    integer, its value at mu = 2^K; a quotient row is one exact big-integer
+    division of the top remainder row by the divisor's leading row, decoded
+    into balanced K-bit slots.
 
-    Both operands have integer coefficients.  Returns None when a row
-    division leaves a remainder or a row overflows the quotient's mu-width.
-    A returned quotient is unchecked: the caller must multiply it back.
+    If den divides num, every row division is exact (evaluation at 2^K is a
+    ring homomorphism) and decodes to the true row: Mahler measure is
+    multiplicative, M(den) >= 1 for integer den and M(num) <= ||num||_2, so
+    |q_ij| <= C(a, i) C(b, j) M(q) <= C(a, a//2) C(b, b//2) max|c| sqrt(#num)
+    < 2^(K-1) (Mignotte, "Some useful bounds", 1982).  So a None proves den
+    does not divide num.  A returned quotient is unchecked: a defect in the
+    lowest drows - 1 rows of num passes every row division.
     """
     nl, nm = zip(*num)
     dl, dm = zip(*den)
     fl, fm, gl, gm = min(nl), min(nm), min(dl), min(dm)
+    s = gcd(*[e - fl for e in nl], *[e - gl for e in dl]) or 1
     g = gcd(*[e - fm for e in nm], *[e - gm for e in dm]) or 1
-    nrows, drows = max(nl) - fl + 1, max(dl) - gl + 1
+    nrows, drows = (max(nl) - fl) // s + 1, (max(dl) - gl) // s + 1
     width = ((max(nm) - fm) - (max(dm) - gm)) // g + 1
     if nrows < drows or width < 1:
         return None
-    k = max(map(abs, num.values())).bit_length() + len(num).bit_length() + 1
+    a, b = nrows - drows, width - 1
+    bound = comb(a, a // 2) * comb(b, b // 2) * max(map(abs, num.values()))
+    k = bound.bit_length() + (len(num).bit_length() + 1) // 2 + 1
 
     def rows(terms: Terms, l0: int, m0: int, n: int) -> list[int]:
         out = [0] * n
         for (el, em), c in terms.items():
-            out[el - l0] += c << ((em - m0) // g * k)
+            out[(el - l0) // s] += c << ((em - m0) // g * k)
         return out
 
     rem = rows(num, fl, fm, nrows)
-    div = [(j, d) for j, d in enumerate(rows(den, gl, gm, drows)) if d]
-    lead = div[-1][1]
+    div = rows(den, gl, gm, drows)
+    lead = div[-1]
+    if not lead:  # num's leading row, den's times q's, is nonzero at 2^K
+        return None
+    div = [(j, d) for j, d in enumerate(div) if d]
     quot: Terms = {}
-    for i in range(nrows - drows, -1, -1):
+    for i in range(a, -1, -1):
         q, r = divmod(rem[i + drows - 1], lead)
         if r:
             return None
@@ -171,7 +180,7 @@ def _row_quotient(num: Terms, den: Terms) -> Terms | None:
         coeffs = polycore.unpack(q, k)
         if len(coeffs) > width:
             return None
-        el = i + fl - gl
+        el = i * s + fl - gl
         for j, c in enumerate(coeffs):
             if c:
                 quot[(el, j * g + fm - gm)] = c
@@ -181,56 +190,21 @@ def _row_quotient(num: Terms, den: Terms) -> Terms | None:
 def _scaled_row_quotient(num: Terms, den: Terms) -> Terms | None:
     """_row_quotient(num, den) for operands with any coefficients.
 
-    Integer operands go straight to it.  Otherwise num is scaled to an
-    integer polynomial n num and den to a primitive integer one d den / c.
-    When den divides num, Gauss's lemma makes their quotient integral, so
-    the row division can find it; it is scaled back by d / (n c).
+    num is scaled to an integer polynomial n num and den to a primitive
+    integer one d den / c.  When den divides num, Gauss's lemma makes their
+    quotient integral, so the row division finds it; it is scaled back by
+    d / (n c).
     """
     n, num = _integer_terms(num)
     d, den = _integer_terms(den)
-    if n == d == 1:
-        return _row_quotient(num, den)
     c = gcd(*den.values())
-    quot = _row_quotient(num, {e: v // c for e, v in den.items()})
-    if quot is None:
-        return None
+    if c != 1:
+        den = {e: v // c for e, v in den.items()}
+    quot = _row_quotient(num, den)
+    if quot is None or d == n * c:
+        return quot
     scale = Fraction(d, n * c)
     return {e: _normalize_scalar(v * scale) for e, v in quot.items()}
-
-
-def _sparse_quotient(num: Terms, den: Terms) -> Terms:
-    """num / den by sparse long division; raises InexactDivisionError.
-
-    Shift both operands to plain-polynomial exponents, then cancel leading
-    terms under lex order.  Minimal exponents are additive under
-    multiplication in a domain, so the shifted quotient stays polynomial
-    and the loop terminates (lex on N^2 is a well-order).
-    """
-    fl = min(el for el, _ in num)
-    fm = min(em for _, em in num)
-    gl = min(el for el, _ in den)
-    gm = min(em for _, em in den)
-    num = {(el - fl, em - fm): c for (el, em), c in num.items()}
-    den = {(el - gl, em - gm): c for (el, em), c in den.items()}
-    dlead = max(den)
-    dcoef = den[dlead]
-    quot: Terms = {}
-    while num:
-        lead = max(num)
-        de = (lead[0] - dlead[0], lead[1] - dlead[1])
-        if de[0] < 0 or de[1] < 0:
-            raise InexactDivisionError("Laurent division left a remainder")
-        c = _scalar_div(num[lead], dcoef)
-        quot[de] = c
-        for (el, em), dc in den.items():
-            e = (el + de[0], em + de[1])
-            s = num.get(e, 0) - c * dc
-            if s == 0:
-                num.pop(e, None)
-            else:
-                num[e] = s
-    shift = (fl - gl, fm - gm)
-    return {(el + shift[0], em + shift[1]): c for (el, em), c in quot.items()}
 
 
 def _from_terms(terms: Terms) -> "LaurentPoly":
@@ -435,10 +409,10 @@ class LaurentPoly:
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient self / divisor; raises InexactDivisionError otherwise.
 
-        A monomial divisor shifts the exponents.  A divisor of more than
-        _SCHOOLBOOK_MAX_TERMS terms first tries _scaled_row_quotient, whose
-        quotient is returned only if it multiplies back to self.  Every
-        other case, and every one that declines, runs _sparse_quotient.
+        A monomial divisor shifts the exponents.  Any other runs
+        _scaled_row_quotient, whose quotient is returned only if it
+        multiplies back to self: a decline or a failed check proves the
+        division inexact.
         """
         if not divisor:
             raise ZeroDivisionError("Laurent division by zero")
@@ -450,13 +424,12 @@ class LaurentPoly:
                 {(el - gl, em - gm): c if d == 1 else _scalar_div(c, d)
                  for (el, em), c in self._terms.items()}
             )
-        if len(divisor._terms) > _SCHOOLBOOK_MAX_TERMS:
-            terms = _scaled_row_quotient(self._terms, divisor._terms)
-            if terms is not None:
-                quot = _from_terms(terms)
-                if quot * divisor == self:
-                    return quot
-        return _from_terms(_sparse_quotient(self._terms, divisor._terms))
+        terms = _scaled_row_quotient(self._terms, divisor._terms)
+        if terms is not None:
+            quot = _from_terms(terms)
+            if quot * divisor == self:
+                return quot
+        raise InexactDivisionError("Laurent division left a remainder")
 
     # ------------------------------------------------------------------
     # serialization and display

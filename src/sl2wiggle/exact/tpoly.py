@@ -20,10 +20,6 @@ _LZERO = LaurentPoly.zero()
 _LONE = LaurentPoly.one()
 
 
-def _ldiv(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a.exact_div(b)
-
-
 class TPoly:
     """Immutable polynomial in t over the Laurent ring, lowest degree first."""
 
@@ -147,11 +143,10 @@ class TPoly:
         When the divisor truly divides, every leading-coefficient division
         the long division performs is exact in the Laurent ring.
         """
-        return _wrap(
-            polycore.div_exact(
-                self._coeffs, other._coeffs, _ldiv, _LZERO, InexactDivisionError
-            )
+        quot = polycore.div_exact(
+            self._coeffs, other._coeffs, LaurentPoly.exact_div, _LZERO, InexactDivisionError
         )
+        return _wrap(quot)
 
     def shift_down(self, k: int) -> "TPoly":
         """Exact division by t^k."""
@@ -206,5 +201,5 @@ def resultant(f: TPoly, g: TPoly) -> LaurentPoly:
     """
     if not f or not g:
         raise ValueError("resultant of a zero polynomial")
-    return polycore.resultant_prs(list(f.coeffs), list(g.coeffs), _LONE, _LZERO, _ldiv)
+    return polycore.resultant_prs(f.coeffs, g.coeffs, _LONE, _LZERO, LaurentPoly.exact_div)
 

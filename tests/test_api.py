@@ -1,9 +1,14 @@
 """The public API: the names `sl2wiggle` and `sl2wiggle.exact` export.
 
 Any name added to or dropped from either list changes this file, so the
-size of the API is visible in review."""
+size of the API is visible in review.  The package also imports nothing
+outside the standard library."""
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import sl2wiggle
 import sl2wiggle.exact
@@ -32,3 +37,18 @@ def test_package_names():
 
 def test_exact_names():
     assert sorted(sl2wiggle.exact.__all__) == EXACT_NAMES
+
+
+def test_no_runtime_dependency():
+    # a fresh interpreter: the test session itself has imported hypothesis
+    code = (
+        "import sys, sl2wiggle, sl2wiggle.cli, sl2wiggle.certify\n"
+        "names = ['mpmath', 'hypothesis', 'sympy', 'numpy', 'gmpy2']\n"
+        "print(sorted(n for n in names if n in sys.modules))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout == "[]\n"

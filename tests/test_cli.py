@@ -290,6 +290,12 @@ def test_show_tables_rejects_bad_dc(dc):
     assert "Traceback" not in result.stderr
 
 
+def test_show_tables_reads_negative_exponents():
+    result = run_script("show_tables.py", "--dc", "-1,-2,-2,2")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("parameters (k, l, m, n) = (-1, -2, -2, 2)\n")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -300,6 +306,14 @@ def test_show_tables_rejects_bad_dc(dc):
          "argument --max-attempts: expected a positive integer, not '2.5'"),
         (("certify", "--grid", "1:x,1:1,1:1,1:2"),
          "argument --grid: expected four integer colon ranges"),
+        (("certify", "--dc", "1,1,2,3", "--lambda", "abc", "--mu", "2"),
+         "argument --lambda: expected a rational p/q, not 'abc'"),
+        (("certify", "--dc", "1,1,2,3", "--lambda", "2", "--mu", ""),
+         "argument --mu: expected a rational p/q, not ''"),
+        (("oracle", "--word", "x", "--lambda", "2", "--mu", "3", "--g", "1,a,0,1"),
+         "argument --g: expected four rationals a,b,c,d, not '1,a,0,1'"),
+        (("oracle", "--word", "x", "--lambda", "2", "--mu", "3", "--g", "1,0,1"),
+         "argument --g: expected four rationals a,b,c,d, not '1,0,1'"),
     ],
 )
 def test_non_integer_values_name_the_option(capsys, argv, message):

@@ -5,15 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2wiggle.errors import InexactDivisionError, NotAUnitError
-from sl2wiggle.exact import laurent
-from sl2wiggle.exact.laurent import (
-    LaurentPoly,
-    _row_quotient,
-    _scaled_row_quotient,
-    _sparse_quotient,
-)
+from sl2wiggle.exact.laurent import LaurentPoly, _row_quotient, _scaled_row_quotient
 
 from conftest import laurents, nonzero_laurents, nonzero_rationals
+from laurent_reference import _sparse_quotient
 
 
 def test_difference_of_squares():
@@ -214,12 +209,8 @@ def division_operands(draw, sizes=(0, 12)):
     )
 
 
-# a monomial, 2-4 terms (the sparse loop) and more than 4 (the row-packed path)
+# a monomial (the shift), 2-4 terms and more than 4 (the row-packed quotient)
 divisors = st.sampled_from([(1, 1), (2, 4), (5, 12)]).flatmap(division_operands)
-
-
-def largest(p: LaurentPoly):
-    return max(abs(c) for c in p.terms().values())
 
 
 @given(division_operands(), divisors)
@@ -229,10 +220,9 @@ def test_exact_division_matches_the_sparse_loop(p, q):
     assert pq.exact_div(q) == p
     if pq:
         assert LaurentPoly(_sparse_quotient(pq._terms, q._terms)) == p
-    # the row-packed path accepts whenever the quotient fits its slots
-    if p and integral(p) and integral(q) and len(q.terms()) > 4:
-        if largest(p) <= largest(pq) * len(pq.terms()):
-            assert LaurentPoly(_row_quotient(pq._terms, q._terms)) == p
+    # the slot width holds every quotient coefficient: the row path never declines
+    if p and integral(p) and integral(q):
+        assert LaurentPoly(_row_quotient(pq._terms, q._terms)) == p
 
 
 @given(division_operands(), st.sampled_from([(2, 4), (5, 12)]).flatmap(division_operands),
@@ -251,33 +241,69 @@ def test_scaled_row_quotient_of_rational_operands(p, q, r):
     # a rational multiple of q has a Fraction coefficient whenever r does
     q = q * LaurentPoly.const(r)
     pq = p * q
-    quot = _scaled_row_quotient(pq._terms, q._terms) if pq else None
-    assert quot is None or LaurentPoly(quot) == p
+    if pq:
+        assert LaurentPoly(_scaled_row_quotient(pq._terms, q._terms)) == p
 
 
-def test_rational_divisor_takes_the_row_path(monkeypatch):
+def test_rational_divisor_takes_the_row_path():
     # the divisor 1/2 (1 + ... + lambda^4) (mu + 3) / 5 has Fraction
     # coefficients and more than four terms
     cyclotomic = LaurentPoly({(i, 0): 1 for i in range(5)})
     q = cyclotomic * (LaurentPoly.mu(1) + 3) * LaurentPoly.const(Fraction(1, 10))
     p = LaurentPoly({(0, 0): Fraction(2, 3), (1, -1): 7, (3, 2): Fraction(-5, 4)})
-
-    def unexpected(num, den):
-        raise AssertionError("fell back to the sparse loop")
-
-    monkeypatch.setattr(laurent, "_sparse_quotient", unexpected)
     assert (p * q).exact_div(q) == p
 
 
 def test_rational_quotient_of_integer_operands():
-    # the divisor's leading row 2 does not divide the dividend's 1: the row
-    # path declines and the sparse loop finds the rational quotient
+    # the divisor's leading row 2 does not divide the dividend's 1, so the
+    # row division alone declines; exact_div divides out the content 2 first
     cyclotomic = LaurentPoly({(i, 0): 1 for i in range(5)})
     num = (LaurentPoly.lam(1) + 1) * cyclotomic
     den = cyclotomic * 2
     assert _row_quotient(num._terms, den._terms) is None
     half = Fraction(1, 2)
     assert num.exact_div(den) == LaurentPoly({(1, 0): half, (0, 0): half})
+
+
+def mu_poly(coeffs: list[int]) -> LaurentPoly:
+    return LaurentPoly({(0, j): c for j, c in enumerate(coeffs)})
+
+
+def test_row_quotient_with_coefficients_above_the_dividend():
+    # mu^30 - 1 over (mu^30 - 1) / (Phi_1 Phi_6 Phi_10 Phi_15): the quotient
+    # has a coefficient 12 and the dividend only +-1, so a slot width taken
+    # from the dividend's coefficients alone decodes a wrong row
+    phis = [[-1, 1], [1, -1, 1], [1, -1, 1, -1, 1], [1, -1, 0, 1, -1, 1, 0, -1, 1]]
+    quotient = LaurentPoly.one()
+    for phi in phis:
+        quotient = quotient * mu_poly(phi)
+    num = LaurentPoly.mu(30) - 1
+    den = LaurentPoly(_sparse_quotient(num._terms, quotient._terms))
+    assert max(abs(c) for c in quotient.terms().values()) == 12
+    assert LaurentPoly(_row_quotient(num._terms, den._terms)) == quotient
+    assert num.exact_div(den) == quotient
+
+
+def test_defect_below_the_row_divisions_fails_the_product_check():
+    # the lowest lambda-row of p q is never divided: the row quotient is p,
+    # and only multiplying it back shows the remainder
+    q = (LaurentPoly.lam(-1) + 2 + LaurentPoly.lam(1)) * mu_poly([3, 1, -2])
+    p = LaurentPoly({(2, 0): 5, (3, 1): -1, (2, 3): 4})
+    num = p * q + LaurentPoly.mono(7, 1, 1)
+    assert min(el for el, _ in (p * q).terms()) == 1
+    assert LaurentPoly(_row_quotient(num._terms, q._terms)) == p
+    with pytest.raises(InexactDivisionError, match="left a remainder"):
+        num.exact_div(q)
+
+
+def test_divisor_whose_leading_row_vanishes_at_the_slot_base():
+    # the slots of this num are 3 bits wide, and den's leading row 8 - mu is
+    # 0 at mu = 2^3: no row can be divided by it
+    num = LaurentPoly({(0, 0): 1, (1, 0): 1, (1, 1): 1})
+    den = LaurentPoly({(0, 0): 1, (1, 0): 8, (1, 1): -1})
+    assert _row_quotient(num._terms, den._terms) is None
+    with pytest.raises(InexactDivisionError):
+        num.exact_div(den)
 
 
 @pytest.mark.parametrize(
