@@ -35,6 +35,7 @@ from .exact.mat2 import Mat2, mat2_q
 from .exact.polycore import add, mul, trim
 from .exact.qpoly import (
     RealRoot,
+    rational_roots,
     real_roots,
     zderivative,
     zdiv_t1,
@@ -575,13 +576,15 @@ _WITNESS_DOUBLINGS = 5
 def build_witness(cert: Certificate, precision_digits: int = 64) -> Witness:
     """Turn a certificate into an explicit unipotent witness.
 
-    The real roots of h (of degree <= 3) are isolated once.  A rational
-    root r = u/v, the largest if there are several, gives the factor
-    h1 = v t - u and a fully exact witness.  Otherwise h is irreducible
-    and h1 = h.  Either way the facts trace - 2 = 0 and beta * sigma(beta)
-    invertible are certified in Q[t]/(h1), by exact division and
-    pseudo-remainders in Z[t].  Without a rational root, the witness point
-    is the smallest real root of h1 or, for an h1 without real roots (a
+    A rational root r = u/v of h (of degree <= 3), the largest if there
+    are several, gives the factor h1 = v t - u and a fully exact witness.
+    rational_roots finds it by arithmetic: a linear or quadratic h needs no
+    root location, and a cubic needs it only when no small prime proves
+    that it has no rational root.  Otherwise h is irreducible and h1 = h.
+    Either way the facts trace - 2 = 0 and beta * sigma(beta) invertible
+    are certified in Q[t]/(h1), by exact division and pseudo-remainders in
+    Z[t].  Without a rational root, the witness point is the smallest real
+    root of h1, isolated only now, or, for an h1 without real roots (a
     quadratic), its root below the real axis.  That root is bracketed to
     about digits log2(10) + 64 bits, doubled until t0 and u print the same
     at both ends and the middle of the bracket and the residual at the
@@ -592,8 +595,7 @@ def build_witness(cert: Certificate, precision_digits: int = 64) -> Witness:
     if not 2 <= len(cert.hpoly) <= 4:
         raise ValueError("witnesses need a certificate h of degree 1 to 3")
     eff = cert.effective_params()
-    roots = real_roots(cert.hpoly)
-    rational = [x for x in map(RealRoot.rational, roots) if x is not None]
+    rational = rational_roots(cert.hpoly)
     t0 = rational[-1] if rational else None
     h1 = [-t0.numerator, t0.denominator] if rational else zprimitive(cert.hpoly)
     if h1[-1] < 0:  # a certificate read from JSON may hold -h
@@ -613,6 +615,7 @@ def build_witness(cert: Certificate, precision_digits: int = 64) -> Witness:
     if t0 is None:
         target = Fraction(1, 10 ** max(precision_digits - 14, 1))
         bits = int(precision_digits * log2(10)) + 64
+        roots = real_roots(cert.hpoly)
         for _ in range(_WITNESS_DOUBLINGS):
             texts, residual = _numeric_approx(
                 sa, h1, roots[0] if roots else None, precision_digits, bits

@@ -191,6 +191,11 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return _status_exit(cert.status)
 
 
+def _matrix_text(m) -> str:
+    """The rows of m with each entry in str form, as --json writes them."""
+    return "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in m.rows()) + "]"
+
+
 def _cmd_witness(args: argparse.Namespace) -> int:
     cert = _run_certify(args, args.dc, args.seed)
     if not cert.certified:
@@ -208,8 +213,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         print(f"status: {cert.status.value}")
         if witness.exact:
             print(f"exact witness at t0 = {witness.t0}")
-            print(f"g = {witness.g.rows()}")
-            print(f"u = {witness.u.rows()}")
+            print(f"g = {_matrix_text(witness.g)}")
+            print(f"u = {_matrix_text(witness.u)}")
         else:
             print(f"numeric witness near t0 = {witness.t0_approx[0]}")
             print(f"residual bound {witness.residual}")

@@ -1,9 +1,9 @@
 """Exact arithmetic foundation: Laurent polynomials, t-polynomials, 2x2
-matrices, gcds, real roots and resultants."""
+matrices, gcds, real and rational roots and resultants."""
 
 from .laurent import LaurentPoly
 from .mat2 import Mat2, xi_of
-from .qpoly import real_roots
+from .qpoly import rational_roots, real_roots
 from .tpoly import TPoly, resultant
 
 __all__ = [
@@ -13,4 +13,5 @@ __all__ = [
     "xi_of",
     "resultant",
     "real_roots",
+    "rational_roots",
 ]

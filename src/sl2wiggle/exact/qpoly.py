@@ -5,6 +5,10 @@ last entry (the empty sequence is zero).  These are the specializations
 of the Laurent-coefficient polynomials at a concrete torus parameter
 pair, cleared of denominators: a primitive divisor always has an integral
 quotient by Gauss's lemma, so gcds and divisibility need no fractions.
+
+`real_roots` isolates the real roots exactly; `rational_roots` finds the
+rational ones, by arithmetic where it can and by refining the isolating
+intervals only where it must.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
+from math import isqrt, prod
 from typing import Optional, Sequence
 
 
@@ -144,6 +149,10 @@ class RealRoot:
     def rational(self) -> Optional[Fraction]:
         """The root as a Fraction when it is rational, else None.
 
+        Refines the interval to about log2(2 |lc|) bits, so it is the slow
+        way to learn that a root is irrational; `rational_roots` calls it
+        only when no cheaper argument settles the question.
+
         A rational root u/v of the primitive integer polynomial `poly` has
         v | lc(poly), so it is a multiple of 1/lc.  Once the interval is
         narrower than 1/(2 |lc|), the nearest such multiple is the only
@@ -198,6 +207,59 @@ def real_roots(f: Sequence[int]) -> list[RealRoot]:
             todo.append((mid, hi, k, v_mid, v_hi))
             todo.append((lo, mid, k, v_lo, v_mid))
     return roots
+
+
+# rational_roots' filter primes and their product.  Up to 100 they keep
+# the filter's worst case, a root mod every prime, below the cost of one
+# RealRoot.rational call on a box-3 cubic, and rule out all but 4 of the
+# 864 box-3 cubics.
+_FILTER_PRIMES = tuple(p for p in range(2, 100) if all(p % q for q in range(2, p)))
+_FILTER_MODULUS = prod(_FILTER_PRIMES)
+
+
+def rational_roots(f: Sequence[int]) -> list[Fraction]:
+    """The distinct rational roots of a nonconstant integer f, in increasing order.
+
+    Degree 1 has the root -f0 / f1.  A quadratic a t^2 + b t + c has
+    rational roots exactly when its discriminant d = b^2 - 4ac is a
+    square s^2, and they are (-b -+ s) / 2a.
+
+    Higher degrees first go through a prime filter.  Let u/v be a root in
+    lowest terms.  From 0 = v^n f(u/v) = sum f_i u^i v^(n-i), v divides
+    f_n u^n and is coprime to u, so v | lc(f).  For a prime p not dividing lc(f), v is then
+    invertible mod p and f(u v^-1) = 0 in F_p.  So if f has no root in F_p
+    for one such p, f has no rational root.  As F_p is a field, f has a
+    root there exactly when p divides the product of f(x) over x = 0 ..
+    p - 1; one running product mod the product of the filter primes walks
+    x upward and serves them all.  When no filter prime rules the roots
+    out, each isolated real root is asked whether it is rational
+    (`RealRoot.rational`).
+    """
+    if len(f) < 2:
+        raise ValueError("a constant has no roots to find")
+    if len(f) == 2:
+        return [Fraction(-f[0], f[1])]
+    if len(f) == 3:
+        c, b, a = f
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return []
+        s = isqrt(disc)
+        if s * s != disc:
+            return []
+        return sorted({Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)})
+    high_first = f[::-1]
+    acc, done = 1, 0
+    for p in [p for p in _FILTER_PRIMES if f[-1] % p]:
+        for x in range(done, p):
+            v = 0
+            for c in high_first:
+                v = v * x + c
+            acc = acc * v % _FILTER_MODULUS
+        if acc % p:
+            return []
+        done = p
+    return [r for r in map(RealRoot.rational, real_roots(f)) if r is not None]
 
 
 def _sturm_chain(p: list[int]) -> list[list[int]]:

@@ -23,7 +23,15 @@ PACKAGE_NAMES = [
     "swap_generators", "sweep_box", "trace_poly", "verify_identities", "xi_of",
 ]
 
-EXACT_NAMES = ["LaurentPoly", "Mat2", "TPoly", "real_roots", "resultant", "xi_of"]
+EXACT_NAMES = [
+    "LaurentPoly",
+    "Mat2",
+    "TPoly",
+    "rational_roots",
+    "real_roots",
+    "resultant",
+    "xi_of",
+]
 
 
 def test_package_names():

@@ -455,6 +455,36 @@ class TestWitness:
             build_witness(cert)
         assert widths == [276 << i for i in range(5)]
 
+    def test_real_roots_are_isolated_only_for_numeric_witnesses(self, monkeypatch):
+        # linear and quadratic h never locate a root; a cubic h refines its
+        # roots only when no filter prime rules out a rational root, which
+        # happens for one box-2 cubic
+        module = importlib.import_module("sl2wiggle.certify")
+        isolated, refined = [], []
+        rational = module.RealRoot.rational
+
+        def counted(f):
+            isolated.append(f)
+            return real_roots(f)
+
+        monkeypatch.setattr(module, "real_roots", counted)
+        monkeypatch.setattr(
+            module.RealRoot, "rational", lambda root: refined.append(root) or rational(root)
+        )
+        kinds, refined_cubics = set(), 0
+        for cert in sweep_box(2):
+            if cert.certified:
+                isolated.clear()
+                refined.clear()
+                w = build_witness(cert, 64)
+                assert len(isolated) == (not w.exact)
+                kinds.add((len(cert.hpoly) - 1, w.exact))
+                if refined:
+                    assert len(cert.hpoly) == 4
+                    refined_cubics += 1
+        assert kinds == {(1, True), (2, True), (3, False)}
+        assert refined_cubics == 1
+
     def test_box2_witnesses_are_pinned(self):
         # sha256 of the JSON of every box-2 witness without its "residual",
         # recorded while witness roots still came from mpmath.polyroots
@@ -468,6 +498,19 @@ class TestWitness:
         assert len(lines) == 240
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "cf5b901b37eb690d6f1b6adbf68aa7d962c512b6221013eb4a7278f59c84d5ce"
+
+    def test_box3_witnesses_are_pinned(self):
+        # sha256 of the JSON of every box-3 witness, residual included,
+        # recorded while every real root of h was still refined to decide
+        # whether it is rational
+        lines = [
+            json.dumps(build_witness(cert, 64).to_json(), sort_keys=True)
+            for cert in sweep_box(3)
+            if cert.certified
+        ]
+        assert len(lines) == 1260
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "e6e0b0c5d4c8e4334375a70e0449cb476bcada5c61e9394dc6629e078a251402"
 
 
 class TestSweep:

@@ -134,6 +134,22 @@ def test_witness_exact(capsys):
     assert data["witness"]["t0"] == "-49/48"
 
 
+def test_witness_text_prints_matrices_as_json_does(capsys):
+    code, out, _ = run_cli(capsys, "witness", *OPPOSITE)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1:] == [
+        "exact witness at t0 = -49/48",
+        "g = [[1, 1], [-49/48, -1/48]]",
+        "u = [[153467/110592, 6125/110592], [-300125/110592, 67717/110592]]",
+    ]
+    _, out, _ = run_cli(capsys, "witness", *OPPOSITE, "--json")
+    data = json.loads(out)["witness"]
+    for name in ("g", "u"):
+        text = "[" + ", ".join("[" + ", ".join(row) + "]" for row in data[name]) + "]"
+        assert f"{name} = {text}" in lines
+
+
 def test_grid(capsys):
     code, out, _ = run_cli(
         capsys, "certify", "--grid", "1:1,1:1,1:2,1:2", "--seed", "3", "--json"

@@ -3,13 +3,16 @@ checked against the numeric search they replaced and against sympy."""
 
 from fractions import Fraction
 
+from math import prod
+
 import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sl2wiggle.certify import _witness_points
-from sl2wiggle.exact.qpoly import real_roots, zexact_div
+from sl2wiggle.exact import polycore, qpoly
+from sl2wiggle.exact.qpoly import rational_roots, real_roots, zexact_div
 
 from fraction_reference import QPoly, squarefree_part
 from root_reference import (
@@ -239,6 +242,104 @@ class TestRationalRoots:
             f = f * QPoly([-r, 1])
         assert f.degree == 9
         assert f.rational_roots() == sorted(roots)
+
+
+@st.composite
+def planted_integer_polys(draw):
+    """(f, roots): an integer f of degree 1 to 5, as a list, with the
+    planted rational roots, some of them repeated, times a cofactor, a
+    content and a sign."""
+    roots = draw(st.lists(small_fractions, max_size=4))
+    cofactor = draw(
+        st.sampled_from([QPoly.one(), QPoly([1, 0, 1]), QPoly([-2, 0, 1]), QPoly([-2, 0, 0, 1])])
+        | int_polys(max_degree=2)
+    )
+    f, kept = cofactor, set()
+    for r in roots:
+        m = draw(st.integers(1, 2))
+        if f.degree + m > 5:
+            break
+        f, kept = f * QPoly([-r, 1]) ** m, kept | {r}
+    assume(f.degree >= 1)
+    content = draw(st.integers(1, 12) | st.just(prod(qpoly._FILTER_PRIMES)))
+    sign = draw(st.sampled_from([1, -1]))
+    return [sign * content * c for c in f.primitive_ints()], kept
+
+
+def _sympy_ground_roots(f: list[int]) -> list[Fraction]:
+    sympy = pytest.importorskip("sympy")
+    roots = sympy.Poly(list(reversed(f)), sympy.Symbol("t")).ground_roots()
+    return sorted(Fraction(int(r.p), int(r.q)) for r in roots)
+
+
+class TestIntegerRationalRoots:
+    """rational_roots by arithmetic against the interval route it replaced
+    on the witness path (QPoly.rational_roots), and against sympy."""
+
+    P = prod(qpoly._FILTER_PRIMES)
+
+    @given(planted_integer_polys())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_interval_route_and_sympy(self, case):
+        f, planted = case
+        found = rational_roots(f)
+        assert found == QPoly(f).rational_roots() == _sympy_ground_roots(f)
+        assert planted <= set(found)
+
+    @given(int_polys(max_degree=5))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_interval_route_on_any_polynomial(self, f):
+        assert rational_roots(f.primitive_ints()) == f.rational_roots()
+
+    def test_filter_cuts_irrational_cubic(self, monkeypatch):
+        monkeypatch.setattr(qpoly.RealRoot, "rational", self._refused)
+        assert rational_roots([-2, 0, 0, 1]) == []
+
+    def test_root_mod_every_prime_falls_back(self, monkeypatch):
+        # 2t - 1 has the root (p + 1) / 2 mod every odd p, and 2 | lc
+        refined = []
+        rational = qpoly.RealRoot.rational
+        monkeypatch.setattr(
+            qpoly.RealRoot, "rational", lambda root: refined.append(root) or rational(root)
+        )
+        f = polycore.mul([-1, 2], [1, 1, 1], 0)
+        assert rational_roots(f) == [Fraction(1, 2)]
+        assert len(refined) == 1
+
+    def test_every_prime_skipped(self):
+        # every filter prime divides lc, so none of them may rule out 1/P;
+        # t^2 - 2 has no root mod 3, so a filter without the skip would
+        assert rational_roots(polycore.mul([-1, self.P], [-2, 0, 1], 0)) == [
+            Fraction(1, self.P)
+        ]
+        assert rational_roots([-2, 0, 0, self.P]) == []
+
+    @pytest.mark.parametrize(
+        "f, roots",
+        [
+            ([1, -5, 6], [Fraction(1, 3), Fraction(1, 2)]),  # (2t - 1)(3t - 1)
+            ([-1, 5, -6], [Fraction(1, 3), Fraction(1, 2)]),
+            ([4, 0, -1], [-2, 2]),
+            ([0, 3, 7], [Fraction(-3, 7), 0]),
+            ([1, -4, 4], [Fraction(1, 2)]),  # discriminant 0
+            ([1, 1, 1], []),  # discriminant -3
+            ([-2, 0, 1], []),  # discriminant 8, between two squares
+            ([-3, 0, 1], []),  # discriminant 12
+            ([2, 3], [Fraction(-2, 3)]),
+            ([-2, -3], [Fraction(-2, 3)]),
+        ],
+    )
+    def test_linear_and_quadratic(self, monkeypatch, f, roots):
+        monkeypatch.setattr(qpoly.RealRoot, "rational", self._refused)
+        assert rational_roots(f) == roots
+
+    def test_constant_is_rejected(self):
+        with pytest.raises(ValueError):
+            rational_roots([3])
+
+    @staticmethod
+    def _refused(root):
+        raise AssertionError("a real root was refined")
 
 
 def factors_by_rational_roots(f: QPoly) -> list[QPoly]:
