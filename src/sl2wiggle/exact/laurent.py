@@ -52,6 +52,26 @@ def _integer_terms(terms: dict[tuple, Scalar]) -> tuple[int, dict[tuple, Scalar]
     return d, {e: c.numerator * (d // c.denominator) for e, c in terms.items()}
 
 
+def _pack_slots(offsets: Iterable[int], coeffs: Iterable[int], s: int, nbytes: int) -> int:
+    """The integer of nbytes little-endian bytes whose s-byte slot at each
+    byte offset holds the matching nonzero integer coefficient, |c| < 256^s:
+    positive and negative coefficients go to two bytearrays, subtracted."""
+    pos = bytearray(nbytes)
+    neg = bytearray(nbytes)
+    for k, c in zip(offsets, coeffs):
+        if c > 0:
+            pos[k : k + s] = c.to_bytes(s, "little")
+        else:
+            neg[k : k + s] = (-c).to_bytes(s, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _flat_terms(coeffs: Sequence["LaurentPoly"]) -> dict[tuple[int, int, int], Scalar]:
+    """The terms of a polynomial in t over the Laurent ring, given as its
+    coefficient list, keyed by the exponent triple (t, lambda, mu)."""
+    return {(i, el, em): c for i, p in enumerate(coeffs) for (el, em), c in p._terms.items()}
+
+
 def _packed_product(a: dict[tuple, Scalar], b: dict[tuple, Scalar]) -> dict | None:
     """The product a * b by Kronecker substitution: one big-integer product.
 
@@ -94,14 +114,7 @@ def _packed_product(a: dict[tuple, Scalar], b: dict[tuple, Scalar]) -> dict | No
         offsets = [0] * len(terms)
         for col, low, g, stride in zip(cols, lows, steps, strides):
             offsets = [k + (e - low) // g * stride for k, e in zip(offsets, col)]
-        pos = bytearray(nbytes)
-        neg = bytearray(nbytes)
-        for k, c in zip(offsets, terms.values()):
-            if c > 0:
-                pos[k : k + s] = c.to_bytes(s, "little")
-            else:
-                neg[k : k + s] = (-c).to_bytes(s, "little")
-        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+        return _pack_slots(offsets, terms.values(), s, nbytes)
 
     bias = 1 << (8 * s - 1)
     biased = pack(a, cols_a, lows_a) * pack(b, cols_b, lows_b) + int.from_bytes(
@@ -231,10 +244,7 @@ def _packed_poly_product(
     for p in (f, g):
         if max([len(c._terms) for c in p], default=0) <= _SCHOOLBOOK_MAX_TERMS:
             return None
-    flat = _packed_product(
-        {(i, el, em): c for i, p in enumerate(f) for (el, em), c in p._terms.items()},
-        {(i, el, em): c for i, p in enumerate(g) for (el, em), c in p._terms.items()},
-    )
+    flat = _packed_product(_flat_terms(f), _flat_terms(g))
     if flat is None:
         return None
     out: list[Terms] = [{} for _ in range(len(f) + len(g) - 1)]

@@ -9,7 +9,11 @@ Laurent ring such that the value of the wiggle at g equals
 where gamma = alpha + beta*t and xi_g = ((t, p), (q, -t)).  The pair
 (alpha, beta) is the first column of a product of elementary transfer
 matrices, one per x-run or y-run of the word, which is how everything
-here is computed.
+here is computed: one loop, _column, gives any column of that product
+over the Laurent ring or over integers.  verify_identities checks the
+normal form's three identities, each as one big-integer equation at a
+single point (t, lambda, mu) = (2^k_t, 2^k_lambda, 2^k_mu), and falls back
+to TPoly arithmetic when the packed box would be mostly empty.
 """
 
 from __future__ import annotations
@@ -17,12 +21,13 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence, Union
 
 from .errors import NotUnimodularError, ZeroParameterError
-from .exact.laurent import LaurentPoly
+from .exact.laurent import LaurentPoly, _flat_terms, _pack_slots
 from .exact.mat2 import Mat2, identity_q, xi_of
-from .exact.polycore import add, scale, unpack
+from .exact.polycore import add, scale, sub, unpack
 from .exact.tpoly import TPoly
 from .words import (
     CyclicForm,
@@ -109,7 +114,7 @@ def _swapped(runs):
     return [(is_x, v, u) for is_x, u, v in runs]
 
 
-def _column(runs, scale, add, times_t, top, bottom):
+def _column(runs, scale, add, sub, times_t, top, bottom):
     """The column of the transfer product that starts as (top, bottom), in
     closed form: (1, 0) gives the first column (alpha, beta) and (0, 1) the
     second.
@@ -117,22 +122,26 @@ def _column(runs, scale, add, times_t, top, bottom):
     Each step (is_x, U, V) of `runs` has U/V = lambda^2a resp. mu^2b; up to
     the scalar sqrt(UV) the runs act by
 
-        x^a:  alpha <- U*alpha + (U - V)*t*beta,   beta <- V*beta
-        y^b:  alpha <- U*alpha,   beta <- (U - V)*alpha + V*beta.
+        x^a:  alpha <- U*(alpha + t*beta) - V*t*beta,   beta <- V*beta
+        y^b:  alpha <- U*alpha,   beta <- U*alpha + V*(beta - alpha),
 
-    The caller supplies the column arithmetic: scale(f, c), add(f, g) and
-    times_t(f) on coefficient lists over the Laurent ring (U, V = lambda^a,
-    lambda^-a, scalar 1), or on one integer standing for a polynomial in
-    Z[t] evaluated at t = 2^K (U, V = P^2, Q^2 for lambda^a = P/Q, scalar PQ).
+    so a run scales twice, by U and by V, and never by U - V.  The caller
+    supplies the column arithmetic: scale(f, c), add(f, g), sub(f, g) and
+    times_t(f) on coefficient lists or TPoly over the Laurent ring (U, V =
+    lambda^a, lambda^-a, scalar 1), or on one integer standing for a
+    polynomial evaluated at a point of powers of two (U, V = P^2, Q^2 for
+    lambda^a = P/Q, scalar PQ; or shift counts that << applies).
     """
     alpha, beta = top, bottom
     for is_x, u, v in runs:
         if is_x:
-            alpha = add(scale(alpha, u), scale(times_t(beta), u - v))
-            beta = scale(beta, v)
+            beta_v = scale(beta, v)
+            alpha = sub(scale(add(alpha, times_t(beta)), u), times_t(beta_v))
+            beta = beta_v
         else:
-            beta = add(scale(alpha, u - v), scale(beta, v))
-            alpha = scale(alpha, u)
+            alpha_u = scale(alpha, u)
+            beta = add(alpha_u, scale(sub(beta, alpha), v))
+            alpha = alpha_u
     return alpha, beta
 
 
@@ -144,7 +153,7 @@ def _laurent_runs(pairs: Pairs) -> list[tuple[bool, LaurentPoly, LaurentPoly]]:
 def _laurent_column(runs, top: list, bottom: list) -> tuple[TPoly, TPoly]:
     """_column over the Laurent ring, from coefficient lists top, bottom."""
     zero = LaurentPoly.zero()
-    column = _column(runs, scale, add, lambda f: [zero] + f, top, bottom)
+    column = _column(runs, scale, add, sub, lambda f: [zero] + f, top, bottom)
     return TPoly(column[0]), TPoly(column[1])
 
 
@@ -261,7 +270,9 @@ def specialized_assoc(w: WordLike, lam0, mu0) -> SpecializedAssoc:
         pairs, lambda e: (p ** (2 * e), q ** (2 * e)), lambda e: (r ** (2 * e), s ** (2 * e))
     )
     k = 3 + sum(max(u, v).bit_length() + 1 for _, u, v in runs)
-    column = lambda steps: _column(steps, operator.mul, operator.add, lambda f: f << k, 1, 0)
+    column = lambda steps: _column(
+        steps, operator.mul, operator.add, operator.sub, lambda f: f << k, 1, 0
+    )
     alpha, beta = column(runs)
     alpha_s, beta_s = column(_swapped(runs))
     gamma, gamma_s = alpha + (beta << k), alpha_s + (beta_s << k)
@@ -275,28 +286,137 @@ def specialized_assoc(w: WordLike, lam0, mu0) -> SpecializedAssoc:
 
 
 def verify_identities(ap: AssocPolys) -> IdentityReport:
-    """Check the three structural identities of the normal form symbolically.
+    """Check the three structural identities of the normal form:
 
+        determinant  gamma*sigma(gamma) - beta*sigma(beta)*t(t+1) = 1;
+        sigma        the runs at inverted parameters (U and V swapped) give
+                     the column (sigma(alpha), sigma(beta));
+        Bezout       alpha*delta - c*beta = 1, with (c, delta) the second
+                     column of the transfer product.
+
+    Each identity is one big-integer equation at a single point.  Per
+    variable, say lambda, let A = sum|a| over the x-runs, h the largest of A
+    and of |e| over the lambda-exponents e of alpha and beta, and g the gcd
+    of 2a over the runs and of h - e, h + e over those e and A.  A column
+    exponent is -A plus a sum of some 2|a| (each run scales by lambda^a or
+    lambda^-a), so alpha, beta, their sigma-partners and the columns, times
+    lambda^h, have exponents in g*Z within [0, 2h], and their products,
+    times lambda^2h, within [0, 4h].  The map lambda^g -> 2^k_lambda,
+    mu^g' -> 2^k_mu, t -> 2^k_t with k_mu = 8s, k_lambda = k_mu*(4h'/g' + 1)
+    and k_t = k_lambda*(4h/g + 1) is a ring homomorphism that puts every
+    monomial of a product in its own s-byte slot.  So an identity holds iff
+    its difference D evaluates to 0, once every coefficient of D is below
+    2^(8s-1) in absolute value: if D != 0 and d is its first nonzero
+    coefficient in slot order, D evaluates to 2^(8sj)*(d + 2^(8s)*m) for an
+    integer m, and 0 < |d| < 2^(8s) makes that nonzero.
+
+    The bounds use the l1 norm |f|_1 and the largest coefficient |f|_max
+    over all (t, lambda, mu) coefficients; a product fg has coefficients at
+    most |f|_max |g|_1.  With m = |alpha|_max + |beta|_max, which bounds
+    |gamma|_max, and n = |alpha|_1 + |beta|_1, which bounds |gamma|_1, the
+    determinant difference has coefficients at most m n + 2|beta|_max
+    |beta|_1 + 1.  A run scales by monomials, so it maps a column's norms
+    (u, v) to at most (u + 2v, v) for x and (u, 2u + v) for y; from (1, 1)
+    that bounds |c|_1, |delta|_1 and both entries of the inverted column by
+    N = max(u, v).  The Bezout difference has coefficients at most m N + 1,
+    and the sigma one at most N + m.  s is the least with 2^(8s-1) above
+    them all.
+
+    When a coefficient is not an integer, or the box has more slots than
+    (#alpha + #beta)^2 term pairs (a word with one large exponent packs
+    mostly empty slots), the same identities run on TPoly arithmetic.
     Failures indicate an implementation bug, never bad input, so the
     report names the violated identity instead of raising.
     """
-    gamma = gamma_of(ap)
-    t_t1 = TPoly.t() * (TPoly.t() + TPoly.one())
-    det_ok = gamma * gamma.sigma() - ap.beta * ap.beta.sigma() * t_t1 == TPoly.one()
+    report = _packed_identities(ap)
+    if report is None:
+        t = TPoly.t()
+        one = TPoly.one()
+        report = _identities(
+            ap.alpha, ap.beta, ap.alpha.sigma(), ap.beta.sigma(), _laurent_runs(ap.pairs),
+            TPoly.zero(), one, one, TPoly.scale, lambda f: f * t,
+        )
+    return report
+
+
+def _identities(alpha, beta, alpha_s, beta_s, runs, zero, unit, one, scale, times_t):
+    """The identities of verify_identities over caller-supplied arithmetic.
+
+    alpha, beta and their sigma-partners support +, -, * and ==.  The
+    columns start from `unit` and `zero` and run through _column with
+    `scale` and `times_t`; `one` is the identity among products (unit and
+    one are both TPoly.one(), or two powers of two for packed integers).
+    """
+    gamma, gamma_s = alpha + times_t(beta), alpha_s + times_t(beta_s)
+    beta_t = times_t(beta * beta_s)
+    det_ok = gamma * gamma_s == one + beta_t + times_t(beta_t)
+
+    def column(steps, top, bottom):
+        return _column(steps, scale, operator.add, operator.sub, times_t, top, bottom)
 
     # Inverting the parameters swaps U and V in every run; at the scalar
     # level that computes exactly the sigma-substituted pair.
-    runs = _laurent_runs(ap.pairs)
-    one = [LaurentPoly.one()]
-    sigma_ok = _laurent_column(_swapped(runs), one, []) == (ap.alpha.sigma(), ap.beta.sigma())
-
+    sigma_ok = column(_swapped(runs), unit, zero) == (alpha_s, beta_s)
     # The second column (c, delta) of the product makes alpha*delta - c*beta
     # = 1 a Bezout relation, so alpha and beta are coprime.
-    c, delta = _laurent_column(runs, [], one)
-    bezout_ok = ap.alpha * delta - c * ap.beta == TPoly.one()
+    c, delta = column(runs, zero, unit)
+    bezout_ok = alpha * delta == one + c * beta
+    return IdentityReport(det_identity_ok=det_ok, sigma_symmetry_ok=sigma_ok, bezout_ok=bezout_ok)
 
-    return IdentityReport(
-        det_identity_ok=det_ok,
-        sigma_symmetry_ok=sigma_ok,
-        bezout_ok=bezout_ok,
+
+def _slot_bytes(alpha: Sequence[int], beta: Sequence[int], pairs: Pairs) -> int:
+    """The least s with 2^(8s-1) above every coefficient of the identities'
+    differences, from the coefficients of alpha and beta and the runs of
+    `pairs` (the bounds are in verify_identities)."""
+    norm_a, norm_b = sum(map(abs, alpha)), sum(map(abs, beta))
+    m_b = max(map(abs, beta), default=0)
+    m = max(map(abs, alpha), default=0) + m_b
+    u = v = 1  # l1 bounds of a column's two entries, from (1, 0) or (0, 1)
+    for a, b in pairs:
+        if a:
+            u += 2 * v
+        if b:
+            v += 2 * u
+    bound = max(m * (norm_a + norm_b) + 2 * m_b * norm_b, m * max(u, v)) + 1
+    return (bound.bit_length() + 8) // 8
+
+
+def _packed_identities(ap: AssocPolys) -> IdentityReport | None:
+    """verify_identities at the point of packed integers; None if it declines."""
+    a, b = _flat_terms(ap.alpha.coeffs), _flat_terms(ap.beta.coeffs)
+    if not all(type(c) is int for f in (a, b) for c in f.values()):
+        return None
+    x_exps = [e for e, _ in ap.pairs if e]
+    y_exps = [e for _, e in ap.pairs if e]
+    boxes = []  # (h, g, A) per variable
+    for var, exps in ((1, x_exps), (2, y_exps)):
+        total = sum(map(abs, exps))
+        ends = {abs(key[var]) for f in (a, b) for key in f} | {total}
+        h = max(ends)
+        g = gcd(*[2 * e for e in exps], *[h - e for e in ends], *[h + e for e in ends]) or 1
+        boxes.append((h, g, total))
+    (hl, gl, al), (hm, gm, am) = boxes
+    nl, nm = 4 * hl // gl + 1, 4 * hm // gm + 1
+    degree = max(len(ap.alpha.coeffs) - 1, len(ap.beta.coeffs), len(x_exps))
+    if (2 * degree + 1) * nl * nm > (len(a) + len(b)) ** 2:
+        return None
+    s = _slot_bytes(list(a.values()), list(b.values()), ap.pairs)
+    bm, bl = s, s * nm  # byte strides of mu and lambda
+    bt = bl * nl
+    km, kl, kt = 8 * bm, 8 * bl, 8 * bt
+
+    def pack(f: TPoly, terms: dict, sign: int) -> int:
+        """f, or sigma(f) for sign -1, times lambda^h mu^h', at the point."""
+        offsets = [
+            i * bt + (hl + sign * el) // gl * bl + (hm + sign * em) // gm * bm
+            for i, el, em in terms
+        ]
+        return _pack_slots(offsets, terms.values(), s, len(f.coeffs) * bt)
+
+    runs = _runs(ap.pairs, lambda e: (2 * e // gl * kl, 0), lambda e: (2 * e // gm * km, 0))
+    unit = 1 << ((hl - al) // gl * kl + (hm - am) // gm * km)
+    one = 1 << (2 * hl // gl * kl + 2 * hm // gm * km)
+    return _identities(
+        pack(ap.alpha, a, 1), pack(ap.beta, b, 1), pack(ap.alpha, a, -1), pack(ap.beta, b, -1),
+        runs, 0, unit, one, operator.lshift, lambda f: f << kt,
     )

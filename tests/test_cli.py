@@ -87,6 +87,25 @@ def test_verify_ok(capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_verify_dc_json(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--dc", "3,-2,-3,3", "--json")
+    assert code == 0
+    assert json.loads(out) == dict.fromkeys(
+        ("det_identity_ok", "sigma_symmetry_ok", "bezout_ok", "ok"), True
+    )
+
+
+def test_verify_word_with_one_large_exponent():
+    # a packed box for x^20000 would be mostly empty slots; the check
+    # declines to the TPoly path, which takes well under a second
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = [sys.executable, "-m", "sl2wiggle", "verify", "--word", "x^20000 y x y^-3 x^7 y^2"]
+    result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=30)
+    assert result.returncode == 0
+    assert result.stdout == "all identities hold\n"
+
+
 def test_oracle_agreement(capsys):
     code, out, _ = run_cli(
         capsys, "oracle", "--word", "x y^-2 x^3 y", "--seed", "4", "--count", "15", "--json"

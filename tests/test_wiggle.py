@@ -13,6 +13,8 @@ from sl2wiggle.wiggle import (
     SpecializedAssoc,
     _laurent_column,
     _laurent_runs,
+    _packed_identities,
+    _slot_bytes,
     _swapped,
     as_pairs,
     assoc_polys,
@@ -24,6 +26,7 @@ from sl2wiggle.wiggle import (
     verify_identities,
     word_value,
 )
+from sl2wiggle.certify import DCParams
 from sl2wiggle.words import Word, cyclic_reduce, parse_word
 
 from fraction_reference import QPoly
@@ -33,7 +36,7 @@ from conftest import (
     random_sl2,
     random_word,
 )
-from transfer_reference import transfer_matrix
+from transfer_reference import identity_differences, reference_identities, transfer_matrix
 
 T = TPoly.t()
 ONE = TPoly.one()
@@ -210,6 +213,46 @@ class TestEvaluation:
                     assert u == identity_q() + (xi * y.pow_det1(b, identity_q())).scale(bar)
 
 
+# tamper -> whether the determinant identity still holds
+TAMPERS = {
+    "alpha + 1": False,
+    "beta * lambda": False,
+    "alpha, beta swapped": False,
+    "pairs of another word": True,
+    "pairs reversed": True,
+    "alpha / 2": False,  # not integral: the TPoly path
+    "beta * lambda^40": False,  # outside the runs' box
+    "alpha + 2^64 t^deg": False,  # would overflow slots sized without it
+    "beta + 2^200": False,
+}
+
+
+def tampered(tamper) -> AssocPolys:
+    ap = assoc_polys(parse_word("[[x,y],[x^2,y]]"))
+    alpha, beta, pairs = ap.alpha, ap.beta, ap.pairs
+    if tamper == "alpha + 1":
+        alpha = alpha + ONE
+    elif tamper == "beta * lambda":
+        beta = beta.scale(LaurentPoly.lam(1))
+    elif tamper == "alpha, beta swapped":
+        alpha, beta = beta, alpha
+    elif tamper == "pairs of another word":
+        pairs = as_pairs(parse_word("[[x,y],[x,y^2]]"))
+    elif tamper == "pairs reversed":
+        pairs = pairs[::-1]
+    elif tamper == "alpha / 2":
+        alpha = alpha.scale(LaurentPoly.const(Fraction(1, 2)))
+    elif tamper == "beta * lambda^40":
+        beta = beta.scale(LaurentPoly.lam(40))
+    elif tamper == "alpha + 2^64 t^deg":
+        alpha = alpha + TPoly.const(2**64) * T**alpha.degree
+    elif tamper == "beta + 2^200":
+        beta = beta + TPoly.const(2**200)
+    else:
+        assert tamper is None
+    return AssocPolys(alpha, beta, pairs)
+
+
 class TestIdentities:
     def test_commutator_passes(self):
         assert verify_identities(assoc_polys(parse_word("[x,y]"))).ok
@@ -238,32 +281,54 @@ class TestIdentities:
             m_inv = transfer_matrix(w, invert_params=True)
             assert _laurent_column(_swapped(runs), one, []) == (m_inv.e11, m_inv.e21)
 
-    @pytest.mark.parametrize(
-        "tamper, det_ok",
-        [
-            ("alpha + 1", False),
-            ("beta * lambda", False),
-            ("alpha, beta swapped", False),
-            ("pairs of another word", True),
-            ("pairs reversed", True),
-        ],
-    )
+    @pytest.mark.parametrize("tamper, det_ok", TAMPERS.items())
     def test_tampered_input_fails(self, tamper, det_ok):
-        ap = assoc_polys(parse_word("[[x,y],[x^2,y]]"))
-        alpha, beta, pairs = ap.alpha, ap.beta, ap.pairs
-        if tamper == "alpha + 1":
-            alpha = alpha + ONE
-        elif tamper == "beta * lambda":
-            beta = beta.scale(LaurentPoly.lam(1))
-        elif tamper == "alpha, beta swapped":
-            alpha, beta = beta, alpha
-        elif tamper == "pairs of another word":
-            pairs = as_pairs(parse_word("[[x,y],[x,y^2]]"))
-        else:
-            pairs = pairs[::-1]
-        report = verify_identities(AssocPolys(alpha, beta, pairs))
+        ap = tampered(tamper)
+        report = verify_identities(ap)
         assert not report.ok and not report.sigma_symmetry_ok and not report.bezout_ok
         assert report.det_identity_ok == det_ok
+        assert report == reference_identities(ap)
+
+    @pytest.mark.parametrize("tamper", [None, *TAMPERS])
+    def test_slots_hold_every_difference(self, tamper):
+        # the widest coefficient of each identity's difference fits a slot;
+        # the two large tampers would not fit slots one byte narrower
+        ap = tampered(tamper)
+        coeffs = lambda f: [c for lp in f.coeffs for c in lp.terms().values()]
+        given = coeffs(ap.alpha), coeffs(ap.beta)
+        if any(c.denominator != 1 for f in given for c in f):
+            return  # the packed path declines
+        s = _slot_bytes(*([int(c) for c in f] for f in given), ap.pairs)
+        largest = max((abs(c) for d in identity_differences(ap) for c in coeffs(d)), default=0)
+        assert largest < 2 ** (8 * s - 1)
+
+    def test_matches_reference_on_random_words(self, rng):
+        for _ in range(30):
+            ap = assoc_polys(random_word(rng, max_syllables=8))
+            assert verify_identities(ap) == reference_identities(ap)
+
+    @pytest.mark.parametrize(
+        "params",
+        [(-1, -2, -2, 2), (2, 1, 2, -1), (1, 2, -2, 2), (1, 2, -1, -2)],
+        ids=["generic", "k=m", "l=n", "anti"],
+    )
+    def test_matches_reference_on_each_family(self, params):
+        ap = assoc_polys(DCParams(*params).cyclic_word())
+        assert _packed_identities(ap) is not None
+        report = verify_identities(ap)
+        assert report.ok and report == reference_identities(ap)
+
+    @pytest.mark.parametrize(
+        "word, packed",
+        [(Word.identity(), True), (parse_word("x^5000 y x y^-3 x^7 y^2"), False)],
+        ids=["trivial", "one large exponent"],
+    )
+    def test_matches_reference_on_edge_words(self, word, packed):
+        # a box of mostly empty slots declines to the TPoly path
+        ap = assoc_polys(word)
+        assert (_packed_identities(ap) is not None) == packed
+        report = verify_identities(ap)
+        assert report.ok and report == reference_identities(ap)
 
     def test_report_names_failures(self):
         from sl2wiggle.wiggle import IdentityReport
