@@ -569,6 +569,16 @@ def _numeric_approx(
     return (texts[1] if texts[0] == texts[1] == texts[2] else None), residual
 
 
+def _unipotent_not_identity(u11: int, u12: int, u21: int, u22: int, den: int) -> bool:
+    """Whether the matrix ((u11, u12), (u21, u22)) / den has trace 2 and
+    determinant 1 and is not the identity."""
+    return (
+        u11 + u22 == 2 * den
+        and u11 * u22 - u12 * u21 == den * den
+        and (u11, u12, u21) != (den, 0, 0)
+    )
+
+
 # widths tried for a numeric witness: the first, then four doublings
 _WITNESS_DOUBLINGS = 5
 
@@ -636,11 +646,7 @@ def build_witness(cert: Certificate, precision_digits: int = 64) -> Witness:
         )
     den, (u,) = _wiggle_at(sa, [(t0.numerator, 0)], t0.denominator)
     u11, u12, u21, u22 = (x for x, _ in u)
-    if (
-        u11 + u22 != 2 * den
-        or u11 * u22 - u12 * u21 != den * den
-        or (u11 == u22 == den and not u12 and not u21)
-    ):
+    if not _unipotent_not_identity(u11, u12, u21, u22, den):
         raise AssertionError("exact witness failed its defining identities")
     return Witness(
         **common,

@@ -3,7 +3,8 @@
 Polynomials are lists of coefficients, lowest degree first, with a nonzero
 last entry (the empty list is zero).  Coefficients must support +, -, *,
 **, bool (zero test) and ==; exact division is supplied by the caller, so
-the same code runs over the rational field and over the Laurent ring.
+the same code runs over the integers, the rational field and the Laurent
+ring.
 `power` is the one square-and-multiply loop of the package, for any
 multiplication; `unpack` decodes a polynomial packed into one integer;
 `signed_sum` writes out LaurentPoly and, through `pretty`, coefficient
@@ -151,7 +152,8 @@ def resultant_prs(
     """Resultant via the subresultant PRS (Brown / Cohen Algorithm 3.3.7).
 
     Convention: res(f, g) = lc(f)^deg(g) * prod g(root of f), the
-    determinant of the Sylvester matrix with f rows on top.
+    determinant of the Sylvester matrix with f rows on top.  Every
+    division the sequence makes is exact, and `div` performs it.
     """
     f, g = trim(f), trim(g)
     if not f or not g:
@@ -178,8 +180,8 @@ def resultant_prs(
         a = b
         if not rem:
             return zero
-        denom = [gg * hh ** delta]
-        b = div_exact(rem, denom, div, zero, ZeroDivisionError)
+        denom = gg * hh ** delta
+        b = [div(c, denom) for c in rem]
         gg = a[-1]
         if delta > 1:
             hh = div(gg ** delta, hh ** (delta - 1))

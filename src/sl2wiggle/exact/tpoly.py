@@ -4,17 +4,27 @@ This is the ring where the associated polynomials of the wiggle normal
 form live: t is a formal stand-in for det(xi_g).  A product of two
 operands that each have a coefficient of more than a few terms is one
 Kronecker product over (t, lambda, mu), computed by the LaurentPoly
-packing kernel.
+packing kernel.  The resultant runs its remainder sequence on integers,
+the operands packed at one Kronecker point in (lambda, mu).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from ..errors import InexactDivisionError, ZeroParameterError
 from . import polycore
-from .laurent import LaurentPoly, _packed_poly_product
+from .laurent import (
+    _SCHOOLBOOK_MAX_TERMS,
+    LaurentPoly,
+    _flat_terms,
+    _from_terms,
+    _integer_terms,
+    _normalize_scalar,
+    _packed_poly_product,
+)
 
 _LZERO = LaurentPoly.zero()
 _LONE = LaurentPoly.one()
@@ -198,8 +208,133 @@ def resultant(f: TPoly, g: TPoly) -> LaurentPoly:
 
     Convention: res(f, g) = lc(f)^deg(g) * product of g over the roots of
     f, i.e. the Sylvester determinant with the f rows on top.
+
+    The sequence runs on integers at one Kronecker point (see
+    _packed_resultant), unless f or g is tiny: of degree 0, when the
+    resultant is a power, or with no coefficient of more than
+    _SCHOOLBOOK_MAX_TERMS terms, when the Laurent products stay on the
+    double loop and cost less than packing.  A tiny operand, or a packed
+    box that _packed_resultant declines, leaves the same
+    polycore.resultant_prs to run over the Laurent ring.
     """
     if not f or not g:
         raise ValueError("resultant of a zero polynomial")
-    return polycore.resultant_prs(f.coeffs, g.coeffs, _LONE, _LZERO, LaurentPoly.exact_div)
+    res = None
+    if all(
+        p.degree and max([len(c._terms) for c in p.coeffs]) > _SCHOOLBOOK_MAX_TERMS
+        for p in (f, g)
+    ):
+        res = _packed_resultant(f.coeffs, g.coeffs)
+    if res is None:
+        res = polycore.resultant_prs(f.coeffs, g.coeffs, _LONE, _LZERO, LaurentPoly.exact_div)
+    return res
 
+
+def _exact_int_div(a: int, b: int) -> int:
+    """a / b for integers that b divides; raises InexactDivisionError otherwise."""
+    q, r = divmod(a, b)
+    if r:
+        raise InexactDivisionError("integer division left a remainder")
+    return q
+
+
+def _slot_width(a: dict, b: dict, n: int, m: int) -> int:
+    """The least K with 2^(K-1) > B, for the bound B of _packed_resultant:
+    B^2 = (sum_i |f_i|_1^2)^m (sum_j |g_j|_1^2)^n over the t-coefficients
+    of the integer polynomials f of degree n and g of degree m, given by
+    their terms keyed (t, lambda, mu)."""
+    bound2 = 1
+    for terms, deg, power in ((a, n, m), (b, m, n)):
+        norms = [0] * (deg + 1)
+        for (i, _, _), c in terms.items():
+            norms[i] += abs(c)
+        bound2 *= sum(x * x for x in norms) ** power
+    return (bound2.bit_length() + 1) // 2 + 1  # 2^(2K-2) > B^2
+
+
+def _packed_resultant(
+    f: Sequence[LaurentPoly], g: Sequence[LaurentPoly]
+) -> LaurentPoly | None:
+    """res(f, g) as one integer resultant at a Kronecker point; None if f
+    or g has degree 0 or the packed box would be sparse.
+
+    Let n = deg f and m = deg g, both at least 1.  Clearing denominators (f = F / D_f,
+    g = G / D_g), shifting each support to exponent 0 and deflating
+    lambda^s -> L, mu^s' -> M, with s and s' the gcds of the shifted
+    lambda- and mu-exponents over both operands, gives F', G' in
+    Z[L, M][t] with
+
+        res(f, g) = lambda^(m a + n c) mu^(m b + n d) R(lambda^s, mu^s')
+                    / (D_f^m D_g^n),    R = res(F', G'),
+
+    for the shifts (a, b) of f and (c, d) of g: res is a polynomial in the
+    coefficients, homogeneous of degree m in f's and n in g's, so it
+    commutes with the injective ring map L -> lambda^s, M -> mu^s' and
+    takes out a scalar or a monomial factor of f as its m-th power.
+    Every term of the Sylvester determinant is a product of m coefficients
+    of F' and n of G', so R has L-degree below the box
+    N_L = m deg_L F' + n deg_L G' + 1, and likewise M-degree below N_M.
+
+    Slots.  Let B^2 = (sum_i |F'_i|_1^2)^m (sum_j |G'_j|_1^2)^n over the
+    t-coefficients F'_i, G'_j, with l1 norms over their (L, M)
+    coefficients.  On the torus |L| = |M| = 1 every entry of the Sylvester
+    matrix is at most the l1 norm of its coefficient, so Hadamard's
+    inequality on its m rows of F' and n rows of G' bounds |R| there by B
+    (Goldstein and Graham, "A Hadamard-type bound on the coefficients of a
+    determinant of polynomials").  By Parseval the squares of the
+    coefficients of R sum to the mean of |R|^2 over the torus, so no
+    coefficient exceeds B.  K = _slot_width is the least with 2^(K-1) > B.
+
+    The map L -> 2^(K N_M), M -> 2^K is a ring homomorphism from Z[L, M] to
+    Z.  It keeps the leading coefficients of F' and G' nonzero, since they
+    lie in the box with coefficients at most B (m, n >= 1), so the degrees
+    in t are kept and res commutes with it too: polycore.resultant_prs over
+    Python ints, whose divisions are then exact, gives R(2^(K N_M), 2^K),
+    and polycore.unpack decodes that, balanced, into R: first into its
+    L-rows, slots of K N_M bits (a row sum_j c_j 2^(K j) with
+    |c_j| < 2^(K-1) is below 2^(K N_M - 1) in absolute value), then each
+    row into K-bit slots, which costs less than one pass of N_L N_M slots
+    over the whole integer.
+
+    Returns None when the box has more slots N_L N_M than there are pairs
+    of terms, as with a coefficient lambda^1000 - 1: the packed integers
+    would be mostly empty slots.
+    """
+    n, m = len(f) - 1, len(g) - 1
+    if not n or not m:
+        return None
+    a, b = _flat_terms(f), _flat_terms(g)
+    lows, steps, sizes = [], [], []
+    for var in (1, 2):
+        ea, eb = [key[var] for key in a], [key[var] for key in b]
+        la, lb = min(ea), min(eb)
+        step = gcd(*[e - la for e in ea], *[e - lb for e in eb]) or 1
+        lows.append((la, lb))
+        steps.append(step)
+        sizes.append((m * (max(ea) - la) + n * (max(eb) - lb)) // step + 1)
+    (sl, sm), (nl, nm), ((la, lb), (ma, mb)) = steps, sizes, lows
+    if nl * nm > len(a) * len(b):
+        return None
+    da, a = _integer_terms(a)
+    db, b = _integer_terms(b)
+    k = _slot_width(a, b, n, m)
+
+    def pack(terms: dict, deg: int, l0: int, m0: int) -> list[int]:
+        out = [0] * (deg + 1)
+        for (i, el, em), c in terms.items():
+            out[i] += c << (k * ((el - l0) // sl * nm + (em - m0) // sm))
+        return out
+
+    packed = polycore.resultant_prs(
+        pack(a, n, la, ma), pack(b, m, lb, mb), 1, 0, _exact_int_div
+    )
+    el0, em0 = m * la + n * lb, m * ma + n * mb
+    terms = {}
+    for i, row in enumerate(polycore.unpack(packed, k * nm)):
+        for j, c in enumerate(polycore.unpack(row, k)):
+            if c:
+                terms[(el0 + i * sl, em0 + j * sm)] = c
+    d = da**m * db**n
+    if d != 1:
+        terms = {e: _normalize_scalar(Fraction(c, d)) for e, c in terms.items()}
+    return _from_terms(terms)

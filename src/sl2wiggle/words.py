@@ -73,9 +73,6 @@ class Word:
     def y_pow(cls, e: int) -> "Word":
         return cls((Syllable(Gen.Y, e),) if e else ())
 
-    def is_identity(self) -> bool:
-        return not self.syllables
-
     def __len__(self) -> int:
         return len(self.syllables)
 
@@ -176,16 +173,6 @@ class ReducedCyclic:
 
     pairs: tuple[tuple[int, int], ...]
 
-    @property
-    def length(self) -> int:
-        return len(self.pairs)
-
-    def to_word(self) -> Word:
-        syllables = []
-        for a, b in self.pairs:
-            syllables.append(Syllable(Gen.X, a))
-            syllables.append(Syllable(Gen.Y, b))
-        return Word.from_syllables(syllables)
 
 
 CyclicForm = Union[Trivial, GeneratorPower, ReducedCyclic]

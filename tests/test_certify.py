@@ -8,13 +8,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sl2wiggle.certify import (
     Certificate,
     CertStatus,
     CheckOutcome,
     DCParams,
+    _ceil_abs,
     _numeric_approx,
+    _unipotent_not_identity,
     build_witness,
     certify,
     check_certificate,
@@ -484,6 +488,39 @@ class TestWitness:
                     refined_cubics += 1
         assert kinds == {(1, True), (2, True), (3, False)}
         assert refined_cubics == 1
+
+    @given(
+        st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+        st.integers(1, 40),
+        st.integers(1, 10**6),
+    )
+    def test_ceil_abs_is_the_least_integer_bound(self, z, den, scale):
+        # the least r >= |z| scale / den, from exact squares: |3 + i| =
+        # sqrt(10) needs the ceiling of the integer square root, not its floor
+        r = _ceil_abs(z, den, scale)
+        norm = (z[0] ** 2 + z[1] ** 2) * scale**2
+        assert (r * den) ** 2 >= norm
+        assert r == 0 or ((r - 1) * den) ** 2 < norm
+
+    def test_ceil_abs_of_an_irrational_modulus(self):
+        assert _ceil_abs((3, 1), 1, 1) == 4
+        assert _ceil_abs((1, 1), 1, 10) == 15  # 10 sqrt(2) = 14.14...
+        assert _ceil_abs((-3, 4), 5, 7) == 7
+
+    @pytest.mark.parametrize(
+        "u, den, expected",
+        [
+            ((1, 5, 0, 1), 1, True),  # unipotent with bc = 0: b only
+            ((3, 0, -6, 3), 3, True),  # ... and c only, over den 3
+            ((3, 1, -4, -1), 1, True),
+            ((1, 0, 0, 1), 1, False),  # the identity
+            ((4, 0, 0, 4), 4, False),
+            ((2, 1, 1, 1), 1, False),  # determinant 1, trace 3
+            ((1, 1, 1, 1), 1, False),  # trace 2, determinant 0
+        ],
+    )
+    def test_unipotent_not_identity(self, u, den, expected):
+        assert _unipotent_not_identity(*u, den) is expected
 
     def test_box2_witnesses_are_pinned(self):
         # sha256 of the JSON of every box-2 witness without its "residual",

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -329,6 +330,28 @@ def test_show_tables_reads_negative_exponents():
     result = run_script("show_tables.py", "--dc", "-1,-2,-2,2")
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("parameters (k, l, m, n) = (-1, -2, -2, 2)\n")
+
+
+@pytest.mark.parametrize(
+    "dc, digest",
+    [
+        ("2,3,-1,2", "7f17209d2565e974d911000d8e7662ba8dde4ca244e0d66e7c1654d9c43a0a70"),
+        ("-1,-1,-2,1", "27c51c944a3a4a6cbc3e9e4918b47190c62bfd44ee6ec88007191e4c53c23e48"),
+        ("1,1,1,-2", "d51e8e7034703c85b553db537f84c1590f5e19239fce7555b065f970b7e1a0d7"),
+        ("2,1,-1,1", "a749b35f13339838d5adc5e13119f5a0a6e1c7686b9b51eb98cf2e358e20709f"),
+        ("-1,1,1,-1", "6c37f6c92e25725ce9c3177addb92e76a990719a59a019047acf13b1f147ef4b"),
+    ],
+    ids=["generic-box3", "generic", "k=m", "l=n", "anti-zero"],
+)
+def test_show_tables_resultant_output_is_pinned(dc, digest):
+    # sha256 of the tables and res(tau, gamma_inner) as printed while the
+    # resultant still ran over the Laurent ring, without the timing line
+    result = run_script("show_tables.py", "--dc", dc, "--resultant")
+    assert result.returncode == 0, result.stderr
+    *lines, timing = result.stdout.splitlines(keepends=True)
+    assert re.fullmatch(r"\(\d+\.\d\ds\)\n", timing)
+    assert lines[-1].startswith("res(tau, gamma_inner) = ")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -15,8 +15,9 @@ from sl2wiggle.certify import (
     DCParams,
     _stripped_squarefree,
     build_witness,
+    core_polys,
 )
-from sl2wiggle.exact import polycore
+from sl2wiggle.exact import laurent, polycore, tpoly
 from sl2wiggle.exact.qpoly import real_roots, zderivative, zexact_div, zgcd, zprimitive
 from sl2wiggle.exact.tpoly import TPoly, resultant
 from sl2wiggle.words import Word
@@ -431,6 +432,131 @@ class TestResultant:
             sign = (-1) ** (f.degree * g.degree)
             f, g = TPoly(f.coeffs), TPoly(g.coeffs)
             assert resultant(f, g) == sign * resultant(g, f)
+
+
+@st.composite
+def packing_pairs(draw, integer=False):
+    """Two TPolys of degree 0 to 3 that the packed resultant takes on when
+    both have degree 1 or more: every coefficient has 5 to 9 terms, so
+    neither is tiny, in a 3 x 3 window of exponents with strides shared by
+    both, so the box has fewer slots than the pairs of terms.  Each
+    operand has its own negative or positive offset; with a coin flip both
+    are multiplied by a common linear factor, so that the resultant is 0."""
+    strides = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    scalars = st.integers(-6, 6) if integer else small_scalars
+    window = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+    def operand(degree):
+        (l0, m0) = draw(st.tuples(st.integers(-7, 7), st.integers(-7, 7)))
+        coeffs = []
+        for _ in range(degree + 1):
+            terms = draw(st.dictionaries(window, scalars.filter(bool), min_size=5, max_size=9))
+            coeffs.append(
+                LaurentPoly(
+                    {(l0 + strides[0] * u, m0 + strides[1] * v): c for (u, v), c in terms.items()}
+                )
+            )
+        return TPoly(coeffs)
+
+    shared = draw(st.booleans())
+    top = 2 if shared else 3
+    f, g = operand(draw(st.integers(0, top))), operand(draw(st.integers(0, top)))
+    if shared:
+        h = operand(1)
+        f, g = f * h, g * h
+    return f, g
+
+
+def laurent_resultant(f: TPoly, g: TPoly) -> LaurentPoly:
+    """The resultant by the subresultant PRS over the Laurent ring: the
+    path resultant takes when the packed one declines."""
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    return polycore.resultant_prs(f.coeffs, g.coeffs, one, zero, LaurentPoly.exact_div)
+
+
+class TestPackedResultant:
+    """tpoly.resultant packs both operands into Z[t] at one Kronecker point;
+    the Sylvester determinant and the Laurent-ring PRS are its oracles."""
+
+    @given(packing_pairs())
+    @example((TPoly([-1, 1]), TPoly([1, 1])))  # res = 2, exactly the bound
+    @settings(max_examples=40, deadline=None)
+    def test_matches_sylvester_and_laurent_prs(self, pair):
+        f, g = pair
+        packed = tpoly._packed_resultant(f.coeffs, g.coeffs)
+        assert (packed is None) == (f.degree == 0 or g.degree == 0)
+        expected = resultant_sylvester(f, g)
+        assert resultant(f, g) == expected
+        if packed is not None:
+            assert packed == expected == laurent_resultant(f, g)
+            # the other argument order differs by (-1)^(deg f deg g)
+            swapped = tpoly._packed_resultant(g.coeffs, f.coeffs)
+            assert swapped == (-1) ** (f.degree * g.degree) * packed
+
+    @pytest.mark.parametrize(
+        "params, vanishes",
+        [((-1, -1, -2, 1), False), ((1, 1, 1, -2), False), ((2, 1, -1, 1), True),
+         ((-1, 1, 1, -1), True)],
+        ids=["generic", "k=m", "l=n", "anti"],
+    )
+    def test_tables_take_the_packed_path(self, params, vanishes):
+        cp = core_polys(DCParams(*params))
+        packed = tpoly._packed_resultant(cp.tau.coeffs, cp.gamma_inner.coeffs)
+        assert packed is not None and (packed == 0) == vanishes
+        assert packed == laurent_resultant(cp.tau, cp.gamma_inner)
+        assert packed == resultant_sylvester(cp.tau, cp.gamma_inner)
+
+    @given(packing_pairs(integer=True).filter(lambda p: p[0].degree and p[1].degree))
+    @example((TPoly([1, 1]), TPoly([-1, 1])))
+    @example((TPoly([-1, 1]), TPoly([1, 1])))
+    # g(1 + lambda) for g = t^6 + ... + 1 has the coefficient C(7, 3) = 35,
+    # which a bound from the largest coefficients instead of l1 norms misses
+    @example((TPoly([LaurentPoly({(0, 0): -1, (1, 0): -1}), 1]), TPoly([1] * 7)))
+    @settings(max_examples=40, deadline=None)
+    def test_slot_holds_every_coefficient(self, pair):
+        f, g = pair
+        a, b = (laurent._flat_terms(p.coeffs) for p in (f, g))
+        k = tpoly._slot_width(a, b, f.degree, g.degree)
+        expected = resultant_sylvester(f, g)
+        assert all(abs(c) < 2 ** (k - 1) for c in expected.terms().values())
+        assert tpoly._packed_resultant(f.coeffs, g.coeffs) == expected
+
+    def test_tight_bound(self):
+        # res(t - 1, t + 1) = 2 is the Hadamard bound sqrt(2 * 2) itself
+        f, g = TPoly([-1, 1]), TPoly([1, 1])
+        a, b = (laurent._flat_terms(p.coeffs) for p in (f, g))
+        assert tpoly._slot_width(a, b, 1, 1) == 3
+        assert tpoly._packed_resultant(f.coeffs, g.coeffs) == LaurentPoly.const(2)
+
+    def test_strided_exponents_are_deflated(self):
+        # exponents in 1000 Z deflate to a box of 9 slots for 35 pairs of
+        # terms; undeflated it would have 8001
+        lam = LaurentPoly.lam
+        f = TPoly([lam(1000) - 1, lam(1000) + 2 + lam(-1000), lam(1000) * 3 + 1])
+        g = TPoly([lam(2000) - lam(1000) + 3, lam(-1000) * 2 - 5])
+        packed = tpoly._packed_resultant(f.coeffs, g.coeffs)
+        assert packed is not None
+        assert packed == resultant_sylvester(f, g) == laurent_resultant(f, g)
+
+    def test_sparse_box_declines(self):
+        # lambda^1000 - 1 next to lambda + 1: a box of 2010 slots for 15
+        # pairs of terms
+        lam = LaurentPoly.lam
+        f = TPoly([lam(1) + 1, lam(1000) - 1, LaurentPoly.mu(1)])
+        g = TPoly([lam(1) * 2, lam(-1) + 1])
+        assert tpoly._packed_resultant(f.coeffs, g.coeffs) is None
+        assert resultant(f, g) == resultant_sylvester(f, g)
+
+    def test_tiny_pair_declines(self, monkeypatch):
+        # no coefficient of more than four terms: the Laurent PRS costs less
+        def refuse(f, g):
+            raise AssertionError("a tiny pair was packed")
+
+        monkeypatch.setattr(tpoly, "_packed_resultant", refuse)
+        lam, mu = LaurentPoly.lam(1), LaurentPoly.mu(1)
+        f = TPoly([lam + mu, lam - 1, 1])
+        g = TPoly([mu * 3, lam + mu + 1])
+        assert resultant(f, g) == resultant_sylvester(f, g)
 
 
 class TestPretty:
