@@ -29,16 +29,15 @@ from itertools import product
 from math import isqrt, log2, log10
 from typing import Optional
 
-from .errors import PrecisionExhaustedError, TrivialWordError
+from .errors import InexactDivisionError, PrecisionExhaustedError, TrivialWordError
 from .exact.laurent import LaurentPoly
 from .exact.mat2 import Mat2, mat2_q
-from .exact.polycore import add, mul, trim
+from .exact.polycore import add, div_t1, mul, trim
 from .exact.qpoly import (
     RealRoot,
     rational_roots,
     real_roots,
     zderivative,
-    zdiv_t1,
     zexact_div,
     zgcd,
     zprem,
@@ -112,17 +111,25 @@ class CorePolys:
 
 
 def _peel(numerator: TPoly, t_power: int, pref: LaurentPoly) -> TPoly:
-    """Divide by t^t_power (t+1)^t_power and the Laurent constant pref."""
-    t1 = (TPoly.t() + TPoly.one()) ** t_power
-    return numerator.shift_down(t_power).exact_div(t1).exact_div(TPoly.const(pref))
+    """Divide by t^t_power (t+1)^t_power and the Laurent constant pref:
+    a shift, t_power synthetic divisions by t + 1 on the Laurent
+    coefficients, then one exact Laurent division per coefficient.
+    Raises InexactDivisionError on a coefficient below t^t_power, a
+    nonzero value at t = -1 or a coefficient that pref does not divide."""
+    coeffs = numerator.shift_down(t_power).coeffs
+    for _ in range(t_power):
+        coeffs, at_m1 = div_t1(coeffs)
+        if at_m1:
+            raise InexactDivisionError("not divisible by t + 1")
+    return TPoly([c.exact_div(pref) for c in coeffs])
 
 
 def core_polys(params: DCParams) -> CorePolys:
     """Symbolic tau, gamma_inner and the alpha cofactor for a double commutator.
 
     Raises TrivialWordError for trivial parameters and InexactDivisionError
-    if any closed-form factorization fails to divide exactly (which would
-    mean a bug, so it is never swallowed).
+    (from _peel) if any closed-form factor, t, t + 1 or P, fails to divide
+    exactly (which would mean a bug, so it is never swallowed).
     """
     if params.is_trivial():
         raise TrivialWordError(f"{params.as_list()} gives the trivial word")
@@ -239,7 +246,7 @@ def _check_record(h: list[int], trace_minus_2, gamma_minus_1) -> CheckRecord:
     and D (gamma - 1) in Z[t], where exact division decides divisibility."""
     return CheckRecord(
         divides_trace_minus_2=zexact_div(trace_minus_2, h) is not None,
-        coprime_t_t1=bool(h[0]) and bool(zdiv_t1(h)[1]),
+        coprime_t_t1=bool(h[0]) and bool(div_t1(h)[1]),
         coprime_gamma_minus_1=zgcd(h, gamma_minus_1) == [1],
     )
 
@@ -250,7 +257,7 @@ def _stripped_squarefree(f: list[int]) -> tuple[list[int], int, int]:
     at_0 = next(i for i, c in enumerate(f) if c)
     f, at_m1 = f[at_0:], 0
     while True:
-        q, r = zdiv_t1(f)
+        q, r = div_t1(f)
         if r:
             break
         f, at_m1 = q, at_m1 + 1

@@ -2,13 +2,14 @@
 
 Polynomials are lists of coefficients, lowest degree first, with a nonzero
 last entry (the empty list is zero).  Coefficients must support +, -, *,
-**, bool (zero test) and ==; exact division is supplied by the caller, so
-the same code runs over the integers, the rational field and the Laurent
-ring.
-`power` is the one square-and-multiply loop of the package, for any
-multiplication; `unpack` decodes a polynomial packed into one integer;
-`signed_sum` writes out LaurentPoly and, through `pretty`, coefficient
-lists in t such as a certificate's h.
+**, bool (zero test) and ==; the exact division of resultant_prs is
+supplied by the caller, so the same code runs over the integers and the
+Laurent ring.
+`div_t1` divides by t + 1 with + and - alone; `power` is the one
+square-and-multiply loop of the package, for any multiplication;
+`unpack` decodes a polynomial packed into one integer; `signed_sum`
+writes out LaurentPoly and, through `pretty`, coefficient lists in t
+such as a certificate's h.
 """
 
 from __future__ import annotations
@@ -92,38 +93,16 @@ def scale(f: Sequence[C], c: C) -> list[C]:
     return trim([a * c for a in f])
 
 
-def div_rem(
-    f: Sequence[C], g: Sequence[C], div: Div, zero: C
-) -> tuple[list[C], list[C]]:
-    """Long division: (quot, rem) with f = quot * g + rem, deg rem < deg g.
-
-    Each step divides leading coefficients via ``div``, so over a ring
-    other than a field this is only defined when those divisions are exact,
-    as they are whenever g | f (the step quotients are coefficients of f/g).
-    """
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(f)
-    dg = degree(g)
-    lc_g = g[-1]
-    quot = [zero] * max(len(f) - dg, 0)
-    for shift in range(len(f) - len(g), -1, -1):
-        c = rem[shift + dg]
-        if not c:
-            continue
-        q = div(c, lc_g)
-        quot[shift] = q
-        for j, b in enumerate(g):
-            rem[shift + j] = rem[shift + j] - q * b
-    return trim(quot), trim(rem)
-
-
-def div_exact(f: Sequence[C], g: Sequence[C], div: Div, zero: C, exc: type) -> list[C]:
-    """Long division asserting a zero remainder (raising exc otherwise)."""
-    quot, rem = div_rem(f, g, div, zero)
-    if rem:
-        raise exc("polynomial division left a remainder")
-    return quot
+def div_t1(f: Sequence[C]) -> tuple[list[C], C]:
+    """(q, f(-1)) with f = (t + 1) q + f(-1), by synthetic division; it
+    takes only + and - of the coefficients, so ints and Laurent
+    polynomials alike."""
+    q = [0] * max(len(f) - 1, 0)
+    acc = 0
+    for i in range(len(f) - 1, 0, -1):
+        acc = f[i] - acc
+        q[i - 1] = acc
+    return q, f[0] - acc if f else 0
 
 
 def prem(f: Sequence[C], g: Sequence[C]) -> list[C]:

@@ -48,16 +48,6 @@ def zexact_div(f: Sequence[int], g: Sequence[int]) -> Optional[list[int]]:
     return None if any(rem[:dg]) else quot
 
 
-def zdiv_t1(f: Sequence[int]) -> tuple[list[int], int]:
-    """(q, f(-1)) with f = (t + 1) q + f(-1), by synthetic division."""
-    q = [0] * max(len(f) - 1, 0)
-    acc = 0
-    for i in range(len(f) - 1, 0, -1):
-        acc = f[i] - acc
-        q[i - 1] = acc
-    return q, f[0] - acc if f else 0
-
-
 def zprem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Primitive part of a positive multiple of a mod b, for b != 0.
 

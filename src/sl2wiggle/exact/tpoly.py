@@ -5,7 +5,9 @@ form live: t is a formal stand-in for det(xi_g).  A product of two
 operands that each have a coefficient of more than a few terms is one
 Kronecker product over (t, lambda, mu), computed by the LaurentPoly
 packing kernel.  The resultant runs its remainder sequence on integers,
-the operands packed at one Kronecker point in (lambda, mu).
+the operands packed at one Kronecker point in (lambda, mu).  The only
+division by a polynomial in t is by t^k (shift_down); the tables peel
+their other factors coefficientwise (see certify._peel).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from typing import Iterable, Sequence
 from ..errors import InexactDivisionError, ZeroParameterError
 from . import polycore
 from .laurent import (
-    _SCHOOLBOOK_MAX_TERMS,
     LaurentPoly,
     _flat_terms,
     _from_terms,
@@ -147,17 +148,6 @@ class TPoly:
             raise ZeroParameterError("torus parameters must be nonzero")
         return tuple(polycore.trim([c.evaluate(lam0, mu0) for c in self._coeffs]))
 
-    def exact_div(self, other: "TPoly") -> "TPoly":
-        """Exact quotient in the Laurent-coefficient polynomial ring.
-
-        When the divisor truly divides, every leading-coefficient division
-        the long division performs is exact in the Laurent ring.
-        """
-        quot = polycore.div_exact(
-            self._coeffs, other._coeffs, LaurentPoly.exact_div, _LZERO, InexactDivisionError
-        )
-        return _wrap(quot)
-
     def shift_down(self, k: int) -> "TPoly":
         """Exact division by t^k."""
         if k == 0:
@@ -210,21 +200,13 @@ def resultant(f: TPoly, g: TPoly) -> LaurentPoly:
     f, i.e. the Sylvester determinant with the f rows on top.
 
     The sequence runs on integers at one Kronecker point (see
-    _packed_resultant), unless f or g is tiny: of degree 0, when the
-    resultant is a power, or with no coefficient of more than
-    _SCHOOLBOOK_MAX_TERMS terms, when the Laurent products stay on the
-    double loop and cost less than packing.  A tiny operand, or a packed
-    box that _packed_resultant declines, leaves the same
-    polycore.resultant_prs to run over the Laurent ring.
+    _packed_resultant).  When that declines, for an operand of degree 0
+    (the resultant is then a power) or a sparse packed box, the same
+    polycore.resultant_prs runs over the Laurent ring.
     """
     if not f or not g:
         raise ValueError("resultant of a zero polynomial")
-    res = None
-    if all(
-        p.degree and max([len(c._terms) for c in p.coeffs]) > _SCHOOLBOOK_MAX_TERMS
-        for p in (f, g)
-    ):
-        res = _packed_resultant(f.coeffs, g.coeffs)
+    res = _packed_resultant(f.coeffs, g.coeffs)
     if res is None:
         res = polycore.resultant_prs(f.coeffs, g.coeffs, _LONE, _LZERO, LaurentPoly.exact_div)
     return res

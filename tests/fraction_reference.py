@@ -1,16 +1,16 @@
 """Rational-arithmetic oracles for the integer polynomial layer.
 
 `QPoly` is a dense polynomial with Fraction coefficients, the
-representation the certification pipeline used before it moved to Z[t].
-On top of it sit the Fraction versions of that pipeline: Euclid's
-algorithm with rational remainders, the squarefree part as
-f / gcd(f, f'), and the removal of given linear factors after it.  Tests
-compare the integer functions of sl2wiggle.exact.qpoly with them.
+representation the certification pipeline used before it moved to Z[t];
+`div_rem` is its long division over Q.  On top of them sit the Fraction
+versions of that pipeline: Euclid's algorithm with rational remainders,
+the squarefree part as f / gcd(f, f'), and the removal of given linear
+factors after it.  Tests compare the integer functions of
+sl2wiggle.exact.qpoly with them.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -83,11 +83,10 @@ class QPoly:
         return polycore.power(self, n, QPoly.one())
 
     def exact_div(self, other: "QPoly") -> "QPoly":
-        return QPoly(
-            polycore.div_exact(
-                self.coeffs, other.coeffs, operator.truediv, Fraction(0), InexactDivisionError
-            )
-        )
+        quot, rem = div_rem(self.coeffs, other.coeffs)
+        if rem:
+            raise InexactDivisionError("polynomial division left a remainder")
+        return QPoly(quot)
 
     def evaluate(self, x: Fraction) -> Fraction:
         acc = Fraction(0)
@@ -117,11 +116,27 @@ class QPoly:
         return f"QPoly({polycore.pretty(self.coeffs)})"
 
 
+def div_rem(f: Sequence, g: Sequence) -> tuple[list[Fraction], list[Fraction]]:
+    """Long division over Q: (quot, rem) with f = quot * g + rem and
+    deg rem < deg g, for coefficient lists lowest degree first."""
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = [Fraction(c) for c in f]
+    dg = len(g) - 1
+    quot = [Fraction(0)] * max(len(f) - dg, 0)
+    for shift in range(len(f) - len(g), -1, -1):
+        q = rem[shift + dg] / g[-1]
+        quot[shift] = q
+        for j, b in enumerate(g):
+            rem[shift + j] -= q * b
+    return polycore.trim(quot), polycore.trim(rem)
+
+
 def gcd_fraction_euclid(f: QPoly, g: QPoly) -> QPoly:
     """Reference gcd: Euclid's algorithm with rational remainders."""
     a, b = f, g
     while b:
-        a, b = b, QPoly(polycore.div_rem(a.coeffs, b.coeffs, operator.truediv, 0)[1])
+        a, b = b, QPoly(div_rem(a.coeffs, b.coeffs)[1])
     return a.monic()
 
 

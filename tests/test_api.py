@@ -2,8 +2,9 @@
 
 Any name added to or dropped from either list changes this file, so the
 size of the API is visible in review.  The package also imports nothing
-outside the standard library."""
+outside the standard library, and keeps no helper that only tests use."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import sl2wiggle
 import sl2wiggle.exact
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 PACKAGE_NAMES = [
     "AssocPolys", "CertStatus", "Certificate", "CorePolys", "CyclicForm", "DCParams",
@@ -54,9 +57,36 @@ def test_no_runtime_dependency():
         "names = ['mpmath', 'hypothesis', 'sympy', 'numpy', 'gmpy2']\n"
         "print(sorted(n for n in names if n in sys.modules))"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout == "[]\n"
+
+
+def test_helpers_have_callers_in_src():
+    # a private module-level function, or any function of the generic
+    # kernel module polycore, is named somewhere in src/ outside its own
+    # body; a cross-check that only tests call belongs in tests/
+    trees = {path: ast.parse(path.read_text()) for path in SRC.rglob("*.py")}
+    polycore = SRC / "sl2wiggle" / "exact" / "polycore.py"
+    checked = [
+        (path, node)
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and (node.name.startswith("_") or path == polycore)
+    ]
+    uses: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append(node)
+    unused = []
+    for path, fn in checked:
+        inside = {id(node) for node in ast.walk(fn)}
+        if not any(id(node) not in inside for node in uses.get(fn.name, [])):
+            unused.append(f"{path.relative_to(SRC)}::{fn.name}")
+    assert unused == []

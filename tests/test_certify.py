@@ -18,6 +18,7 @@ from sl2wiggle.certify import (
     DCParams,
     _ceil_abs,
     _numeric_approx,
+    _peel,
     _unipotent_not_identity,
     build_witness,
     certify,
@@ -25,7 +26,7 @@ from sl2wiggle.certify import (
     core_polys,
     sweep_box,
 )
-from sl2wiggle.errors import PrecisionExhaustedError, TrivialWordError
+from sl2wiggle.errors import InexactDivisionError, PrecisionExhaustedError, TrivialWordError
 from sl2wiggle.exact import polycore
 from sl2wiggle.exact.laurent import LaurentPoly
 from sl2wiggle.exact.mat2 import identity_q, mat2_q
@@ -95,7 +96,11 @@ class TestCorePolys:
         assert cp.tau.scale(clear) == TPoly(coeffs)
 
     def test_factored_forms_reassemble(self):
-        for params in [(1, 1, 2, 3), (1, 1, 1, 3), (1, 1, -1, -1), (2, -1, 1, 2)]:
+        # the last three have a large exponent, a sparse prefactor or both
+        for params in [
+            (1, 1, 2, 3), (1, 1, 1, 3), (1, 1, -1, -1), (2, -1, 1, 2),
+            (200, 1, 2, 1), (50, 1, -3, 2), (7, -5, 3, 6),
+        ]:
             p = DCParams(*params)
             cp = core_polys(p)
             ap = cp.assoc
@@ -107,6 +112,24 @@ class TestCorePolys:
             gamma = gamma_of(ap)
             assert (gamma - TPoly.one()).scale(den2) == pref * t_t1 * cp.gamma_inner
             assert (ap.alpha - TPoly.one()).scale(den2) == pref * t_t1 * cp.alpha_core
+
+    def test_peel_raises_on_every_inexact_factor(self):
+        lam, t = LaurentPoly.lam(1), TPoly.t()
+        t_t1 = t * (t + TPoly.one())
+        # a nonzero coefficient below t^k
+        with pytest.raises(InexactDivisionError):
+            _peel(t_t1 + TPoly.one(), 1, LaurentPoly.one())
+        # t + 1 divides once but not twice, or not at all
+        with pytest.raises(InexactDivisionError):
+            _peel(t_t1 * t * (t + 2), 2, LaurentPoly.one())
+        with pytest.raises(InexactDivisionError):
+            _peel(t * (t * t + TPoly.one()), 1, LaurentPoly.one())
+        # P does not divide a coefficient of the quotient
+        with pytest.raises(InexactDivisionError):
+            _peel(t_t1 * (t * (lam + 1) + TPoly.const(lam)), 1, lam + 1)
+        assert _peel(t_t1 * t_t1 * (t + TPoly.const(lam)).scale(lam + 1), 2, lam + 1) == (
+            t + TPoly.const(lam)
+        )
 
     def test_specialized_matches_symbolic_route(self):
         t_t1 = QPoly([0, 1, 1])

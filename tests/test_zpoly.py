@@ -1,7 +1,6 @@
 """The integer polynomial layer of sl2wiggle.exact.qpoly against the
 rational-arithmetic oracles in fraction_reference, and against sympy."""
 
-import operator
 import random
 from fractions import Fraction
 
@@ -16,10 +15,9 @@ from sl2wiggle.certify import (
     _check_record,
     _stripped_squarefree,
 )
-from sl2wiggle.exact.polycore import add, div_rem, mul, trim
+from sl2wiggle.exact.polycore import add, div_t1, mul, trim
 from sl2wiggle.exact.qpoly import (
     zderivative,
-    zdiv_t1,
     zexact_div,
     zgcd,
     zprimitive,
@@ -28,6 +26,7 @@ from sl2wiggle.wiggle import as_pairs, specialized_assoc
 
 from fraction_reference import (
     QPoly,
+    div_rem,
     gcd_fraction_euclid,
     order_at,
     squarefree_part,
@@ -75,7 +74,7 @@ class TestExactDiv:
     def test_matches_rational_division(self, f, g):
         # g | f in Z[t] exactly when the rational quotient has integer
         # coefficients and there is no remainder
-        quot, rem = div_rem([Fraction(c) for c in f], g, operator.truediv, 0)
+        quot, rem = div_rem(f, g)
         integral = not rem and all(c.denominator == 1 for c in quot)
         expected = [int(c) for c in quot] if integral else None
         assert zexact_div(f, g) == expected
@@ -97,14 +96,14 @@ class TestSyntheticDivision:
     @given(zpolys)
     @settings(max_examples=200, deadline=None)
     def test_quotient_and_value_at_minus_1(self, f):
-        q, r = zdiv_t1(f)
+        q, r = div_t1(f)
         assert add(mul([1, 1], q, 0), [r]) == f
         assert r == QPoly(f).evaluate(Fraction(-1))
 
     def test_zero_and_constant(self):
-        assert zdiv_t1([]) == ([], 0)
-        assert zdiv_t1([7]) == ([], 7)
-        assert zdiv_t1([1, 2, 1]) == ([1, 1], 0)
+        assert div_t1([]) == ([], 0)
+        assert div_t1([7]) == ([], 7)
+        assert div_t1([1, 2, 1]) == ([1, 1], 0)
 
 
 class TestGcd:
