@@ -15,24 +15,28 @@ polynomials (core_polys):
 with P = (l^2k - 1)(m^2l - 1)(l^2m - 1)(m^2n - 1) and the monomial
 D = l^(2(k+m)) m^(2(l+n)) (writing l, m for lambda, mu).  Since h has no
 root at 0 or -1, it is the same as the squarefree part of tau with those
-roots and the roots shared with gamma_inner removed.
+roots and the roots shared with gamma_inner removed.  core_polys runs the
+column recursion and the whole peel on one packed integer per polynomial,
+at a Kronecker point of powers of two; a word whose exponent box the runs
+cannot fill takes the same steps over the Laurent ring.
 """
 
 from __future__ import annotations
 
 import logging
+import operator
 import random
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from math import isqrt, log2, log10
+from math import comb, isqrt, log2, log10, prod
 from typing import Optional
 
 from .errors import InexactDivisionError, PrecisionExhaustedError, TrivialWordError
-from .exact.laurent import LaurentPoly
+from .exact.laurent import LaurentPoly, _from_terms, _unpack_slots
 from .exact.mat2 import Mat2, mat2_q
-from .exact.polycore import add, div_t1, mul, trim
+from .exact.polycore import add, div_t1, mul, trim, unpack
 from .exact.qpoly import (
     RealRoot,
     rational_roots,
@@ -48,6 +52,11 @@ from .wiggle import (
     AssocPolys,
     Pairs,
     SpecializedAssoc,
+    _box,
+    _column,
+    _column_norms,
+    _shift_runs,
+    _swapped,
     as_pairs,
     assoc_polys,
     gamma_of,
@@ -124,24 +133,205 @@ def _peel(numerator: TPoly, t_power: int, pref: LaurentPoly) -> TPoly:
     return TPoly([c.exact_div(pref) for c in coeffs])
 
 
-def core_polys(params: DCParams) -> CorePolys:
-    """Symbolic tau, gamma_inner and the alpha cofactor for a double commutator.
-
-    Raises TrivialWordError for trivial parameters and InexactDivisionError
-    (from _peel) if any closed-form factor, t, t + 1 or P, fails to divide
-    exactly (which would mean a bug, so it is never swallowed).
-    """
-    if params.is_trivial():
-        raise TrivialWordError(f"{params.as_list()} gives the trivial word")
-    ap = assoc_polys(params.cyclic_word())
-    pref = prefactor_num(params)
-    den = prefactor_den(params)
+def _laurent_core(pairs: Pairs, pref: LaurentPoly, den: LaurentPoly):
+    """(tau, gamma_inner, alpha_core, assoc) over the Laurent ring."""
+    ap = assoc_polys(pairs)
     den2 = den * den
     trace = trace_poly(ap)
     gamma = gamma_of(ap)
     tau = _peel((trace - TPoly.one() * 2).scale(den2), 2, pref * pref)
     gamma_inner = _peel((gamma - TPoly.one()).scale(den2), 1, pref)
     alpha_core = _peel((ap.alpha - TPoly.one()).scale(den2), 1, pref)
+    return tau, gamma_inner, alpha_core, ap
+
+
+def _full_boxes(pairs: Pairs):
+    """The boxes (A, g, n) of the x- and of the y-runs (wiggle._box) when
+    the sums of subsets of the 2|e| reach every slot of both; None when a
+    box has a slot no column term can reach, as with one large exponent
+    among small ones, whose packed integers would be mostly zeros.  With r
+    runs at most 2^r slots are reachable, so a larger box fails at once."""
+    boxes = []
+    for exps in ([a for a, _ in pairs if a], [b for _, b in pairs if b]):
+        total, g, n = _box(exps)
+        if n > 1 << len(exps):
+            return None
+        reach = 1
+        for e in exps:
+            reach |= reach << (2 * abs(e) // g)
+        if reach != (1 << n) - 1:
+            return None
+        boxes.append((total, g, n))
+    return boxes
+
+
+def _packed_peel(
+    rows: list[int], t_power: int, divisor: int, s: int, region: list[bool], bound: int
+) -> list[list[int]]:
+    """The quotient of the polynomial in t with integer coefficients `rows`
+    by t^t_power (t+1)^t_power divisor, each row decoded into len(region)
+    balanced s-byte slots (laurent._unpack_slots).
+
+    Raises InexactDivisionError on a nonzero row below t^t_power, a
+    nonzero value at t = -1, a remainder of the division by divisor, a
+    quotient row with no expansion in those slots, or a nonzero slot
+    outside the region or above bound in absolute value; _packed_core
+    proves that the division is then exact on the polynomials the rows
+    stand for."""
+    if any(rows[:t_power]):
+        raise InexactDivisionError("not divisible by the requested power of t")
+    rows = rows[t_power:]
+    for _ in range(t_power):
+        rows, at_m1 = div_t1(rows)
+        if at_m1:
+            raise InexactDivisionError("not divisible by t + 1")
+    quotient = []
+    for row in rows:
+        q, r = divmod(row, divisor)
+        if r:
+            raise InexactDivisionError("the prefactor left a remainder")
+        try:
+            coeffs = _unpack_slots(q, s, len(region))
+        except OverflowError:
+            raise InexactDivisionError("a quotient row overflows its slots") from None
+        if any(c and (not inside or abs(c) > bound) for inside, c in zip(region, coeffs)):
+            raise InexactDivisionError("a quotient coefficient is outside its box or bound")
+        quotient.append(coeffs)
+    return quotient
+
+
+def _peel_slot(pairs: Pairs, nl: int, nm: int) -> tuple[int, int]:
+    """(s, B) of _packed_core for the runs `pairs` and boxes of nl and nm
+    slots: B bounds every coefficient of a quotient, and s is the least
+    with 2^(8s-1) > v0 + 2^10 B."""
+    u, v = _column_norms(pairs)
+    norm = 2 * (u + v + 1)
+    d = sum(1 for a, _ in pairs if a) + 1
+    bound = prod(comb(x, x // 2) for x in (d, nl - 1, nm - 1)) * norm
+    return ((norm + (bound << 10)).bit_length() + 8) // 8, bound
+
+
+def _packed_core(params: DCParams, pairs: Pairs):
+    """(tau, gamma_inner, alpha_core, assoc) for the runs `pairs` of
+    params' cyclic word, on packed integers; None when _full_boxes declines.
+
+    The point.  Per variable, say lambda, let (A, g, n) = wiggle._box of
+    the x-runs, and (B, g', n') that of the y-runs.  Times lambda^A mu^B,
+    every column entry is a polynomial in L = lambda^g, M = mu^g' and t,
+    of degree below n in L and n' in M.  At M = 2^(8s), L = 2^(8s n'),
+    t = 2^(8s n n') each monomial has its own s-byte slot, so _column with
+    the shift-count runs of wiggle._shift_runs gives alpha and beta there,
+    and on the swapped runs sigma(alpha) and sigma(beta).  gamma, trace - 2,
+    gamma - 1 and alpha - 1 are sums of those, the constant 1 standing at
+    the slot of lambda^A mu^B.  That slot exists: the cyclic word of a
+    double commutator has exponent sum 0 in x, so A is twice the sum of
+    its positive x-exponents, a multiple of g.
+
+    The peel.  Each of +-k, +-m occurs as an x-run and each of +-l, +-n as
+    a y-run, so g divides 2k and 2m (g' divides 2l and 2n), and
+    P = c lambda^p mu^q P0 with c = +-1 and P0 the product of the four
+    x^(2|e|) - 1, a polynomial in L and M with constant term 1.  With N the
+    numerator times lambda^A mu^B, i = 2 and j = 2 for tau, i = j = 1
+    otherwise, and F = t^i (t+1)^i P0^j,
+
+        cofactor = c^j lambda^(4(k+m) - A - jp) mu^(4(l+n) - B - jq) N / F,
+
+    the monomial being D^2 over lambda^A mu^B and P^j's.  Q = N / F is a
+    polynomial: its lowest exponents are N's less F's, which are 0.  Its
+    L-degree is at most n - 1 - j(2|k| + 2|m|)/g, and likewise in M: that
+    is its region.  _packed_peel finds it from N's t-rows at the point.
+
+    The slot.  (u, v) = wiggle._column_norms bound the l1 norms of alpha
+    and beta, so v0 = 2(u + v + 1) bounds that of every numerator
+    (trace - 2 = gamma + sigma(gamma) - 2).  An x-run raises the t-degree
+    by at most 1 and gamma adds one more, so d = #x-runs + 1 bounds every
+    t-degree.  Mahler measure is multiplicative, at least 1 on a nonzero
+    integer polynomial and at most the l2 norm, so a factor Q of N has
+    coefficients at most B = C(d, d/2) C(n-1, (n-1)/2) C(n'-1, (n'-1)/2) v0
+    (Mignotte, "Some useful bounds", 1982).  |F|_1 <= 2^i 16^j <= 2^10,
+    and s is the least with 2^(8s-1) > v0 + 2^10 B.
+
+    Why no inexact division decodes silently.  N's coefficients are below
+    2^(8s-1), so its t-rows come out of its packed integer exactly.  When
+    _packed_peel returns a decoded Q', its rows at the point times F equal
+    N's rows at the point: t^i by zero rows, t + 1 by exact synthetic
+    divisions over Z, P0^j by divisions without remainder.  Both N and F Q'
+    have every row in the box (Q' lies in its region), with coefficients at
+    most v0 and 2^10 B, so N - F Q' has coefficients below 2^(8s-1), and
+    on such polynomials evaluation at the point is injective (the first
+    nonzero slot of a difference would survive): F Q' = N.  A true Q
+    passes every check: evaluation is a ring homomorphism, and Q lies in
+    its region within bound B.
+    """
+    boxes = _full_boxes(pairs)
+    if boxes is None:
+        return None
+    (al, gl, nl), (am, gm, nm) = boxes
+    s, bound = _peel_slot(pairs, nl, nm)
+    km = 8 * s
+    kl = km * nm
+    kt = kl * nl
+    runs = _shift_runs(pairs, gl, kl, gm, km)
+    column = lambda steps: _column(
+        steps, operator.lshift, operator.add, operator.sub, lambda f: f << kt, 1, 0
+    )
+    alpha, beta = column(runs)
+    alpha_s, beta_s = column(_swapped(runs))
+    gamma = alpha + (beta << kt)
+    one = 1 << (al // gl * kl + am // gm * km)
+
+    def decode(rows, el0: int, em0: int, sign: int = 1) -> TPoly:
+        keys = [(el0 + i * gl, em0 + j * gm) for i in range(nl) for j in range(nm)]
+        return TPoly(
+            [_from_terms({e: sign * c for e, c in zip(keys, row) if c}) for row in rows]
+        )
+
+    def column_poly(packed: int) -> TPoly:
+        return decode([_unpack_slots(r, s, nl * nm) for r in unpack(packed, kt)], -al, -am)
+
+    lam, mu = (params.k, params.m), (params.l, params.n)
+    p0 = prod((1 << (2 * abs(e) // gl * kl)) - 1 for e in lam)
+    p0 *= prod((1 << (2 * abs(e) // gm * km)) - 1 for e in mu)
+    sign = (-1) ** sum(e < 0 for e in params.as_list())
+    p_l, p_m = sum(2 * e for e in lam if e < 0), sum(2 * e for e in mu if e < 0)
+
+    def peel(numerator: int, i: int, j: int) -> TPoly:
+        dl = nl - 1 - j * 2 * sum(map(abs, lam)) // gl
+        dm = nm - 1 - j * 2 * sum(map(abs, mu)) // gm
+        region = [a <= dl and b <= dm for a in range(nl) for b in range(nm)]
+        rows = _packed_peel(list(unpack(numerator, kt)), i, p0**j, s, region, bound)
+        el0 = 4 * sum(lam) - al - j * p_l
+        em0 = 4 * sum(mu) - am - j * p_m
+        return decode(rows, el0, em0, sign**j)
+
+    tau = peel(gamma + alpha_s + (beta_s << kt) - 2 * one, 2, 2)
+    gamma_inner = peel(gamma - one, 1, 1)
+    alpha_core = peel(alpha - one, 1, 1)
+    return tau, gamma_inner, alpha_core, AssocPolys(column_poly(alpha), column_poly(beta), pairs)
+
+
+def core_polys(params: DCParams) -> CorePolys:
+    """Symbolic tau, gamma_inner and the alpha cofactor for a double commutator.
+
+    The column recursion, trace - 2, gamma - 1, alpha - 1 and the peel run
+    on one packed integer per polynomial (_packed_core, whose docstring
+    proves every division checked).  When a run box has slots the runs
+    cannot reach (_full_boxes), the same steps run over the Laurent ring:
+    assoc_polys, then _peel.
+
+    Raises TrivialWordError for trivial parameters and InexactDivisionError
+    if any closed-form factor, t, t + 1 or P, fails to divide exactly
+    (which would mean a bug, so it is never swallowed).
+    """
+    if params.is_trivial():
+        raise TrivialWordError(f"{params.as_list()} gives the trivial word")
+    pairs = as_pairs(params.cyclic_word())
+    pref = prefactor_num(params)
+    den = prefactor_den(params)
+    cofactors = _packed_core(params, pairs)
+    if cofactors is None:
+        cofactors = _laurent_core(pairs, pref, den)
+    tau, gamma_inner, alpha_core, ap = cofactors
     return CorePolys(
         params=params,
         prefactor_num=pref,

@@ -66,6 +66,18 @@ def _pack_slots(offsets: Iterable[int], coeffs: Iterable[int], s: int, nbytes: i
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
+def _unpack_slots(value: int, s: int, nslots: int) -> list[int]:
+    """The inverse of _pack_slots: the coefficients c_0, ..., c_(nslots-1),
+    each in [-2^(8s-1), 2^(8s-1)), with value = sum c_i 256^(s i).  Adding
+    2^(8s-1) to every slot makes every slot non-negative, so the bytes of
+    the sum are the biased coefficients, with no borrow between slots.
+    Raises OverflowError when value has no such expansion."""
+    half = 1 << (8 * s - 1)
+    bias = int.from_bytes(half.to_bytes(s, "little") * nslots, "little")
+    buf = (value + bias).to_bytes(s * nslots, "little")
+    return [int.from_bytes(buf[k : k + s], "little") - half for k in range(0, len(buf), s)]
+
+
 def _flat_terms(coeffs: Sequence["LaurentPoly"]) -> dict[tuple[int, int, int], Scalar]:
     """The terms of a polynomial in t over the Laurent ring, given as its
     coefficient list, keyed by the exponent triple (t, lambda, mu)."""
@@ -82,9 +94,7 @@ def _packed_product(a: dict[tuple, Scalar], b: dict[tuple, Scalar]) -> dict | No
     per variable, room for every exponent of the product; a monomial goes to
     its mixed-radix slot, the last variable varying fastest.  A product
     coefficient is a sum of at most min(#a, #b) products of coefficients,
-    so it fits a signed slot of s bytes; adding 2^(8s-1) to every slot of
-    the product makes every slot non-negative, so the bytes of the sum are
-    the biased coefficients, with no borrow between slots.
+    so it fits a signed slot of s bytes, which _unpack_slots reads back.
 
     Returns None, leaving the product to the double loop, when the packed
     box has more slots than there are pairs of terms.
@@ -116,12 +126,7 @@ def _packed_product(a: dict[tuple, Scalar], b: dict[tuple, Scalar]) -> dict | No
             offsets = [k + (e - low) // g * stride for k, e in zip(offsets, col)]
         return _pack_slots(offsets, terms.values(), s, nbytes)
 
-    bias = 1 << (8 * s - 1)
-    biased = pack(a, cols_a, lows_a) * pack(b, cols_b, lows_b) + int.from_bytes(
-        bias.to_bytes(s, "little") * slots, "little"
-    )
-    buf = biased.to_bytes(nbytes, "little")
-    values = [int.from_bytes(buf[k : k + s], "little") - bias for k in range(0, nbytes, s)]
+    values = _unpack_slots(pack(a, cols_a, lows_a) * pack(b, cols_b, lows_b), s, slots)
     exponents = product(
         *[
             range(la + lb, la + lb + size * g, g)

@@ -6,8 +6,10 @@ operands that each have a coefficient of more than a few terms is one
 Kronecker product over (t, lambda, mu), computed by the LaurentPoly
 packing kernel.  The resultant runs its remainder sequence on integers,
 the operands packed at one Kronecker point in (lambda, mu).  The only
-division by a polynomial in t is by t^k (shift_down); the tables peel
-their other factors coefficientwise (see certify._peel).
+division by a polynomial in t is by t^k (shift_down).  The tables peel
+their factors on packed integers (certify._packed_core), or, for a word
+whose exponent box the runs cannot fill, coefficientwise over this ring
+(certify._peel).
 """
 
 from __future__ import annotations

@@ -145,6 +145,38 @@ def _column(runs, scale, add, sub, times_t, top, bottom):
     return alpha, beta
 
 
+def _box(exps: Sequence[int]) -> tuple[int, int, int]:
+    """(A, g, n) for the nonzero exponents e of one variable's runs, A =
+    sum|e| and g = gcd(2|e|).  Each run scales a term by lambda^e or
+    lambda^-e, so an exponent of a column entry is -A plus a sum of some
+    2|e|: times lambda^A it lies in [0, 2A] on the stride g, one of the
+    n = 2A/g + 1 slots of the box."""
+    total = sum(map(abs, exps))
+    g = gcd(*[2 * e for e in exps]) or 1
+    return total, g, 2 * total // g + 1
+
+
+def _shift_runs(pairs: Pairs, gl: int, kl: int, gm: int, km: int):
+    """The runs as shift counts at lambda^gl = 2^kl, mu^gm = 2^km, for
+    _column with scale = <<: a run scales by lambda^(|e| + e) or
+    lambda^(|e| - e), so the column comes out times lambda^A mu^B, in the
+    boxes of _box."""
+    return _runs(pairs, lambda e: (2 * e // gl * kl, 0), lambda e: (2 * e // gm * km, 0))
+
+
+def _column_norms(pairs: Pairs) -> tuple[int, int]:
+    """Bounds (u, v) on the l1 norms of the two entries of any column of the
+    transfer product, from (1, 1): a run scales by monomials, so it maps
+    them to at most (u + 2v, v) for x and (u, 2u + v) for y."""
+    u = v = 1
+    for a, b in pairs:
+        if a:
+            u += 2 * v
+        if b:
+            v += 2 * u
+    return u, v
+
+
 def _laurent_runs(pairs: Pairs) -> list[tuple[bool, LaurentPoly, LaurentPoly]]:
     lam, mu = LaurentPoly.lam, LaurentPoly.mu
     return _runs(pairs, lambda e: (lam(e), lam(-e)), lambda e: (mu(e), mu(-e)))
@@ -295,20 +327,19 @@ def verify_identities(ap: AssocPolys) -> IdentityReport:
                      column of the transfer product.
 
     Each identity is one big-integer equation at a single point.  Per
-    variable, say lambda, let A = sum|a| over the x-runs, h the largest of A
-    and of |e| over the lambda-exponents e of alpha and beta, and g the gcd
-    of 2a over the runs and of h - e, h + e over those e and A.  A column
-    exponent is -A plus a sum of some 2|a| (each run scales by lambda^a or
-    lambda^-a), so alpha, beta, their sigma-partners and the columns, times
-    lambda^h, have exponents in g*Z within [0, 2h], and their products,
-    times lambda^2h, within [0, 4h].  The map lambda^g -> 2^k_lambda,
-    mu^g' -> 2^k_mu, t -> 2^k_t with k_mu = 8s, k_lambda = k_mu*(4h'/g' + 1)
-    and k_t = k_lambda*(4h/g + 1) is a ring homomorphism that puts every
-    monomial of a product in its own s-byte slot.  So an identity holds iff
-    its difference D evaluates to 0, once every coefficient of D is below
-    2^(8s-1) in absolute value: if D != 0 and d is its first nonzero
-    coefficient in slot order, D evaluates to 2^(8sj)*(d + 2^(8s)*m) for an
-    integer m, and 0 < |d| < 2^(8s) makes that nonzero.
+    variable, say lambda, let A = sum|a| over the x-runs and g = gcd(2a)
+    (_box).  A column exponent is -A plus a sum of some 2|a| (each run
+    scales by lambda^a or lambda^-a), so alpha, beta, their sigma-partners
+    and the columns, times lambda^A, have exponents in g*Z within [0, 2A],
+    and their products, times lambda^2A, within [0, 4A].  The map
+    lambda^g -> 2^k_lambda, mu^g' -> 2^k_mu, t -> 2^k_t with k_mu = 8s,
+    k_lambda = k_mu*(4B/g' + 1) and k_t = k_lambda*(4A/g + 1) is a ring
+    homomorphism that puts every monomial of a product in its own s-byte
+    slot.  So an identity holds iff its difference D evaluates to 0, once
+    every coefficient of D is below 2^(8s-1) in absolute value: if D != 0
+    and d is its first nonzero coefficient in slot order, D evaluates to
+    2^(8sj)*(d + 2^(8s)*m) for an integer m, and 0 < |d| < 2^(8s) makes
+    that nonzero.
 
     The bounds use the l1 norm |f|_1 and the largest coefficient |f|_max
     over all (t, lambda, mu) coefficients; a product fg has coefficients at
@@ -322,9 +353,11 @@ def verify_identities(ap: AssocPolys) -> IdentityReport:
     and the sigma one at most N + m.  s is the least with 2^(8s-1) above
     them all.
 
-    When a coefficient is not an integer, or the box has more slots than
-    (#alpha + #beta)^2 term pairs (a word with one large exponent packs
-    mostly empty slots), the same identities run on TPoly arithmetic.
+    When a coefficient is not an integer, a term lies outside its box
+    (alpha and beta are then not the column of their runs), or the box has
+    more slots than (#alpha + #beta)^2 term pairs (a word with one large
+    exponent packs mostly empty slots), the same identities run on TPoly
+    arithmetic.
     Failures indicate an implementation bug, never bad input, so the
     report names the violated identity instead of raising.
     """
@@ -371,13 +404,7 @@ def _slot_bytes(alpha: Sequence[int], beta: Sequence[int], pairs: Pairs) -> int:
     norm_a, norm_b = sum(map(abs, alpha)), sum(map(abs, beta))
     m_b = max(map(abs, beta), default=0)
     m = max(map(abs, alpha), default=0) + m_b
-    u = v = 1  # l1 bounds of a column's two entries, from (1, 0) or (0, 1)
-    for a, b in pairs:
-        if a:
-            u += 2 * v
-        if b:
-            v += 2 * u
-    bound = max(m * (norm_a + norm_b) + 2 * m_b * norm_b, m * max(u, v)) + 1
+    bound = max(m * (norm_a + norm_b) + 2 * m_b * norm_b, m * max(_column_norms(pairs))) + 1
     return (bound.bit_length() + 8) // 8
 
 
@@ -387,16 +414,13 @@ def _packed_identities(ap: AssocPolys) -> IdentityReport | None:
     if not all(type(c) is int for f in (a, b) for c in f.values()):
         return None
     x_exps = [e for e, _ in ap.pairs if e]
-    y_exps = [e for _, e in ap.pairs if e]
-    boxes = []  # (h, g, A) per variable
-    for var, exps in ((1, x_exps), (2, y_exps)):
-        total = sum(map(abs, exps))
-        ends = {abs(key[var]) for f in (a, b) for key in f} | {total}
-        h = max(ends)
-        g = gcd(*[2 * e for e in exps], *[h - e for e in ends], *[h + e for e in ends]) or 1
-        boxes.append((h, g, total))
-    (hl, gl, al), (hm, gm, am) = boxes
-    nl, nm = 4 * hl // gl + 1, 4 * hm // gm + 1
+    (al, gl, nl), (am, gm, nm) = _box(x_exps), _box([e for _, e in ap.pairs if e])
+    if any(
+        abs(el) > al or abs(em) > am or (al + el) % gl or (am + em) % gm
+        for f in (a, b) for _, el, em in f
+    ):
+        return None
+    nl, nm = 2 * nl - 1, 2 * nm - 1  # the boxes of products
     degree = max(len(ap.alpha.coeffs) - 1, len(ap.beta.coeffs), len(x_exps))
     if (2 * degree + 1) * nl * nm > (len(a) + len(b)) ** 2:
         return None
@@ -406,17 +430,15 @@ def _packed_identities(ap: AssocPolys) -> IdentityReport | None:
     km, kl, kt = 8 * bm, 8 * bl, 8 * bt
 
     def pack(f: TPoly, terms: dict, sign: int) -> int:
-        """f, or sigma(f) for sign -1, times lambda^h mu^h', at the point."""
+        """f, or sigma(f) for sign -1, times lambda^A mu^B, at the point."""
         offsets = [
-            i * bt + (hl + sign * el) // gl * bl + (hm + sign * em) // gm * bm
+            i * bt + (al + sign * el) // gl * bl + (am + sign * em) // gm * bm
             for i, el, em in terms
         ]
         return _pack_slots(offsets, terms.values(), s, len(f.coeffs) * bt)
 
-    runs = _runs(ap.pairs, lambda e: (2 * e // gl * kl, 0), lambda e: (2 * e // gm * km, 0))
-    unit = 1 << ((hl - al) // gl * kl + (hm - am) // gm * km)
-    one = 1 << (2 * hl // gl * kl + 2 * hm // gm * km)
+    one = 1 << (2 * al // gl * kl + 2 * am // gm * km)
     return _identities(
         pack(ap.alpha, a, 1), pack(ap.beta, b, 1), pack(ap.alpha, a, -1), pack(ap.beta, b, -1),
-        runs, 0, unit, one, operator.lshift, lambda f: f << kt,
+        _shift_runs(ap.pairs, gl, kl, gm, km), 0, 1, one, operator.lshift, lambda f: f << kt,
     )

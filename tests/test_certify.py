@@ -5,6 +5,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -17,13 +18,20 @@ from sl2wiggle.certify import (
     CheckOutcome,
     DCParams,
     _ceil_abs,
+    _full_boxes,
+    _laurent_core,
     _numeric_approx,
+    _packed_core,
+    _packed_peel,
     _peel,
+    _peel_slot,
     _unipotent_not_identity,
     build_witness,
     certify,
     check_certificate,
     core_polys,
+    prefactor_den,
+    prefactor_num,
     sweep_box,
 )
 from sl2wiggle.errors import InexactDivisionError, PrecisionExhaustedError, TrivialWordError
@@ -32,7 +40,14 @@ from sl2wiggle.exact.laurent import LaurentPoly
 from sl2wiggle.exact.mat2 import identity_q, mat2_q
 from sl2wiggle.exact.qpoly import real_roots, zexact_div
 from sl2wiggle.exact.tpoly import TPoly, resultant
-from sl2wiggle.wiggle import gamma_of, specialized_assoc, trace_poly
+from sl2wiggle.wiggle import (
+    _column_norms,
+    as_pairs,
+    assoc_polys,
+    gamma_of,
+    specialized_assoc,
+    trace_poly,
+)
 
 from fraction_reference import QPoly, squarefree_without
 from dc_reference import (
@@ -57,6 +72,13 @@ def divides_over_fractions(f: TPoly, g: TPoly) -> bool:
 
 def padded(p: TPoly, size: int) -> list:
     return [p.coeff(i) for i in range(size)]
+
+
+BOX2 = [
+    params for params in product((-2, -1, 1, 2), repeat=4) if not DCParams(*params).is_trivial()
+]
+# tuples whose runs leave most of a box unreachable
+LARGE = [(200, 1, 2, 1), (50, 1, -3, 2), (7, -5, 3, 6), (1000, 1, 2, 1)]
 
 
 class TestCorePolys:
@@ -130,6 +152,97 @@ class TestCorePolys:
         assert _peel(t_t1 * t_t1 * (t + TPoly.const(lam)).scale(lam + 1), 2, lam + 1) == (
             t + TPoly.const(lam)
         )
+
+    def test_tables_pin(self):
+        # sha256 of the JSON of tau, gamma_inner and alpha_core, and with the
+        # assoc polys, over every non-trivial box-2 tuple and three tuples
+        # the packed path declines, as the Laurent route computed them
+        rows = []
+        for params in BOX2 + LARGE[:3]:
+            cp = core_polys(DCParams(*params))
+            tables = [cp.tau, cp.gamma_inner, cp.alpha_core, cp.assoc.alpha, cp.assoc.beta]
+            rows.append([list(params), *(f.to_json() for f in tables)])
+        digest = lambda n: hashlib.sha256(
+            json.dumps([row[:n] for row in rows], sort_keys=True).encode()
+        ).hexdigest()
+        assert digest(4) == "6cf61719f71f919f4f330001b66b7a8f3899c3d238dd8a4b7dd69720578a2580"
+        assert digest(6) == "c6cca3280483d849e1902c14e95ce175407a7a462233e993eecaf8010a84a12e"
+
+    def test_packed_path_matches_the_laurent_route(self):
+        # one tuple per orbit of lambda -> 1/lambda, mu -> 1/mu
+        orbits = {
+            min((a * k, b * l, a * m, b * n) for a in (1, -1) for b in (1, -1))
+            for k, l, m, n in BOX2
+        }
+        assert len(orbits) == 60
+        for params in sorted(orbits):
+            p = DCParams(*params)
+            pairs = as_pairs(p.cyclic_word())
+            packed = _packed_core(p, pairs)
+            assert packed is not None
+            assert packed == _laurent_core(pairs, prefactor_num(p), prefactor_den(p))
+
+    def test_decline_rule(self):
+        # every slot of both boxes is reachable for every |e| <= 2 tuple;
+        # a large exponent among small ones leaves most of a box unreachable
+        for params in BOX2:
+            assert _full_boxes(as_pairs(DCParams(*params).cyclic_word())) is not None
+        for params in LARGE:
+            assert _full_boxes(as_pairs(DCParams(*params).cyclic_word())) is None
+
+    def test_peel_slot_holds_every_quotient(self):
+        # on real tuples the bounds hold and s is the least the proof allows
+        for params in [(1, 1, 2, 3), (-2, 2, -1, 1), (2, 1, 2, -1), (1, 2, -1, -2)]:
+            p = DCParams(*params)
+            pairs = as_pairs(p.cyclic_word())
+            (_, _, nl), (_, _, nm) = _full_boxes(pairs)
+            s, bound = _peel_slot(pairs, nl, nm)
+            u, v = _column_norms(pairs)
+            norm = 2 * (u + v + 1)
+            assert 2 ** (8 * s - 9) <= norm + (bound << 10) < 2 ** (8 * s - 1)
+            cp, ap = core_polys(p), assoc_polys(pairs)
+            coeffs = lambda f: [c for lp in f.coeffs for c in lp.terms().values()]
+            numerators = [trace_poly(ap) - TPoly.const(2), gamma_of(ap) - TPoly.one()]
+            assert max(sum(map(abs, coeffs(f))) for f in numerators) <= norm
+            quotients = [cp.tau, cp.gamma_inner, cp.alpha_core]
+            assert max(abs(c) for f in quotients for c in coeffs(f)) <= bound
+
+    def test_packed_peel_raises_on_every_inexact_factor(self):
+        # one slot per row: the rows are the coefficients in t themselves
+        peel = lambda rows, k, d, bound=9: _packed_peel(rows, k, d, 1, [True], bound)
+        # 3 t (t+1) (t+2) = 6t + 9t^2 + 3t^3
+        assert peel([0, 6, 9, 3], 1, 3) == [[2], [1]]
+        # a nonzero row below t^k
+        with pytest.raises(InexactDivisionError):
+            peel([1, 6, 9, 3], 1, 3)
+        # t + 1 divides t^2 (t+1) (t+2) once but not twice, t (t^2 + 1) never
+        with pytest.raises(InexactDivisionError):
+            peel([0, 0, 2, 3, 1], 2, 1)
+        with pytest.raises(InexactDivisionError):
+            peel([0, 1, 0, 1], 1, 1)
+        # P does not divide t (t+1) (t+2)
+        with pytest.raises(InexactDivisionError):
+            peel([0, 2, 3, 1], 1, 3)
+        # t (t+1) (5t + 7): a quotient coefficient beyond its bound
+        with pytest.raises(InexactDivisionError):
+            peel([0, 7, 12, 5], 1, 1, bound=6)
+        assert peel([0, 7, 12, 5], 1, 1, bound=7) == [[7], [5]]
+        # a quotient row with no expansion in its slots
+        with pytest.raises(InexactDivisionError):
+            peel([0, 300, 300], 1, 1, bound=400)
+
+    def test_packed_peel_catches_a_division_without_remainder(self):
+        # rows in M at M = 2^16, two-byte slots, P0 = M - 1: N = 20000 +
+        # 20000 M + 25535 M^2 is no multiple of P0, since N(1) != 0, but
+        # N(2^16) is a multiple of P0(2^16) = 2^16 - 1, because N(1) is
+        m = 1 << 16
+        row = 20000 + 20000 * m + 25535 * m * m
+        assert row % (m - 1) == 0
+        with pytest.raises(InexactDivisionError):
+            _packed_peel([0, row, row], 1, m - 1, 2, [True, True, False], 2**14)
+        # P0 (1 + 2M) = -1 - M + 2M^2 divides, within region and bound
+        row = -1 - m + 2 * m * m
+        assert _packed_peel([0, row, row], 1, m - 1, 2, [True, True, False], 2) == [[1, 2, 0]]
 
     def test_specialized_matches_symbolic_route(self):
         t_t1 = QPoly([0, 1, 1])

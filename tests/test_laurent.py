@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2wiggle.errors import InexactDivisionError, NotAUnitError
-from sl2wiggle.exact.laurent import LaurentPoly, _row_quotient, _scaled_row_quotient
+from sl2wiggle.exact.laurent import (
+    LaurentPoly,
+    _pack_slots,
+    _row_quotient,
+    _scaled_row_quotient,
+    _unpack_slots,
+)
 
 from conftest import laurents, nonzero_laurents, nonzero_rationals
 from laurent_reference import _sparse_quotient
@@ -185,6 +191,35 @@ def test_product_at_the_coefficient_bound():
                 pq = p * q
                 assert pq == schoolbook(p, q)
                 assert integral(pq)
+
+
+@st.composite
+def slot_coefficients(draw):
+    """(s, coefficients) for s-byte slots: any balanced value, with zeros
+    and the two ends -2^(8s-1) and 2^(8s-1) - 1 drawn often."""
+    s = draw(st.integers(1, 3))
+    half = 1 << (8 * s - 1)
+    coeff = st.one_of(st.sampled_from([0, -half, half - 1]), st.integers(-half, half - 1))
+    return s, draw(st.lists(coeff, min_size=1, max_size=12))
+
+
+@given(slot_coefficients())
+def test_unpack_slots_inverts_pack_slots(drawn):
+    s, coeffs = drawn
+    n = len(coeffs)
+    assert _unpack_slots(_pack_slots(range(0, s * n, s), coeffs, s, s * n), s, n) == coeffs
+
+
+def test_unpack_slots_without_an_expansion_raises():
+    # every slot at 2^(8s-1) - 1, or every slot at -2^(8s-1), are the ends
+    for s, n in [(1, 1), (2, 3)]:
+        half = 1 << (8 * s - 1)
+        ones = sum(256 ** (s * i) for i in range(n))
+        assert _unpack_slots((half - 1) * ones, s, n) == [half - 1] * n
+        assert _unpack_slots(-half * ones, s, n) == [-half] * n
+        for value in ((half - 1) * ones + 1, -half * ones - 1):
+            with pytest.raises(OverflowError):
+                _unpack_slots(value, s, n)
 
 
 division_coeffs = {
