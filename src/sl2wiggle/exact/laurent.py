@@ -1,55 +1,35 @@
-"""Sparse bivariate Laurent polynomials over exact rationals.
+"""Sparse bivariate Laurent polynomials over the integers.
 
-The ring is Q[l, l^-1, m, m^-1] with variables rendered as lambda and mu.
-Terms live in a dict keyed by the exponent pair (e_lambda, e_mu); zero
-coefficients are never stored.  Coefficients are Fraction or plain int
-(ints keep the hot multiplication loops on fast integer arithmetic).
+The ring is Z[l, l^-1, m, m^-1] with variables rendered as lambda and mu:
+every entry of a transfer step is +-1, lambda^+-a or mu^+-b, so the
+normal form, the tables and their resultant all live here.  Terms live in
+a dict keyed by the exponent pair (e_lambda, e_mu); zero coefficients are
+never stored, and a coefficient that is not an int raises TypeError.
 A product of two operands with more than a few terms each is computed by
-Kronecker substitution, as one big-integer multiplication; so is a product
-of two polynomials in t over this ring (see tpoly).  Exact division by a
-monomial is a shift.  Any other exact division is one long division over
-lambda-rows packed into integers, with a slot width that holds every
-quotient coefficient, checked by one product (see _row_quotient).
+Kronecker substitution, as one big-integer multiplication.  Exact
+division by a monomial is a shift and an integer division.  Any other
+exact division is one long division over lambda-rows packed into
+integers, with a slot width that holds every quotient coefficient,
+checked by one product (see _row_quotient).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd, lcm, prod
-from typing import Iterable, Mapping, Sequence, Union
+from math import comb, gcd, prod
+from typing import Iterable, Mapping, Sequence
 
 from ..errors import InexactDivisionError, NotAUnitError
 from . import polycore
 
-Scalar = Union[int, Fraction]
-Terms = dict[tuple[int, int], Scalar]
+Terms = dict[tuple[int, int], int]
 
 _SUP = "⁰¹²³⁴⁵⁶⁷⁸⁹"
 
-
-def _normalize_scalar(c: Scalar) -> Scalar:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
-def _scalar_div(a: Scalar, b: Scalar) -> Scalar:
-    return _normalize_scalar(Fraction(a) / Fraction(b))
-
-
 # Products whose smaller operand has at most this many terms keep the dict
 # double loop: on them packing costs more than the big-integer product saves.
-# The same size decides whether a product of polynomials in t is packed whole.
 _SCHOOLBOOK_MAX_TERMS = 4
-
-
-def _integer_terms(terms: dict[tuple, Scalar]) -> tuple[int, dict[tuple, Scalar]]:
-    """(d, d * terms) with d the lcm of the coefficient denominators."""
-    if all(type(c) is int for c in terms.values()):
-        return 1, terms
-    d = lcm(*[c.denominator for c in terms.values()])
-    return d, {e: c.numerator * (d // c.denominator) for e, c in terms.items()}
 
 
 def _pack_slots(offsets: Iterable[int], coeffs: Iterable[int], s: int, nbytes: int) -> int:
@@ -78,23 +58,22 @@ def _unpack_slots(value: int, s: int, nslots: int) -> list[int]:
     return [int.from_bytes(buf[k : k + s], "little") - half for k in range(0, len(buf), s)]
 
 
-def _flat_terms(coeffs: Sequence["LaurentPoly"]) -> dict[tuple[int, int, int], Scalar]:
+def _flat_terms(coeffs: Sequence["LaurentPoly"]) -> dict[tuple[int, int, int], int]:
     """The terms of a polynomial in t over the Laurent ring, given as its
     coefficient list, keyed by the exponent triple (t, lambda, mu)."""
     return {(i, el, em): c for i, p in enumerate(coeffs) for (el, em), c in p._terms.items()}
 
 
-def _packed_product(a: dict[tuple, Scalar], b: dict[tuple, Scalar]) -> dict | None:
+def _packed_product(a: Terms, b: Terms) -> Terms | None:
     """The product a * b by Kronecker substitution: one big-integer product.
 
-    The keys are exponent tuples, one entry per variable.  Denominators are
-    cleared, each support is shifted to start at exponent 0, and the
-    exponents are divided by their gcd over both operands, per variable, so
-    that strided supports do not inflate the packing.  The packed box has,
-    per variable, room for every exponent of the product; a monomial goes to
-    its mixed-radix slot, the last variable varying fastest.  A product
-    coefficient is a sum of at most min(#a, #b) products of coefficients,
-    so it fits a signed slot of s bytes, which _unpack_slots reads back.
+    Each support is shifted to start at exponent 0, and the exponents are
+    divided by their gcd over both operands, per variable, so that strided
+    supports do not inflate the packing.  The packed box has, per variable,
+    room for every exponent of the product; a monomial goes to its
+    mixed-radix slot, mu varying fastest.  A product coefficient is a sum
+    of at most min(#a, #b) products of coefficients, so it fits a signed
+    slot of s bytes, which _unpack_slots reads back.
 
     Returns None, leaving the product to the double loop, when the packed
     box has more slots than there are pairs of terms.
@@ -113,8 +92,6 @@ def _packed_product(a: dict[tuple, Scalar], b: dict[tuple, Scalar]) -> dict | No
         # a sparse product, such as one with a factor lambda^1000 - 1: reading
         # its empty slots would cost more than the double loop's term pairs
         return None
-    da, a = _integer_terms(a)
-    db, b = _integer_terms(b)
     bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
     s = (bound.bit_length() + 8) // 8  # 2^(8s-1) > bound
     nbytes = slots * s
@@ -133,11 +110,7 @@ def _packed_product(a: dict[tuple, Scalar], b: dict[tuple, Scalar]) -> dict | No
             for la, lb, size, g in zip(lows_a, lows_b, sizes, steps)
         ]
     )
-    out = {e: c for e, c in zip(exponents, values) if c}
-    d = da * db
-    if d != 1:
-        out = {e: _normalize_scalar(Fraction(c, d)) for e, c in out.items()}
-    return out
+    return {e: c for e, c in zip(exponents, values) if c}
 
 
 def _row_quotient(num: Terms, den: Terms) -> Terms | None:
@@ -205,57 +178,11 @@ def _row_quotient(num: Terms, den: Terms) -> Terms | None:
     return quot
 
 
-def _scaled_row_quotient(num: Terms, den: Terms) -> Terms | None:
-    """_row_quotient(num, den) for operands with any coefficients.
-
-    num is scaled to an integer polynomial n num and den to a primitive
-    integer one d den / c.  When den divides num, Gauss's lemma makes their
-    quotient integral, so the row division finds it; it is scaled back by
-    d / (n c).
-    """
-    n, num = _integer_terms(num)
-    d, den = _integer_terms(den)
-    c = gcd(*den.values())
-    if c != 1:
-        den = {e: v // c for e, v in den.items()}
-    quot = _row_quotient(num, den)
-    if quot is None or d == n * c:
-        return quot
-    scale = Fraction(d, n * c)
-    return {e: _normalize_scalar(v * scale) for e, v in quot.items()}
-
-
 def _from_terms(terms: Terms) -> "LaurentPoly":
-    """Wrap a dict of nonzero, normalized coefficients without copying it."""
+    """Wrap a dict of nonzero int coefficients without copying it."""
     res = LaurentPoly.__new__(LaurentPoly)
     res._terms = terms
     return res
-
-
-def _packed_poly_product(
-    f: Sequence["LaurentPoly"], g: Sequence["LaurentPoly"]
-) -> list["LaurentPoly"] | None:
-    """The product of two polynomials in t over the Laurent ring, given as
-    coefficient lists lowest degree first, as one packed product over
-    (t, lambda, mu).
-
-    None, leaving the product to the coefficientwise double loop, when that
-    loop would pack none of its coefficient products (no coefficient of f
-    or none of g has more than _SCHOOLBOOK_MAX_TERMS terms; tested before
-    anything is flattened), or when the packed box is too sparse.  A
-    product of a small operand and a large one stays coefficientwise: the
-    small one's few terms make the double loop cheaper than packing the other.
-    """
-    for p in (f, g):
-        if max([len(c._terms) for c in p], default=0) <= _SCHOOLBOOK_MAX_TERMS:
-            return None
-    flat = _packed_product(_flat_terms(f), _flat_terms(g))
-    if flat is None:
-        return None
-    out: list[Terms] = [{} for _ in range(len(f) + len(g) - 1)]
-    for (i, el, em), c in flat.items():
-        out[i][(el, em)] = c
-    return [_from_terms(t) for t in out]
 
 
 class LaurentPoly:
@@ -263,12 +190,13 @@ class LaurentPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, int], Scalar] | None = None):
-        canon: dict[tuple[int, int], Scalar] = {}
+    def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
+        canon: Terms = {}
         if terms:
             for (el, em), c in terms.items():
-                c = _normalize_scalar(c)
-                if c != 0:
+                if type(c) is not int:
+                    raise TypeError(f"Laurent coefficients are ints, not {type(c).__name__}")
+                if c:
                     canon[(int(el), int(em))] = c
         self._terms = canon
 
@@ -284,11 +212,11 @@ class LaurentPoly:
         return cls({(0, 0): 1})
 
     @classmethod
-    def const(cls, c: Scalar) -> "LaurentPoly":
+    def const(cls, c: int) -> "LaurentPoly":
         return cls({(0, 0): c})
 
     @classmethod
-    def mono(cls, c: Scalar, el: int, em: int) -> "LaurentPoly":
+    def mono(cls, c: int, el: int, em: int) -> "LaurentPoly":
         return cls({(el, em): c})
 
     @classmethod
@@ -308,18 +236,18 @@ class LaurentPoly:
     def is_one(self) -> bool:
         return self._terms == {(0, 0): 1}
 
-    def terms(self) -> dict[tuple[int, int], Fraction]:
-        return {e: Fraction(c) for e, c in self._terms.items()}
+    def terms(self) -> Terms:
+        return dict(self._terms)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
             return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self == LaurentPoly.const(other)
+        if isinstance(other, int):
+            return self._terms == ({(0, 0): other} if other else {})
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset((e, Fraction(c)) for e, c in self._terms.items()))
+        return hash(frozenset(self._terms.items()))
 
     # ------------------------------------------------------------------
     # ring arithmetic
@@ -328,7 +256,7 @@ class LaurentPoly:
     def _coerce(other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return LaurentPoly.const(other)
         return NotImplemented
 
@@ -389,11 +317,12 @@ class LaurentPoly:
         return polycore.power(self, n, LaurentPoly.one())
 
     def unit_inverse(self) -> "LaurentPoly":
-        """Invert a monomial; the only units of the Laurent ring."""
-        if len(self._terms) != 1:
-            raise NotAUnitError("only nonzero monomials are invertible")
-        ((el, em), c), = self._terms.items()
-        return LaurentPoly({(-el, -em): _scalar_div(1, c)})
+        """Invert a monomial of coefficient +-1; the only units of the ring."""
+        if len(self._terms) == 1:
+            ((el, em), c), = self._terms.items()
+            if abs(c) == 1:
+                return _from_terms({(-el, -em): c})
+        raise NotAUnitError("only monomials of coefficient +-1 are invertible")
 
     def sigma(self) -> "LaurentPoly":
         """Substitute lambda -> lambda^-1 and mu -> mu^-1."""
@@ -408,26 +337,25 @@ class LaurentPoly:
         lam0, mu0 = Fraction(lam0), Fraction(mu0)
         if not self._terms:
             return Fraction(0)
-        den, terms = _integer_terms(self._terms)
         (p, q), (r, s) = lam0.as_integer_ratio(), mu0.as_integer_ratio()
-        ls, ms = {el for el, _ in terms}, {em for _, em in terms}
+        ls, ms = {el for el, _ in self._terms}, {em for _, em in self._terms}
         l0, l1, m0, m1 = min(ls), max(ls), min(ms), max(ms)
         lp = {e: p ** (e - l0) * q ** (l1 - e) for e in ls}
         mp = {e: r ** (e - m0) * s ** (m1 - e) for e in ms}
-        num = sum(c * lp[el] * mp[em] for (el, em), c in terms.items())
+        num = sum(c * lp[el] * mp[em] for (el, em), c in self._terms.items())
         # times lam0^l0 mu0^m0, over q^(l1 - l0) s^(m1 - m0)
         num *= (p ** l0 if l0 > 0 else q ** -l0) * (r ** m0 if m0 > 0 else s ** -m0)
-        den *= q ** (l1 - l0) * s ** (m1 - m0)
+        den = q ** (l1 - l0) * s ** (m1 - m0)
         den *= (q ** l0 if l0 > 0 else p ** -l0) * (s ** m0 if m0 > 0 else r ** -m0)
         return Fraction(num, den)
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient self / divisor; raises InexactDivisionError otherwise.
 
-        A monomial divisor shifts the exponents.  Any other runs
-        _scaled_row_quotient, whose quotient is returned only if it
-        multiplies back to self: a decline or a failed check proves the
-        division inexact.
+        A monomial divisor shifts the exponents and divides every
+        coefficient by its own.  Any other runs _row_quotient, whose
+        quotient is returned only if it multiplies back to self: a decline
+        or a failed check proves the division inexact.
         """
         if not divisor:
             raise ZeroDivisionError("Laurent division by zero")
@@ -435,11 +363,12 @@ class LaurentPoly:
             return LaurentPoly.zero()
         if len(divisor._terms) == 1:
             ((gl, gm), d), = divisor._terms.items()
+            if any(c % d for c in self._terms.values()):
+                raise InexactDivisionError("Laurent division left a remainder")
             return _from_terms(
-                {(el - gl, em - gm): c if d == 1 else _scalar_div(c, d)
-                 for (el, em), c in self._terms.items()}
+                {(el - gl, em - gm): c // d for (el, em), c in self._terms.items()}
             )
-        terms = _scaled_row_quotient(self._terms, divisor._terms)
+        terms = _row_quotient(self._terms, divisor._terms)
         if terms is not None:
             quot = _from_terms(terms)
             if quot * divisor == self:
@@ -451,13 +380,13 @@ class LaurentPoly:
 
     def to_json(self) -> list[dict]:
         return [
-            {"el": el, "em": em, "c": str(Fraction(c))}
+            {"el": el, "em": em, "c": str(c)}
             for (el, em), c in sorted(self._terms.items())
         ]
 
     @classmethod
     def from_json(cls, data: Iterable[Mapping]) -> "LaurentPoly":
-        return cls({(int(d["el"]), int(d["em"])): Fraction(d["c"]) for d in data})
+        return cls({(int(d["el"]), int(d["em"])): int(d["c"]) for d in data})
 
     def pretty(self) -> str:
         return polycore.signed_sum(

@@ -1,15 +1,14 @@
 """Polynomials in t whose coefficients are bivariate Laurent polynomials.
 
-This is the ring where the associated polynomials of the wiggle normal
-form live: t is a formal stand-in for det(xi_g).  A product of two
-operands that each have a coefficient of more than a few terms is one
-Kronecker product over (t, lambda, mu), computed by the LaurentPoly
-packing kernel.  The resultant runs its remainder sequence on integers,
-the operands packed at one Kronecker point in (lambda, mu).  The only
-division by a polynomial in t is by t^k (shift_down).  The tables peel
-their factors on packed integers (certify._packed_core), or, for a word
-whose exponent box the runs cannot fill, coefficientwise over this ring
-(certify._peel).
+This is the ring Z[lambda^+-1, mu^+-1][t] where the associated
+polynomials of the wiggle normal form live: t is a formal stand-in for
+det(xi_g).  A product is coefficientwise (polycore.mul), each coefficient
+product a LaurentPoly product.  The resultant runs its remainder sequence
+on integers, the operands packed at one Kronecker point in (lambda, mu).
+The only division by a polynomial in t is by t^k (shift_down).  The
+tables peel their factors on packed integers (certify._packed_core), or,
+for a word whose exponent box the runs cannot fill, coefficientwise over
+this ring (certify._peel).
 """
 
 from __future__ import annotations
@@ -20,14 +19,7 @@ from typing import Iterable, Sequence
 
 from ..errors import InexactDivisionError, ZeroParameterError
 from . import polycore
-from .laurent import (
-    LaurentPoly,
-    _flat_terms,
-    _from_terms,
-    _integer_terms,
-    _normalize_scalar,
-    _packed_poly_product,
-)
+from .laurent import LaurentPoly, _flat_terms, _from_terms
 
 _LZERO = LaurentPoly.zero()
 _LONE = LaurentPoly.one()
@@ -38,7 +30,7 @@ class TPoly:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[LaurentPoly | int | Fraction] = ()):
+    def __init__(self, coeffs: Iterable[LaurentPoly | int] = ()):
         lifted = [
             c if isinstance(c, LaurentPoly) else LaurentPoly.const(c) for c in coeffs
         ]
@@ -82,8 +74,8 @@ class TPoly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TPoly):
             return self._coeffs == other._coeffs
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            return self._coeffs == TPoly.const(other)._coeffs
+        if isinstance(other, (int, LaurentPoly)):
+            return len(self._coeffs) <= 1 and self.coeff(0) == other
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -94,7 +86,7 @@ class TPoly:
     def _coerce(other) -> "TPoly":
         if isinstance(other, TPoly):
             return other
-        if isinstance(other, (int, Fraction, LaurentPoly)):
+        if isinstance(other, (int, LaurentPoly)):
             return TPoly.const(other)
         return NotImplemented
 
@@ -122,10 +114,7 @@ class TPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = _packed_poly_product(self._coeffs, other._coeffs)
-        if out is None:
-            out = polycore.mul(self._coeffs, other._coeffs, _LZERO)
-        return _wrap(out)
+        return _wrap(polycore.mul(self._coeffs, other._coeffs, _LZERO))
 
     __rmul__ = __mul__
 
@@ -242,19 +231,18 @@ def _packed_resultant(
     """res(f, g) as one integer resultant at a Kronecker point; None if f
     or g has degree 0 or the packed box would be sparse.
 
-    Let n = deg f and m = deg g, both at least 1.  Clearing denominators (f = F / D_f,
-    g = G / D_g), shifting each support to exponent 0 and deflating
-    lambda^s -> L, mu^s' -> M, with s and s' the gcds of the shifted
-    lambda- and mu-exponents over both operands, gives F', G' in
-    Z[L, M][t] with
+    Let n = deg f and m = deg g, both at least 1.  Shifting each support
+    to exponent 0 and deflating lambda^s -> L, mu^s' -> M, with s and s'
+    the gcds of the shifted lambda- and mu-exponents over both operands,
+    gives F', G' in Z[L, M][t] with
 
-        res(f, g) = lambda^(m a + n c) mu^(m b + n d) R(lambda^s, mu^s')
-                    / (D_f^m D_g^n),    R = res(F', G'),
+        res(f, g) = lambda^(m a + n c) mu^(m b + n d) R(lambda^s, mu^s'),
+        R = res(F', G'),
 
     for the shifts (a, b) of f and (c, d) of g: res is a polynomial in the
     coefficients, homogeneous of degree m in f's and n in g's, so it
     commutes with the injective ring map L -> lambda^s, M -> mu^s' and
-    takes out a scalar or a monomial factor of f as its m-th power.
+    takes out a monomial factor of f as its m-th power.
     Every term of the Sylvester determinant is a product of m coefficients
     of F' and n of G', so R has L-degree below the box
     N_L = m deg_L F' + n deg_L G' + 1, and likewise M-degree below N_M.
@@ -299,8 +287,6 @@ def _packed_resultant(
     (sl, sm), (nl, nm), ((la, lb), (ma, mb)) = steps, sizes, lows
     if nl * nm > len(a) * len(b):
         return None
-    da, a = _integer_terms(a)
-    db, b = _integer_terms(b)
     k = _slot_width(a, b, n, m)
 
     def pack(terms: dict, deg: int, l0: int, m0: int) -> list[int]:
@@ -318,7 +304,4 @@ def _packed_resultant(
         for j, c in enumerate(polycore.unpack(row, k)):
             if c:
                 terms[(el0 + i * sl, em0 + j * sm)] = c
-    d = da**m * db**n
-    if d != 1:
-        terms = {e: _normalize_scalar(Fraction(c, d)) for e, c in terms.items()}
     return _from_terms(terms)

@@ -353,11 +353,10 @@ def verify_identities(ap: AssocPolys) -> IdentityReport:
     and the sigma one at most N + m.  s is the least with 2^(8s-1) above
     them all.
 
-    When a coefficient is not an integer, a term lies outside its box
-    (alpha and beta are then not the column of their runs), or the box has
-    more slots than (#alpha + #beta)^2 term pairs (a word with one large
-    exponent packs mostly empty slots), the same identities run on TPoly
-    arithmetic.
+    When a term lies outside its box (alpha and beta are then not the
+    column of their runs), or the box has more slots than
+    (#alpha + #beta)^2 term pairs (a word with one large exponent packs
+    mostly empty slots), the same identities run on TPoly arithmetic.
     Failures indicate an implementation bug, never bad input, so the
     report names the violated identity instead of raising.
     """
@@ -411,8 +410,6 @@ def _slot_bytes(alpha: Sequence[int], beta: Sequence[int], pairs: Pairs) -> int:
 def _packed_identities(ap: AssocPolys) -> IdentityReport | None:
     """verify_identities at the point of packed integers; None if it declines."""
     a, b = _flat_terms(ap.alpha.coeffs), _flat_terms(ap.beta.coeffs)
-    if not all(type(c) is int for f in (a, b) for c in f.values()):
-        return None
     x_exps = [e for e, _ in ap.pairs if e]
     (al, gl, nl), (am, gm, nm) = _box(x_exps), _box([e for _, e in ap.pairs if e])
     if any(

@@ -18,10 +18,7 @@ nonzero_rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=8
 ).filter(lambda q: q != 0)
 
-small_scalars = st.one_of(
-    st.integers(min_value=-6, max_value=6),
-    st.fractions(min_value=-4, max_value=4, max_denominator=4),
-)
+small_scalars = st.integers(min_value=-6, max_value=6)
 
 laurents = st.dictionaries(
     keys=st.tuples(st.integers(-4, 4), st.integers(-4, 4)),

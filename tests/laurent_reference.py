@@ -8,7 +8,7 @@ behind `sl2wiggle.exact.laurent.LaurentPoly.exact_div` with it.
 from __future__ import annotations
 
 from sl2wiggle.errors import InexactDivisionError
-from sl2wiggle.exact.laurent import Terms, _scalar_div
+from sl2wiggle.exact.laurent import Terms
 
 
 def _sparse_quotient(num: Terms, den: Terms) -> Terms:
@@ -17,7 +17,10 @@ def _sparse_quotient(num: Terms, den: Terms) -> Terms:
     Shift both operands to plain-polynomial exponents, then cancel leading
     terms under lex order.  Minimal exponents are additive under
     multiplication in a domain, so the shifted quotient stays polynomial
-    and the loop terminates (lex on N^2 is a well-order).
+    and the loop terminates (lex on N^2 is a well-order).  Each step
+    divides two integers: an exact quotient over the integers is the
+    quotient over the rationals, so a remainder there proves the
+    division inexact.
     """
     fl = min(el for el, _ in num)
     fm = min(em for _, em in num)
@@ -33,7 +36,9 @@ def _sparse_quotient(num: Terms, den: Terms) -> Terms:
         de = (lead[0] - dlead[0], lead[1] - dlead[1])
         if de[0] < 0 or de[1] < 0:
             raise InexactDivisionError("Laurent division left a remainder")
-        c = _scalar_div(num[lead], dcoef)
+        c, r = divmod(num[lead], dcoef)
+        if r:
+            raise InexactDivisionError("Laurent division left a remainder")
         quot[de] = c
         for (el, em), dc in den.items():
             e = (el + de[0], em + de[1])

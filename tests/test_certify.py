@@ -48,6 +48,7 @@ from sl2wiggle.wiggle import (
     specialized_assoc,
     trace_poly,
 )
+from sl2wiggle.words import parse_word
 
 from fraction_reference import QPoly, squarefree_without
 from dc_reference import (
@@ -167,6 +168,22 @@ class TestCorePolys:
         ).hexdigest()
         assert digest(4) == "6cf61719f71f919f4f330001b66b7a8f3899c3d238dd8a4b7dd69720578a2580"
         assert digest(6) == "c6cca3280483d849e1902c14e95ce175407a7a462233e993eecaf8010a84a12e"
+
+    def test_every_coefficient_is_an_int(self):
+        # the tables, the assoc polys and the resultant lie in
+        # Z[lambda^+-1, mu^+-1][t]; _from_terms wraps them unchecked
+        def ints(*polys: TPoly) -> bool:
+            return all(type(c) is int for f in polys for p in f.coeffs for c in p.terms().values())
+
+        sample = random.Random(19).sample(BOX2, 12)
+        for params in sample + [(200, 1, 2, 1), (7, -5, 3, 6)]:
+            cp = core_polys(DCParams(*params))
+            assert ints(cp.tau, cp.gamma_inner, cp.alpha_core, cp.assoc.alpha, cp.assoc.beta)
+            if params in sample:  # every box-2 tuple takes the packed resultant
+                assert ints(TPoly([resultant(cp.tau, cp.gamma_inner)]))
+        for word in ["[x,y]", "x^2 y^-1 x y^3", "[[x,y],[x^2,y]]", "x^5 y^-4 x^-3 y^2"]:
+            ap = assoc_polys(parse_word(word))
+            assert ints(ap.alpha, ap.beta)
 
     def test_packed_path_matches_the_laurent_route(self):
         # one tuple per orbit of lambda -> 1/lambda, mu -> 1/mu
@@ -360,10 +377,12 @@ class TestCertify:
         # squarefree part of tau
         cert = certify(DCParams(1, 1, 2, 3), seed=7)
         cp = core_polys(cert.params)
-        tau = cp.tau.specialize(cert.lam0, cert.mu0)
-        gamma_inner = cp.gamma_inner.specialize(cert.lam0, cert.mu0)
-        assert resultant(TPoly(tau), TPoly(gamma_inner)) != 0
-        stripped = squarefree_without(QPoly(tau), [Fraction(0), Fraction(-1)])
+        tau = QPoly(cp.tau.specialize(cert.lam0, cert.mu0))
+        gamma_inner = QPoly(cp.gamma_inner.specialize(cert.lam0, cert.mu0))
+        # scaled to integer polynomials, which keeps a resultant nonzero
+        cleared = [TPoly(f.primitive_ints()) for f in (tau, gamma_inner)]
+        assert resultant(*cleared) != 0
+        stripped = squarefree_without(tau, [Fraction(0), Fraction(-1)])
         assert cert.hpoly == tuple(stripped.primitive_ints())
 
     def test_tau_vanishing_at_zero_is_logged(self, caplog):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl2wiggle.errors import InexactDivisionError, ZeroParameterError
-from sl2wiggle.exact.laurent import LaurentPoly, _packed_poly_product
+from sl2wiggle.exact.laurent import LaurentPoly
 from sl2wiggle.exact.mat2 import identity_q
 from sl2wiggle.certify import (
     Certificate,
@@ -126,51 +126,6 @@ class TestExactDiv:
         assert f.shift_down(2) == TPoly.const(LaurentPoly.lam(1))
         with pytest.raises(InexactDivisionError):
             TPoly.one().shift_down(1)
-
-
-@st.composite
-def product_tpolys(draw):
-    """2 to 5 coefficients in t, some zero, the others with 5 to 10 terms of
-    one kind on a lambda^2-, mu^2-strided grid with negative exponents:
-    dense enough that most products are packed."""
-    scalars = draw(st.sampled_from([st.integers(-9, 9), st.integers(-(2**70), 2**70),
-                                    st.fractions(-9, 9, max_denominator=10)]))
-    laurent = st.dictionaries(
-        st.tuples(st.integers(-2, 1), st.integers(-2, 1)), scalars.filter(bool),
-        min_size=5, max_size=10,
-    ).map(lambda terms: LaurentPoly({(2 * i, 2 * j): c for (i, j), c in terms.items()}))
-    coeffs = st.one_of(st.just(LaurentPoly.zero()), laurent, laurent)
-    return TPoly(draw(st.lists(coeffs, min_size=2, max_size=5)))
-
-
-_dense = LaurentPoly({(2 * i, 2 * j - 2): i - j + 3 for i in range(3) for j in range(3)})
-
-
-class TestProduct:
-    """A TPoly product whose operands each have a coefficient of more than a
-    few terms is one packed product over (t, lambda, mu); the
-    coefficientwise polycore.mul is the reference."""
-
-    @given(product_tpolys(), product_tpolys())
-    @example(TPoly([_dense, 0, _dense]), TPoly([0, -_dense, 0, 0, _dense.sigma()]))
-    @settings(max_examples=50, deadline=None)
-    def test_matches_coefficientwise_product(self, p, q):
-        expected = TPoly(polycore.mul(p.coeffs, q.coeffs, LaurentPoly.zero()))
-        packed = _packed_poly_product(p.coeffs, q.coeffs)
-        if packed is not None:
-            assert TPoly(packed) == expected
-        pq = p * q
-        assert pq == expected and hash(pq) == hash(expected)
-        assert p * (-p) + p * p == TPoly.zero()
-
-    def test_cancels_inside_the_box(self):
-        # (1 + ... + t^4) A times (1 - t) B is (1 - t^5) A B: every interior
-        # t-coefficient of the packed product sums to zero
-        a = _dense * Fraction(3, 7)
-        b = LaurentPoly({(2 * i, 2 * j): 1 - 2 * j for i in range(2) for j in range(3)})
-        p, q = TPoly([a] * 5), TPoly([b, -b])
-        assert _packed_poly_product(p.coeffs, q.coeffs) is not None
-        assert p * q == TPoly([a * b, 0, 0, 0, 0, -(a * b)])
 
 
 # products with a shared factor, so gcds of every degree occur; the empty
@@ -337,7 +292,7 @@ class TestRationalRootsAndFactor:
 class TestResultant:
     def test_linear_convention(self):
         # res(t - a, t - b) = lc^1 * (a - b) under the product-over-roots rule
-        a, b = Fraction(5), Fraction(2)
+        a, b = 5, 2
         assert resultant(TPoly([-a, 1]), TPoly([-b, 1])) == a - b
         lam, mu = LaurentPoly.lam(1), LaurentPoly.mu(1)
         f = TPoly([-lam, LaurentPoly.one()])
@@ -362,18 +317,19 @@ class TestResultant:
             )
         )
         split = data.draw(st.integers(1, len(roots) - 1))
-        f = QPoly.one()
+        # the root p/q is that of the integer factor q t - p, and
+        # res(q t - p, s t - r) = q s (p/q - r/s)
+        f = TPoly.one()
         for r in roots[:split]:
-            f = f * QPoly([-r, 1])
-        g = QPoly.one()
+            f = f * TPoly([-r.numerator, r.denominator])
+        g = TPoly.one()
         for r in roots[split:]:
-            g = g * QPoly([-r, 1])
-        value = resultant(TPoly(f.coeffs), TPoly(g.coeffs))
+            g = g * TPoly([-r.numerator, r.denominator])
         expected = Fraction(1)
         for rf in roots[:split]:
             for rg in roots[split:]:
-                expected *= rf - rg
-        assert value == expected
+                expected *= rf.denominator * rg.denominator * (rf - rg)
+        assert resultant(f, g) == int(expected)
 
     @given(small_tpolys.filter(bool), small_tpolys.filter(bool))
     @settings(max_examples=60, deadline=None)
@@ -392,10 +348,7 @@ class TestResultant:
         lam, mu, t = sympy.symbols("lam mu t")
 
         def laurent(c: LaurentPoly):
-            return sum(
-                sympy.Rational(v.numerator, v.denominator) * lam**el * mu**em
-                for (el, em), v in c.terms().items()
-            )
+            return sum(v * lam**el * mu**em for (el, em), v in c.terms().items())
 
         def cleared(p: TPoly):
             """(c p, c) for the monomial c that makes p's coefficients polynomial."""
@@ -418,12 +371,11 @@ class TestResultant:
     def test_swap_sign_rule(self):
         rng = random.Random(5)
         for _ in range(20):
-            f = QPoly([rng.randint(-4, 4) for _ in range(rng.randint(2, 5))])
-            g = QPoly([rng.randint(-4, 4) for _ in range(rng.randint(2, 5))])
-            if not f or not g or f.degree < 1 or g.degree < 1:
+            f = TPoly([rng.randint(-4, 4) for _ in range(rng.randint(2, 5))])
+            g = TPoly([rng.randint(-4, 4) for _ in range(rng.randint(2, 5))])
+            if f.degree < 1 or g.degree < 1:
                 continue
             sign = (-1) ** (f.degree * g.degree)
-            f, g = TPoly(f.coeffs), TPoly(g.coeffs)
             assert resultant(f, g) == sign * resultant(g, f)
 
 
