@@ -31,10 +31,10 @@ from enum import Enum
 from fractions import Fraction
 from itertools import product
 from math import comb, isqrt, log2, log10, prod
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from .errors import InexactDivisionError, PrecisionExhaustedError, TrivialWordError
-from .exact.laurent import LaurentPoly, _from_terms, _unpack_slots
+from .exact.laurent import LaurentPoly, _from_terms, _slot_terms, _unpack_slots
 from .exact.mat2 import Mat2, mat2_q
 from .exact.polycore import add, div_t1, mul, trim, unpack
 from .exact.qpoly import (
@@ -119,29 +119,37 @@ class CorePolys:
     assoc: AssocPolys
 
 
-def _peel(numerator: TPoly, t_power: int, pref: LaurentPoly) -> TPoly:
-    """Divide by t^t_power (t+1)^t_power and the Laurent constant pref:
-    a shift, t_power synthetic divisions by t + 1 on the Laurent
-    coefficients, then one exact Laurent division per coefficient.
-    Raises InexactDivisionError on a coefficient below t^t_power, a
-    nonzero value at t = -1 or a coefficient that pref does not divide."""
-    coeffs = numerator.shift_down(t_power).coeffs
+def _peel(rows: Sequence, t_power: int, divide: Callable) -> list:
+    """The coefficients, lowest degree first, of the polynomial in t with
+    coefficients `rows` divided by t^t_power (t+1)^t_power, each then passed
+    through `divide`: t_power rows dropped, then t_power synthetic
+    divisions by t + 1 (polycore.div_t1), which take + and - alone, so a
+    row is a Laurent polynomial or an integer standing for one at a point.
+    Raises InexactDivisionError on a nonzero row below t^t_power or a
+    nonzero value at t = -1; `divide` raises it on a row it cannot divide."""
+    if any(rows[:t_power]):
+        raise InexactDivisionError("not divisible by the requested power of t")
+    rows = rows[t_power:]
     for _ in range(t_power):
-        coeffs, at_m1 = div_t1(coeffs)
+        rows, at_m1 = div_t1(rows)
         if at_m1:
             raise InexactDivisionError("not divisible by t + 1")
-    return TPoly([c.exact_div(pref) for c in coeffs])
+    return [divide(row) for row in rows]
 
 
 def _laurent_core(pairs: Pairs, pref: LaurentPoly, den: LaurentPoly):
     """(tau, gamma_inner, alpha_core, assoc) over the Laurent ring."""
     ap = assoc_polys(pairs)
     den2 = den * den
-    trace = trace_poly(ap)
+
+    def peel(numerator: TPoly, t_power: int, divisor: LaurentPoly) -> TPoly:
+        rows = numerator.scale(den2).coeffs
+        return TPoly(_peel(rows, t_power, lambda c: c.exact_div(divisor)))
+
     gamma = gamma_of(ap)
-    tau = _peel((trace - TPoly.one() * 2).scale(den2), 2, pref * pref)
-    gamma_inner = _peel((gamma - TPoly.one()).scale(den2), 1, pref)
-    alpha_core = _peel((ap.alpha - TPoly.one()).scale(den2), 1, pref)
+    tau = peel(trace_poly(ap) - TPoly.one() * 2, 2, pref * pref)
+    gamma_inner = peel(gamma - TPoly.one(), 1, pref)
+    alpha_core = peel(ap.alpha - TPoly.one(), 1, pref)
     return tau, gamma_inner, alpha_core, ap
 
 
@@ -165,39 +173,26 @@ def _full_boxes(pairs: Pairs):
     return boxes
 
 
-def _packed_peel(
-    rows: list[int], t_power: int, divisor: int, s: int, region: list[bool], bound: int
-) -> list[list[int]]:
-    """The quotient of the polynomial in t with integer coefficients `rows`
-    by t^t_power (t+1)^t_power divisor, each row decoded into len(region)
-    balanced s-byte slots (laurent._unpack_slots).
+def _packed_row_quotient(
+    row: int, divisor: int, s: int, region: list[bool], bound: int
+) -> list[int]:
+    """row / divisor decoded into len(region) balanced s-byte slots
+    (laurent._unpack_slots): the packed row division of _packed_core.
 
-    Raises InexactDivisionError on a nonzero row below t^t_power, a
-    nonzero value at t = -1, a remainder of the division by divisor, a
-    quotient row with no expansion in those slots, or a nonzero slot
-    outside the region or above bound in absolute value; _packed_core
-    proves that the division is then exact on the polynomials the rows
-    stand for."""
-    if any(rows[:t_power]):
-        raise InexactDivisionError("not divisible by the requested power of t")
-    rows = rows[t_power:]
-    for _ in range(t_power):
-        rows, at_m1 = div_t1(rows)
-        if at_m1:
-            raise InexactDivisionError("not divisible by t + 1")
-    quotient = []
-    for row in rows:
-        q, r = divmod(row, divisor)
-        if r:
-            raise InexactDivisionError("the prefactor left a remainder")
-        try:
-            coeffs = _unpack_slots(q, s, len(region))
-        except OverflowError:
-            raise InexactDivisionError("a quotient row overflows its slots") from None
-        if any(c and (not inside or abs(c) > bound) for inside, c in zip(region, coeffs)):
-            raise InexactDivisionError("a quotient coefficient is outside its box or bound")
-        quotient.append(coeffs)
-    return quotient
+    Raises InexactDivisionError on a remainder, a quotient with no
+    expansion in those slots, or a nonzero slot outside the region or
+    above bound in absolute value; _packed_core proves that the division
+    is then exact on the polynomials the rows stand for."""
+    q, r = divmod(row, divisor)
+    if r:
+        raise InexactDivisionError("the prefactor left a remainder")
+    try:
+        coeffs = _unpack_slots(q, s, len(region))
+    except OverflowError:
+        raise InexactDivisionError("a quotient row overflows its slots") from None
+    if any(c and (not inside or abs(c) > bound) for inside, c in zip(region, coeffs)):
+        raise InexactDivisionError("a quotient coefficient is outside its box or bound")
+    return coeffs
 
 
 def _peel_slot(pairs: Pairs, nl: int, nm: int) -> tuple[int, int]:
@@ -211,9 +206,10 @@ def _peel_slot(pairs: Pairs, nl: int, nm: int) -> tuple[int, int]:
     return ((norm + (bound << 10)).bit_length() + 8) // 8, bound
 
 
-def _packed_core(params: DCParams, pairs: Pairs):
-    """(tau, gamma_inner, alpha_core, assoc) for the runs `pairs` of
-    params' cyclic word, on packed integers; None when _full_boxes declines.
+def _packed_core(pairs: Pairs, pref: LaurentPoly, den: LaurentPoly):
+    """(tau, gamma_inner, alpha_core, assoc) for the runs `pairs` of a
+    double commutator's cyclic word, its prefactor P = pref and monic
+    monomial D = den, on packed integers; None when _full_boxes declines.
 
     The point.  Per variable, say lambda, let (A, g, n) = wiggle._box of
     the x-runs, and (B, g', n') that of the y-runs.  Times lambda^A mu^B,
@@ -229,17 +225,19 @@ def _packed_core(params: DCParams, pairs: Pairs):
 
     The peel.  Each of +-k, +-m occurs as an x-run and each of +-l, +-n as
     a y-run, so g divides 2k and 2m (g' divides 2l and 2n), and
-    P = c lambda^p mu^q P0 with c = +-1 and P0 the product of the four
-    x^(2|e|) - 1, a polynomial in L and M with constant term 1.  With N the
-    numerator times lambda^A mu^B, i = 2 and j = 2 for tau, i = j = 1
-    otherwise, and F = t^i (t+1)^i P0^j,
+    P = lambda^p mu^q P0, with (p, q) the lowest exponents of P and P0 a
+    polynomial in L and M; as P is a product of four x^(2|e|) - 1, the
+    constant term of P0 is +-1 and |P0|_1 = 16.  With N the numerator
+    times lambda^A mu^B, i = 2 and j = 2 for tau, i = j = 1 otherwise, and
+    F = t^i (t+1)^i P0^j,
 
-        cofactor = c^j lambda^(4(k+m) - A - jp) mu^(4(l+n) - B - jq) N / F,
+        cofactor = lambda^(2dl - A - jp) mu^(2dm - B - jq) N / F,
 
-    the monomial being D^2 over lambda^A mu^B and P^j's.  Q = N / F is a
-    polynomial: its lowest exponents are N's less F's, which are 0.  Its
-    L-degree is at most n - 1 - j(2|k| + 2|m|)/g, and likewise in M: that
-    is its region.  _packed_peel finds it from N's t-rows at the point.
+    for D = lambda^dl mu^dm, the monomial being D^2 over lambda^A mu^B and
+    P^j's.  Q = N / F is a polynomial: its lowest exponents are N's less
+    F's, which are 0.  Its L-degree is at most n - 1 - j deg_L P0, and
+    likewise in M: that is its region.  _peel and _packed_row_quotient
+    find it from N's t-rows and P0 at the point.
 
     The slot.  (u, v) = wiggle._column_norms bound the l1 norms of alpha
     and beta, so v0 = 2(u + v + 1) bounds that of every numerator
@@ -253,7 +251,7 @@ def _packed_core(params: DCParams, pairs: Pairs):
 
     Why no inexact division decodes silently.  N's coefficients are below
     2^(8s-1), so its t-rows come out of its packed integer exactly.  When
-    _packed_peel returns a decoded Q', its rows at the point times F equal
+    the peel returns a decoded Q', its rows at the point times F equal
     N's rows at the point: t^i by zero rows, t + 1 by exact synthetic
     divisions over Z, P0^j by divisions without remainder.  Both N and F Q'
     have every row in the box (Q' lies in its region), with coefficients at
@@ -280,29 +278,26 @@ def _packed_core(params: DCParams, pairs: Pairs):
     gamma = alpha + (beta << kt)
     one = 1 << (al // gl * kl + am // gm * km)
 
-    def decode(rows, el0: int, em0: int, sign: int = 1) -> TPoly:
-        keys = [(el0 + i * gl, em0 + j * gm) for i in range(nl) for j in range(nm)]
-        return TPoly(
-            [_from_terms({e: sign * c for e, c in zip(keys, row) if c}) for row in rows]
-        )
+    def decode(rows: list[list[int]], el0: int, em0: int) -> TPoly:
+        return TPoly([_from_terms(_slot_terms(r, nm, el0, em0, gl, gm)) for r in rows])
 
     def column_poly(packed: int) -> TPoly:
         return decode([_unpack_slots(r, s, nl * nm) for r in unpack(packed, kt)], -al, -am)
 
-    lam, mu = (params.k, params.m), (params.l, params.n)
-    p0 = prod((1 << (2 * abs(e) // gl * kl)) - 1 for e in lam)
-    p0 *= prod((1 << (2 * abs(e) // gm * km)) - 1 for e in mu)
-    sign = (-1) ** sum(e < 0 for e in params.as_list())
-    p_l, p_m = sum(2 * e for e in lam if e < 0), sum(2 * e for e in mu if e < 0)
+    p_terms = pref.terms()
+    ls, ms = zip(*p_terms)
+    pl, pm = min(ls), min(ms)
+    p0 = sum(c << ((el - pl) // gl * kl + (em - pm) // gm * km) for (el, em), c in p_terms.items())
+    ((dl, dm),) = den.terms()
 
     def peel(numerator: int, i: int, j: int) -> TPoly:
-        dl = nl - 1 - j * 2 * sum(map(abs, lam)) // gl
-        dm = nm - 1 - j * 2 * sum(map(abs, mu)) // gm
-        region = [a <= dl and b <= dm for a in range(nl) for b in range(nm)]
-        rows = _packed_peel(list(unpack(numerator, kt)), i, p0**j, s, region, bound)
-        el0 = 4 * sum(lam) - al - j * p_l
-        em0 = 4 * sum(mu) - am - j * p_m
-        return decode(rows, el0, em0, sign**j)
+        top_l = nl - 1 - j * (max(ls) - pl) // gl
+        top_m = nm - 1 - j * (max(ms) - pm) // gm
+        region = [a <= top_l and b <= top_m for a in range(nl) for b in range(nm)]
+        divisor = p0**j
+        divide = lambda row: _packed_row_quotient(row, divisor, s, region, bound)
+        rows = _peel(list(unpack(numerator, kt)), i, divide)
+        return decode(rows, 2 * dl - al - j * pl, 2 * dm - am - j * pm)
 
     tau = peel(gamma + alpha_s + (beta_s << kt) - 2 * one, 2, 2)
     gamma_inner = peel(gamma - one, 1, 1)
@@ -328,7 +323,7 @@ def core_polys(params: DCParams) -> CorePolys:
     pairs = as_pairs(params.cyclic_word())
     pref = prefactor_num(params)
     den = prefactor_den(params)
-    cofactors = _packed_core(params, pairs)
+    cofactors = _packed_core(pairs, pref, den)
     if cofactors is None:
         cofactors = _laurent_core(pairs, pref, den)
     tau, gamma_inner, alpha_core, ap = cofactors

@@ -8,20 +8,22 @@ never stored, and a coefficient that is not an int raises TypeError.
 A product of two operands with more than a few terms each is computed by
 Kronecker substitution, as one big-integer multiplication.  Exact
 division by a monomial is a shift and an integer division.  Any other
-exact division is one long division over lambda-rows packed into
-integers, with a slot width that holds every quotient coefficient,
-checked by one product (see _row_quotient).
+exact division is one long division over the rows of one variable packed
+into integers, with a slot width that holds every quotient coefficient,
+checked by one product (see _row_quotient).  The packed kernels here and
+in tpoly share the deflation of their operands (_deflation) and the
+read-back of a packed box into terms (_slot_terms).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import comb, gcd, prod
+from math import comb, gcd
 from typing import Iterable, Mapping, Sequence
 
 from ..errors import InexactDivisionError, NotAUnitError
 from . import polycore
+from .qpoly import zexact_div
 
 Terms = dict[tuple[int, int], int]
 
@@ -64,118 +66,109 @@ def _flat_terms(coeffs: Sequence["LaurentPoly"]) -> dict[tuple[int, int, int], i
     return {(i, el, em): c for i, p in enumerate(coeffs) for (el, em), c in p._terms.items()}
 
 
+def _deflation(
+    a: Iterable[tuple[int, ...]], b: Iterable[tuple[int, ...]]
+) -> list[tuple[int, int, int, int, int]]:
+    """The deflation of two supports, given as their exponent tuples: per
+    position (la, lb, g, da, db), with la and lb the lowest exponents of a
+    and of b there, g the gcd of every exponent's distance from its own
+    support's lowest over both (1 when all are 0), and da, db the degrees
+    of a and of b once shifted to start at 0 and divided by g."""
+    out = []
+    for ea, eb in zip(zip(*a), zip(*b)):
+        la, lb = min(ea), min(eb)
+        g = gcd(*[e - la for e in ea], *[e - lb for e in eb]) or 1
+        out.append((la, lb, g, (max(ea) - la) // g, (max(eb) - lb) // g))
+    return out
+
+
+def _slot_terms(values: Sequence[int], nm: int, el0: int, em0: int, gl: int, gm: int) -> Terms:
+    """The terms of a packed box read back: values[i nm + j] is the
+    coefficient of lambda^(el0 + i gl) mu^(em0 + j gm), and zeros are
+    dropped.  A single row, of at most nm values, reads back with i = 0."""
+    return {(el0 + i // nm * gl, em0 + i % nm * gm): c for i, c in enumerate(values) if c}
+
+
 def _packed_product(a: Terms, b: Terms) -> Terms | None:
     """The product a * b by Kronecker substitution: one big-integer product.
 
-    Each support is shifted to start at exponent 0, and the exponents are
-    divided by their gcd over both operands, per variable, so that strided
-    supports do not inflate the packing.  The packed box has, per variable,
-    room for every exponent of the product; a monomial goes to its
-    mixed-radix slot, mu varying fastest.  A product coefficient is a sum
-    of at most min(#a, #b) products of coefficients, so it fits a signed
-    slot of s bytes, which _unpack_slots reads back.
+    Both operands are deflated (_deflation), so that strided supports do
+    not inflate the packing.  The packed box has, per variable, room for
+    every exponent of the product; a monomial goes to its mixed-radix slot,
+    mu varying fastest.  A product coefficient is a sum of at most
+    min(#a, #b) products of coefficients, so it fits a signed slot of s
+    bytes, which _unpack_slots reads back.
 
     Returns None, leaving the product to the double loop, when the packed
     box has more slots than there are pairs of terms.
     """
-    cols_a, cols_b = list(zip(*a)), list(zip(*b))
-    lows_a, lows_b, steps, sizes = [], [], [], []
-    for ca, cb in zip(cols_a, cols_b):
-        la, lb = min(ca), min(cb)
-        g = gcd(*[e - la for e in ca], *[e - lb for e in cb]) or 1
-        lows_a.append(la)
-        lows_b.append(lb)
-        steps.append(g)
-        sizes.append((max(ca) - la + max(cb) - lb) // g + 1)
-    slots = prod(sizes)
-    if slots > len(a) * len(b):
+    (la, lb, gl, dla, dlb), (ma, mb, gm, dma, dmb) = _deflation(a, b)
+    nl, nm = dla + dlb + 1, dma + dmb + 1
+    if nl * nm > len(a) * len(b):
         # a sparse product, such as one with a factor lambda^1000 - 1: reading
         # its empty slots would cost more than the double loop's term pairs
         return None
     bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
     s = (bound.bit_length() + 8) // 8  # 2^(8s-1) > bound
-    nbytes = slots * s
-    strides = [s * prod(sizes[i + 1 :]) for i in range(len(sizes))]  # in bytes
 
-    def pack(terms: dict, cols: list, lows: list[int]) -> int:
-        offsets = [0] * len(terms)
-        for col, low, g, stride in zip(cols, lows, steps, strides):
-            offsets = [k + (e - low) // g * stride for k, e in zip(offsets, col)]
-        return _pack_slots(offsets, terms.values(), s, nbytes)
+    def pack(terms: Terms, l0: int, m0: int) -> int:
+        offsets = [((el - l0) // gl * nm + (em - m0) // gm) * s for el, em in terms]
+        return _pack_slots(offsets, terms.values(), s, nl * nm * s)
 
-    values = _unpack_slots(pack(a, cols_a, lows_a) * pack(b, cols_b, lows_b), s, slots)
-    exponents = product(
-        *[
-            range(la + lb, la + lb + size * g, g)
-            for la, lb, size, g in zip(lows_a, lows_b, sizes, steps)
-        ]
-    )
-    return {e: c for e, c in zip(exponents, values) if c}
+    values = _unpack_slots(pack(a, la, ma) * pack(b, lb, mb), s, nl * nm)
+    return _slot_terms(values, nm, la + lb, ma + mb, gl, gm)
 
 
 def _row_quotient(num: Terms, den: Terms) -> Terms | None:
-    """num / den by long division over lambda-rows; None if den does not
-    divide num.
+    """num / den by long division over the rows of one variable; None if
+    den does not divide num.
 
-    Both operands have integer coefficients.  Each is shifted to start at
-    exponent 0, and the lambda and the mu exponents are divided by their
-    gcd over both operands, as in _packed_product; an exact quotient q lies
-    in the same deflated ring, of degree a = nrows - drows in lambda and
-    b = width - 1 in mu.  Each row, a polynomial in mu, is held as one
-    integer, its value at mu = 2^K; a quotient row is one exact big-integer
-    division of the top remainder row by the divisor's leading row, decoded
-    into balanced K-bit slots.
+    Both operands have integer coefficients and are deflated
+    (_deflation); an exact quotient q lies in the same deflated ring, of
+    degree a = deg num - deg den in the variable that is wider in num, and
+    b likewise in the other.  Each row of the wider variable, a polynomial
+    in the narrower one, is held as one integer, its value at 2^K, and
+    qpoly.zexact_div divides the rows of num by those of den; each nonzero
+    quotient row is decoded into balanced K-bit slots.  Rows of the wider
+    variable are many and short, and the empty ones cost nothing.
 
     If den divides num, every row division is exact (evaluation at 2^K is a
     ring homomorphism) and decodes to the true row: Mahler measure is
     multiplicative, M(den) >= 1 for integer den and M(num) <= ||num||_2, so
     |q_ij| <= C(a, i) C(b, j) M(q) <= C(a, a//2) C(b, b//2) max|c| sqrt(#num)
     < 2^(K-1) (Mignotte, "Some useful bounds", 1982).  So a None proves den
-    does not divide num.  A returned quotient is unchecked: a defect in the
-    lowest drows - 1 rows of num passes every row division.
+    does not divide num.  A returned quotient is unchecked: rows that
+    divide at 2^K need not divide as polynomials.
     """
-    nl, nm = zip(*num)
-    dl, dm = zip(*den)
-    fl, fm, gl, gm = min(nl), min(nm), min(dl), min(dm)
-    s = gcd(*[e - fl for e in nl], *[e - gl for e in dl]) or 1
-    g = gcd(*[e - fm for e in nm], *[e - gm for e in dm]) or 1
-    nrows, drows = (max(nl) - fl) // s + 1, (max(dl) - gl) // s + 1
-    width = ((max(nm) - fm) - (max(dm) - gm)) // g + 1
-    if nrows < drows or width < 1:
+    axes = _deflation(num, den)
+    r = int(axes[1][3] > axes[0][3])  # the row variable: 0 for lambda, 1 for mu
+    (fr, gr, sr, nr, dr), (fc, gc, sc, nc, dc) = axes[r], axes[1 - r]
+    a, b = nr - dr, nc - dc
+    if a < 0 or b < 0:
         return None
-    a, b = nrows - drows, width - 1
     bound = comb(a, a // 2) * comb(b, b // 2) * max(map(abs, num.values()))
     k = bound.bit_length() + (len(num).bit_length() + 1) // 2 + 1
 
-    def rows(terms: Terms, l0: int, m0: int, n: int) -> list[int]:
-        out = [0] * n
-        for (el, em), c in terms.items():
-            out[(el - l0) // s] += c << ((em - m0) // g * k)
+    def rows(terms: Terms, r0: int, c0: int, n: int) -> list[int]:
+        out = [0] * (n + 1)
+        for e, c in terms.items():
+            out[(e[r] - r0) // sr] += c << ((e[1 - r] - c0) // sc * k)
         return out
 
-    rem = rows(num, fl, fm, nrows)
-    div = rows(den, gl, gm, drows)
-    lead = div[-1]
-    if not lead:  # num's leading row, den's times q's, is nonzero at 2^K
+    div = rows(den, gr, gc, dr)
+    if not div[-1]:  # num's leading row, den's times q's, is nonzero at 2^K
         return None
-    div = [(j, d) for j, d in enumerate(div) if d]
-    quot: Terms = {}
-    for i in range(a, -1, -1):
-        q, r = divmod(rem[i + drows - 1], lead)
-        if r:
-            return None
-        if not q:
-            continue
-        for j, d in div:
-            rem[i + j] -= q * d
-        coeffs = polycore.unpack(q, k)
-        if len(coeffs) > width:
-            return None
-        el = i * s + fl - gl
-        for j, c in enumerate(coeffs):
-            if c:
-                quot[(el, j * g + fm - gm)] = c
-    return quot
+    quot = zexact_div(rows(num, fr, fc, nr), div)
+    if quot is None:
+        return None
+    terms: Terms = {}
+    for i, q in enumerate(quot):
+        if q:
+            row = polycore.unpack(q, k)
+            if len(row) > b + 1:
+                return None
+            terms.update(_slot_terms(row, b + 1, fr - gr + i * sr, fc - gc, sr, sc))
+    return {(em, el): c for (el, em), c in terms.items()} if r else terms
 
 
 def _from_terms(terms: Terms) -> "LaurentPoly":

@@ -180,7 +180,7 @@ def resultant_prs(
 
 def signed_sum(terms: Iterable[tuple[C, str]], sep: str = "") -> str:
     """Text of a sum of (coefficient, monomial) terms, leading term first,
-    such as "-3·t^3 - t + 1/2": zero terms are skipped, the constant
+    such as "-3·t^3 - t + 2": zero terms are skipped, the constant
     monomial is "", a coefficient of absolute value 1 is left out before a
     monomial and `sep` joins any other coefficient to its monomial."""
     text = ""
@@ -198,6 +198,6 @@ def signed_sum(terms: Iterable[tuple[C, str]], sep: str = "") -> str:
 
 def pretty(coeffs: Sequence[C], var: str = "t") -> str:
     """Text of the polynomial with these coefficients, lowest degree first,
-    leading term first: [1/2, -1, 0, -3] gives "-3·t^3 - t + 1/2"."""
+    leading term first: [2, -1, 0, -3] gives "-3·t^3 - t + 2"."""
     monos = ("", var, *(f"{var}^{i}" for i in range(2, len(coeffs))))
     return signed_sum(reversed(list(zip(coeffs, monos))), "·")

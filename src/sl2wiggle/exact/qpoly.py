@@ -32,10 +32,13 @@ def zderivative(f: Sequence[int]) -> list[int]:
 
 def zexact_div(f: Sequence[int], g: Sequence[int]) -> Optional[list[int]]:
     """f / g in Z[t], or None when g does not divide f there.  For a
-    primitive g that is the same as dividing in Q[t] (Gauss's lemma)."""
+    primitive g that is the same as dividing in Q[t] (Gauss's lemma).
+    Only the nonzero coefficients of g are subtracted, so a sparse g, such
+    as the packed rows of a Laurent division, costs what its terms do."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     dg, lc = len(g) - 1, g[-1]
+    low = [(j, c) for j, c in enumerate(g[:dg]) if c]
     rem, quot = list(f), [0] * max(len(f) - dg, 0)
     for shift in range(len(f) - 1 - dg, -1, -1):
         q, r = divmod(rem[shift + dg], lc)
@@ -43,8 +46,8 @@ def zexact_div(f: Sequence[int], g: Sequence[int]) -> Optional[list[int]]:
             return None
         if q:
             quot[shift] = q
-            for j in range(dg):
-                rem[shift + j] -= q * g[j]
+            for j, c in low:
+                rem[shift + j] -= q * c
     return None if any(rem[:dg]) else quot
 
 

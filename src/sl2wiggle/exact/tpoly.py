@@ -5,21 +5,19 @@ polynomials of the wiggle normal form live: t is a formal stand-in for
 det(xi_g).  A product is coefficientwise (polycore.mul), each coefficient
 product a LaurentPoly product.  The resultant runs its remainder sequence
 on integers, the operands packed at one Kronecker point in (lambda, mu).
-The only division by a polynomial in t is by t^k (shift_down).  The
-tables peel their factors on packed integers (certify._packed_core), or,
-for a word whose exponent box the runs cannot fill, coefficientwise over
-this ring (certify._peel).
+There is no division by a polynomial in t: the tables peel t^k (t+1)^k
+off a coefficient list (certify._peel), on packed integers or, for a word
+whose exponent box the runs cannot fill, over this ring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
 from ..errors import InexactDivisionError, ZeroParameterError
 from . import polycore
-from .laurent import LaurentPoly, _flat_terms, _from_terms
+from .laurent import LaurentPoly, _deflation, _flat_terms, _from_terms, _slot_terms
 
 _LZERO = LaurentPoly.zero()
 _LONE = LaurentPoly.one()
@@ -139,14 +137,6 @@ class TPoly:
             raise ZeroParameterError("torus parameters must be nonzero")
         return tuple(polycore.trim([c.evaluate(lam0, mu0) for c in self._coeffs]))
 
-    def shift_down(self, k: int) -> "TPoly":
-        """Exact division by t^k."""
-        if k == 0:
-            return self
-        if any(self._coeffs[:k]) or (self._coeffs and len(self._coeffs) < k):
-            raise InexactDivisionError("not divisible by the requested power of t")
-        return _wrap(list(self._coeffs[k:]))
-
     # ------------------------------------------------------------------
     def to_json(self) -> list[list[dict]]:
         return [c.to_json() for c in self._coeffs]
@@ -233,8 +223,8 @@ def _packed_resultant(
 
     Let n = deg f and m = deg g, both at least 1.  Shifting each support
     to exponent 0 and deflating lambda^s -> L, mu^s' -> M, with s and s'
-    the gcds of the shifted lambda- and mu-exponents over both operands,
-    gives F', G' in Z[L, M][t] with
+    the gcds of the shifted lambda- and mu-exponents over both operands
+    (laurent._deflation), gives F', G' in Z[L, M][t] with
 
         res(f, g) = lambda^(m a + n c) mu^(m b + n d) R(lambda^s, mu^s'),
         R = res(F', G'),
@@ -276,15 +266,10 @@ def _packed_resultant(
     if not n or not m:
         return None
     a, b = _flat_terms(f), _flat_terms(g)
-    lows, steps, sizes = [], [], []
-    for var in (1, 2):
-        ea, eb = [key[var] for key in a], [key[var] for key in b]
-        la, lb = min(ea), min(eb)
-        step = gcd(*[e - la for e in ea], *[e - lb for e in eb]) or 1
-        lows.append((la, lb))
-        steps.append(step)
-        sizes.append((m * (max(ea) - la) + n * (max(eb) - lb)) // step + 1)
-    (sl, sm), (nl, nm), ((la, lb), (ma, mb)) = steps, sizes, lows
+    (la, lb, sl, dla, dlb), (ma, mb, sm, dma, dmb) = _deflation(
+        [key[1:] for key in a], [key[1:] for key in b]
+    )
+    nl, nm = m * dla + n * dlb + 1, m * dma + n * dmb + 1
     if nl * nm > len(a) * len(b):
         return None
     k = _slot_width(a, b, n, m)
@@ -301,7 +286,5 @@ def _packed_resultant(
     el0, em0 = m * la + n * lb, m * ma + n * mb
     terms = {}
     for i, row in enumerate(polycore.unpack(packed, k * nm)):
-        for j, c in enumerate(polycore.unpack(row, k)):
-            if c:
-                terms[(el0 + i * sl, em0 + j * sm)] = c
+        terms.update(_slot_terms(polycore.unpack(row, k), nm, el0 + i * sl, em0, sl, sm))
     return _from_terms(terms)

@@ -354,9 +354,10 @@ def verify_identities(ap: AssocPolys) -> IdentityReport:
     them all.
 
     When a term lies outside its box (alpha and beta are then not the
-    column of their runs), or the box has more slots than
-    (#alpha + #beta)^2 term pairs (a word with one large exponent packs
-    mostly empty slots), the same identities run on TPoly arithmetic.
+    column of their runs), or the box has more slots than #alpha #beta
+    term pairs (a word with one large exponent packs mostly empty slots,
+    and beta = 0 packs nothing), the same identities run on TPoly
+    arithmetic.
     Failures indicate an implementation bug, never bad input, so the
     report names the violated identity instead of raising.
     """
@@ -419,7 +420,7 @@ def _packed_identities(ap: AssocPolys) -> IdentityReport | None:
         return None
     nl, nm = 2 * nl - 1, 2 * nm - 1  # the boxes of products
     degree = max(len(ap.alpha.coeffs) - 1, len(ap.beta.coeffs), len(x_exps))
-    if (2 * degree + 1) * nl * nm > (len(a) + len(b)) ** 2:
+    if (2 * degree + 1) * nl * nm > len(a) * len(b):
         return None
     s = _slot_bytes(list(a.values()), list(b.values()), ap.pairs)
     bm, bl = s, s * nm  # byte strides of mu and lambda

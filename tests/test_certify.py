@@ -22,7 +22,7 @@ from sl2wiggle.certify import (
     _laurent_core,
     _numeric_approx,
     _packed_core,
-    _packed_peel,
+    _packed_row_quotient,
     _peel,
     _peel_slot,
     _unipotent_not_identity,
@@ -119,10 +119,10 @@ class TestCorePolys:
         assert cp.tau.scale(clear) == TPoly(coeffs)
 
     def test_factored_forms_reassemble(self):
-        # the last three have a large exponent, a sparse prefactor or both
+        # the last four have a large exponent, a sparse prefactor or both
         for params in [
             (1, 1, 2, 3), (1, 1, 1, 3), (1, 1, -1, -1), (2, -1, 1, 2),
-            (200, 1, 2, 1), (50, 1, -3, 2), (7, -5, 3, 6),
+            (200, 1, 2, 1), (1, 200, 1, 3), (50, 1, -3, 2), (7, -5, 3, 6),
         ]:
             p = DCParams(*params)
             cp = core_polys(p)
@@ -137,22 +137,31 @@ class TestCorePolys:
             assert (ap.alpha - TPoly.one()).scale(den2) == pref * t_t1 * cp.alpha_core
 
     def test_peel_raises_on_every_inexact_factor(self):
-        lam, t = LaurentPoly.lam(1), TPoly.t()
+        # the peel of the Laurent route: rows are Laurent coefficients
+        def peel(f: TPoly, k: int, pref: LaurentPoly) -> TPoly:
+            return TPoly(_peel(f.coeffs, k, lambda c: c.exact_div(pref)))
+
+        lam, t, one = LaurentPoly.lam(1), TPoly.t(), LaurentPoly.one()
         t_t1 = t * (t + TPoly.one())
-        # a nonzero coefficient below t^k
+        # a nonzero coefficient below t^k, also when f has degree below k
         with pytest.raises(InexactDivisionError):
-            _peel(t_t1 + TPoly.one(), 1, LaurentPoly.one())
+            peel(t_t1 + TPoly.one(), 1, one)
+        with pytest.raises(InexactDivisionError):
+            peel(TPoly.one(), 1, one)
+        assert peel(TPoly.zero(), 2, one) == TPoly.zero()
         # t + 1 divides once but not twice, or not at all
         with pytest.raises(InexactDivisionError):
-            _peel(t_t1 * t * (t + 2), 2, LaurentPoly.one())
+            peel(t_t1 * t * (t + 2), 2, one)
         with pytest.raises(InexactDivisionError):
-            _peel(t * (t * t + TPoly.one()), 1, LaurentPoly.one())
+            peel(t * (t * t + TPoly.one()), 1, one)
         # P does not divide a coefficient of the quotient
         with pytest.raises(InexactDivisionError):
-            _peel(t_t1 * (t * (lam + 1) + TPoly.const(lam)), 1, lam + 1)
-        assert _peel(t_t1 * t_t1 * (t + TPoly.const(lam)).scale(lam + 1), 2, lam + 1) == (
+            peel(t_t1 * (t * (lam + 1) + TPoly.const(lam)), 1, lam + 1)
+        assert peel(t_t1 * t_t1 * (t + TPoly.const(lam)).scale(lam + 1), 2, lam + 1) == (
             t + TPoly.const(lam)
         )
+        # a constant quotient: t^2 (t+1)^2 lambda
+        assert peel(t_t1 * t_t1 * TPoly.const(lam), 2, one) == TPoly.const(lam)
 
     def test_tables_pin(self):
         # sha256 of the JSON of tau, gamma_inner and alpha_core, and with the
@@ -195,9 +204,10 @@ class TestCorePolys:
         for params in sorted(orbits):
             p = DCParams(*params)
             pairs = as_pairs(p.cyclic_word())
-            packed = _packed_core(p, pairs)
+            pref, den = prefactor_num(p), prefactor_den(p)
+            packed = _packed_core(pairs, pref, den)
             assert packed is not None
-            assert packed == _laurent_core(pairs, prefactor_num(p), prefactor_den(p))
+            assert packed == _laurent_core(pairs, pref, den)
 
     def test_decline_rule(self):
         # every slot of both boxes is reachable for every |e| <= 2 tuple;
@@ -226,7 +236,9 @@ class TestCorePolys:
 
     def test_packed_peel_raises_on_every_inexact_factor(self):
         # one slot per row: the rows are the coefficients in t themselves
-        peel = lambda rows, k, d, bound=9: _packed_peel(rows, k, d, 1, [True], bound)
+        def peel(rows, k, d, bound=9):
+            return _peel(rows, k, lambda row: _packed_row_quotient(row, d, 1, [True], bound))
+
         # 3 t (t+1) (t+2) = 6t + 9t^2 + 3t^3
         assert peel([0, 6, 9, 3], 1, 3) == [[2], [1]]
         # a nonzero row below t^k
@@ -255,11 +267,16 @@ class TestCorePolys:
         m = 1 << 16
         row = 20000 + 20000 * m + 25535 * m * m
         assert row % (m - 1) == 0
+
+        def peel(rows, bound):
+            divide = lambda r: _packed_row_quotient(r, m - 1, 2, [True, True, False], bound)
+            return _peel(rows, 1, divide)
+
         with pytest.raises(InexactDivisionError):
-            _packed_peel([0, row, row], 1, m - 1, 2, [True, True, False], 2**14)
+            peel([0, row, row], 2**14)
         # P0 (1 + 2M) = -1 - M + 2M^2 divides, within region and bound
         row = -1 - m + 2 * m * m
-        assert _packed_peel([0, row, row], 1, m - 1, 2, [True, True, False], 2) == [[1, 2, 0]]
+        assert peel([0, row, row], 2) == [[1, 2, 0]]
 
     def test_specialized_matches_symbolic_route(self):
         t_t1 = QPoly([0, 1, 1])

@@ -287,11 +287,11 @@ def test_oracle_accepts_unit_parameters(capsys):
     assert json.loads(out) == {"cases": 1, "mismatches": 0}
 
 
-def run_script(name, *argv):
+def run_script(name, *argv, timeout=None):
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     argv = [sys.executable, str(root / "scripts" / name), *argv]
-    return subprocess.run(argv, capture_output=True, text=True, env=env)
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_run_sweep_expect_sha256(tmp_path):
@@ -330,6 +330,15 @@ def test_show_tables_reads_negative_exponents():
     result = run_script("show_tables.py", "--dc", "-1,-2,-2,2")
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("parameters (k, l, m, n) = (-1, -2, -2, 2)\n")
+
+
+def test_show_tables_with_a_sparse_mu_prefactor():
+    # mu^2000 - 1 divides the coefficients of trace - 2; each Laurent
+    # division takes its rows in mu and packs lambda, which makes the
+    # tables take well under a second
+    result = run_script("show_tables.py", "--dc", "1,1000,1,2", timeout=30)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("parameters (k, l, m, n) = (1, 1000, 1, 2)\n")
 
 
 @pytest.mark.parametrize(

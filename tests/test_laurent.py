@@ -319,16 +319,28 @@ def test_row_quotient_with_coefficients_above_the_dividend():
     assert num.exact_div(den) == quotient
 
 
-def test_defect_below_the_row_divisions_fails_the_product_check():
-    # the lowest lambda-row of p q is never divided: the row quotient is p,
-    # and only multiplying it back shows the remainder
+def test_defect_below_the_row_divisions_fails_the_row_division():
+    # the lowest lambda-row of p q is never a leading row: the long
+    # division leaves it as the remainder, which must be zero
     q = (LaurentPoly.lam(-1) + 2 + LaurentPoly.lam(1)) * mu_poly([3, 1, -2])
     p = LaurentPoly({(2, 0): 5, (3, 1): -1, (2, 3): 4})
     num = p * q + LaurentPoly.mono(7, 1, 1)
     assert min(el for el, _ in (p * q).terms()) == 1
-    assert LaurentPoly(_row_quotient(num._terms, q._terms)) == p
+    assert _row_quotient(num._terms, q._terms) is None
     with pytest.raises(InexactDivisionError, match="left a remainder"):
         num.exact_div(q)
+
+
+def test_rows_that_divide_at_the_slot_base_fail_the_product_check():
+    # num = lambda + 2 mu + 3 has K = 4-bit slots (3 terms, largest 3), and
+    # den = lambda + mu + 19 equals it at mu = 2^4: both rows divide there,
+    # with quotient 1, though den does not divide num; only multiplying the
+    # quotient back shows it
+    num = LaurentPoly({(1, 0): 1, (0, 1): 2, (0, 0): 3})
+    den = LaurentPoly({(1, 0): 1, (0, 1): 1, (0, 0): 19})
+    assert LaurentPoly(_row_quotient(num._terms, den._terms)) == LaurentPoly.one()
+    with pytest.raises(InexactDivisionError, match="left a remainder"):
+        num.exact_div(den)
 
 
 def test_divisor_whose_leading_row_vanishes_at_the_slot_base():

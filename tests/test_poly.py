@@ -121,12 +121,6 @@ class TestExactDiv:
         with pytest.raises(ZeroDivisionError):
             div_rem([1, 1], [])
 
-    def test_shift_down(self):
-        f = TPoly([0, 0, LaurentPoly.lam(1)])
-        assert f.shift_down(2) == TPoly.const(LaurentPoly.lam(1))
-        with pytest.raises(InexactDivisionError):
-            TPoly.one().shift_down(1)
-
 
 # products with a shared factor, so gcds of every degree occur; the empty
 # list and single entries give zero and constant operands

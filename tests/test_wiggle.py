@@ -130,8 +130,8 @@ class TestGammaAndTrace:
         for _ in range(50):
             w = random_commutator_subgroup_word(rng)
             tr = trace_poly(assoc_polys(w))
-            over_t = (tr - ONE * 2).shift_down(1)  # raises if not divisible
-            assert not div_t1(over_t.coeffs)[1]
+            coeffs = (tr - ONE * 2).coeffs
+            assert not any(coeffs[:1]) and not div_t1(coeffs[1:])[1]
 
     def test_general_word_no_divisibility(self):
         tr = trace_poly(assoc_polys(Word.x_pow(1)))
@@ -317,16 +317,31 @@ class TestIdentities:
         assert report.ok and report == reference_identities(ap)
 
     @pytest.mark.parametrize(
-        "word, packed",
-        [(Word.identity(), True), (parse_word("x^5000 y x y^-3 x^7 y^2"), False)],
+        "word",
+        [Word.identity(), parse_word("x^5000 y x y^-3 x^7 y^2")],
         ids=["trivial", "one large exponent"],
     )
-    def test_matches_reference_on_edge_words(self, word, packed):
-        # a box of mostly empty slots declines to the TPoly path
+    def test_matches_reference_on_edge_words(self, word):
+        # a box of mostly empty slots declines to the TPoly path, and so
+        # does beta = 0, which has no term pairs
         ap = assoc_polys(word)
-        assert (_packed_identities(ap) is not None) == packed
+        assert _packed_identities(ap) is None
         report = verify_identities(ap)
         assert report.ok and report == reference_identities(ap)
+
+    @pytest.mark.parametrize(
+        "params, packed",
+        [
+            ((200, 1, 2, 1), False), ((1, 200, 1, 3), False), ((1000, 1, 2, 1), False),
+            ((7, -5, 3, 6), True), ((3, -2, -3, 3), True), ((5, 4, -3, 2), True),
+        ],
+    )
+    def test_decline_rule(self, params, packed):
+        # a box with more slots than #alpha #beta term pairs takes the TPoly
+        # path: one large exponent among small ones leaves most slots empty
+        ap = assoc_polys(DCParams(*params).cyclic_word())
+        assert (_packed_identities(ap) is not None) == packed
+        assert verify_identities(ap).ok
 
     def test_report_names_failures(self):
         from sl2wiggle.wiggle import IdentityReport
