@@ -12,6 +12,7 @@ from sl2wiggle.certify import (
     Certificate,
     CertStatus,
     DCParams,
+    _peel,
     _stripped_squarefree,
     build_witness,
     core_polys,
@@ -86,8 +87,8 @@ class TestSpecialize:
 
 
 class TestExactDiv:
-    """QPoly's division, the oracle's long division over Q, and TPoly's
-    division by t^k, the only one TPoly has."""
+    """QPoly's division, the oracle's long division over Q, and the shift
+    down by t^k that opens certify._peel, the only division of a TPoly."""
 
     def test_t_squared_plus_t(self):
         f = QPoly([0, 1, 1])
@@ -120,6 +121,15 @@ class TestExactDiv:
             QPoly([1, 1]).exact_div(QPoly.zero())
         with pytest.raises(ZeroDivisionError):
             div_rem([1, 1], [])
+
+    def test_shift_down(self):
+        # t_power rows dropped, then t_power divisions by t + 1
+        lam = LaurentPoly.lam(1)
+        t1 = TPoly.t() + TPoly.one()
+        f = TPoly([0, 0, lam]) * t1 * t1
+        assert TPoly(_peel(f.coeffs, 2, lambda c: c)) == TPoly.const(lam)
+        with pytest.raises(InexactDivisionError):
+            _peel(TPoly.one().coeffs, 1, lambda c: c)
 
 
 # products with a shared factor, so gcds of every degree occur; the empty
