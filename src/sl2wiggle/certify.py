@@ -15,28 +15,28 @@ polynomials (core_polys):
 with P = (l^2k - 1)(m^2l - 1)(l^2m - 1)(m^2n - 1) and the monomial
 D = l^(2(k+m)) m^(2(l+n)) (writing l, m for lambda, mu).  Since h has no
 root at 0 or -1, it is the same as the squarefree part of tau with those
-roots and the roots shared with gamma_inner removed.  core_polys runs the
-column recursion and the whole peel on one packed integer per polynomial,
-at a Kronecker point of powers of two; a word whose exponent box the runs
-cannot fill takes the same steps over the Laurent ring.
+roots and the roots shared with gamma_inner removed.  The tables, and
+alpha and beta, are universal polynomials in lambda^k, lambda^m, mu^l and
+mu^n, read once from the Laurent-ring peel at one generic tuple;
+core_polys substitutes a tuple's powers into them.
 """
 
 from __future__ import annotations
 
 import logging
-import operator
 import random
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from itertools import product
-from math import comb, isqrt, log2, log10, prod
+from math import isqrt, log2, log10
 from typing import Callable, Optional, Sequence
 
 from .errors import InexactDivisionError, PrecisionExhaustedError, TrivialWordError
-from .exact.laurent import LaurentPoly, _from_terms, _slot_terms, _unpack_slots
+from .exact.laurent import LaurentPoly, _from_terms
 from .exact.mat2 import Mat2, mat2_q
-from .exact.polycore import add, div_t1, mul, trim, unpack
+from .exact.polycore import add, div_t1, mul, trim
 from .exact.qpoly import (
     RealRoot,
     rational_roots,
@@ -52,11 +52,6 @@ from .wiggle import (
     AssocPolys,
     Pairs,
     SpecializedAssoc,
-    _box,
-    _column,
-    _column_norms,
-    _shift_runs,
-    _swapped,
     as_pairs,
     assoc_polys,
     gamma_of,
@@ -137,9 +132,13 @@ def _peel(rows: Sequence, t_power: int, divide: Callable) -> list:
     return [divide(row) for row in rows]
 
 
-def _laurent_core(pairs: Pairs, pref: LaurentPoly, den: LaurentPoly):
-    """(tau, gamma_inner, alpha_core, assoc) over the Laurent ring."""
-    ap = assoc_polys(pairs)
+def _laurent_core(params: DCParams) -> tuple[TPoly, TPoly, TPoly, AssocPolys]:
+    """(tau, gamma_inner, alpha_core, assoc) of params over the Laurent
+    ring: assoc_polys, then _peel with one exact LaurentPoly division by
+    P^j per coefficient."""
+    ap = assoc_polys(params.cyclic_word())
+    pref = prefactor_num(params)
+    den = prefactor_den(params)
     den2 = den * den
 
     def peel(numerator: TPoly, t_power: int, divisor: LaurentPoly) -> TPoly:
@@ -153,188 +152,105 @@ def _laurent_core(pairs: Pairs, pref: LaurentPoly, den: LaurentPoly):
     return tau, gamma_inner, alpha_core, ap
 
 
-def _full_boxes(pairs: Pairs):
-    """The boxes (A, g, n) of the x- and of the y-runs (wiggle._box) when
-    the sums of subsets of the 2|e| reach every slot of both; None when a
-    box has a slot no column term can reach, as with one large exponent
-    among small ones, whose packed integers would be mostly zeros.  With r
-    runs at most 2^r slots are reachable, so a larger box fails at once."""
-    boxes = []
-    for exps in ([a for a, _ in pairs if a], [b for _, b in pairs if b]):
-        total, g, n = _box(exps)
-        if n > 1 << len(exps):
-            return None
-        reach = 1
-        for e in exps:
-            reach |= reach << (2 * abs(e) // g)
-        if reach != (1 << n) - 1:
-            return None
-        boxes.append((total, g, n))
-    return boxes
+# the tuple whose tables _universal_tables reads: lambda^k, lambda^m, mu^l
+# and mu^n are lambda, lambda^16, mu and mu^16
+_GENERIC = DCParams(1, 1, 16, 16)
+
+# exponent pairs of (a, b) or of (c, d), and per power of t the terms
+# (index of the (a, b) pair, of the (c, d) pair, coefficient)
+_ExpPairs = tuple[tuple[int, int], ...]
+_Table = tuple[tuple[tuple[int, int, int], ...], ...]
 
 
-def _packed_row_quotient(
-    row: int, divisor: int, s: int, region: list[bool], bound: int
-) -> list[int]:
-    """row / divisor decoded into len(region) balanced s-byte slots
-    (laurent._unpack_slots): the packed row division of _packed_core.
+@cache
+def _universal_tables() -> tuple[_ExpPairs, _ExpPairs, tuple[_Table, ...]]:
+    """tau, gamma_inner, alpha_core, alpha and beta in
+    Z[a^+-1, b^+-1, c^+-1, d^+-1][t], with a, b, c, d standing for
+    lambda^k, lambda^m, mu^l and mu^n: the exponent pairs of (a, b) and
+    of (c, d) that occur, and the tables' terms.
 
-    Raises InexactDivisionError on a remainder, a quotient with no
-    expansion in those slots, or a nonzero slot outside the region or
-    above bound in absolute value; _packed_core proves that the division
-    is then exact on the polynomials the rows stand for."""
-    q, r = divmod(row, divisor)
-    if r:
-        raise InexactDivisionError("the prefactor left a remainder")
-    try:
-        coeffs = _unpack_slots(q, s, len(region))
-    except OverflowError:
-        raise InexactDivisionError("a quotient row overflows its slots") from None
-    if any(c and (not inside or abs(c) > bound) for inside, c in zip(region, coeffs)):
-        raise InexactDivisionError("a quotient coefficient is outside its box or bound")
-    return coeffs
-
-
-def _peel_slot(pairs: Pairs, nl: int, nm: int) -> tuple[int, int]:
-    """(s, B) of _packed_core for the runs `pairs` and boxes of nl and nm
-    slots: B bounds every coefficient of a quotient, and s is the least
-    with 2^(8s-1) > v0 + 2^10 B."""
-    u, v = _column_norms(pairs)
-    norm = 2 * (u + v + 1)
-    d = sum(1 for a, _ in pairs if a) + 1
-    bound = prod(comb(x, x // 2) for x in (d, nl - 1, nm - 1)) * norm
-    return ((norm + (bound << 10)).bit_length() + 8) // 8, bound
-
-
-def _packed_core(pairs: Pairs, pref: LaurentPoly, den: LaurentPoly):
-    """(tau, gamma_inner, alpha_core, assoc) for the runs `pairs` of a
-    double commutator's cyclic word, its prefactor P = pref and monic
-    monomial D = den, on packed integers; None when _full_boxes declines.
-
-    The point.  Per variable, say lambda, let (A, g, n) = wiggle._box of
-    the x-runs, and (B, g', n') that of the y-runs.  Times lambda^A mu^B,
-    every column entry is a polynomial in L = lambda^g, M = mu^g' and t,
-    of degree below n in L and n' in M.  At M = 2^(8s), L = 2^(8s n'),
-    t = 2^(8s n n') each monomial has its own s-byte slot, so _column with
-    the shift-count runs of wiggle._shift_runs gives alpha and beta there,
-    and on the swapped runs sigma(alpha) and sigma(beta).  gamma, trace - 2,
-    gamma - 1 and alpha - 1 are sums of those, the constant 1 standing at
-    the slot of lambda^A mu^B.  That slot exists: the cyclic word of a
-    double commutator has exponent sum 0 in x, so A is twice the sum of
-    its positive x-exponents, a multiple of g.
-
-    The peel.  Each of +-k, +-m occurs as an x-run and each of +-l, +-n as
-    a y-run, so g divides 2k and 2m (g' divides 2l and 2n), and
-    P = lambda^p mu^q P0, with (p, q) the lowest exponents of P and P0 a
-    polynomial in L and M; as P is a product of four x^(2|e|) - 1, the
-    constant term of P0 is +-1 and |P0|_1 = 16.  With N the numerator
-    times lambda^A mu^B, i = 2 and j = 2 for tau, i = j = 1 otherwise, and
-    F = t^i (t+1)^i P0^j,
-
-        cofactor = lambda^(2dl - A - jp) mu^(2dm - B - jq) N / F,
-
-    for D = lambda^dl mu^dm, the monomial being D^2 over lambda^A mu^B and
-    P^j's.  Q = N / F is a polynomial: its lowest exponents are N's less
-    F's, which are 0.  Its L-degree is at most n - 1 - j deg_L P0, and
-    likewise in M: that is its region.  _peel and _packed_row_quotient
-    find it from N's t-rows and P0 at the point.
-
-    The slot.  (u, v) = wiggle._column_norms bound the l1 norms of alpha
-    and beta, so v0 = 2(u + v + 1) bounds that of every numerator
-    (trace - 2 = gamma + sigma(gamma) - 2).  An x-run raises the t-degree
-    by at most 1 and gamma adds one more, so d = #x-runs + 1 bounds every
-    t-degree.  Mahler measure is multiplicative, at least 1 on a nonzero
-    integer polynomial and at most the l2 norm, so a factor Q of N has
-    coefficients at most B = C(d, d/2) C(n-1, (n-1)/2) C(n'-1, (n'-1)/2) v0
-    (Mignotte, "Some useful bounds", 1982).  |F|_1 <= 2^i 16^j <= 2^10,
-    and s is the least with 2^(8s-1) > v0 + 2^10 B.
-
-    Why no inexact division decodes silently.  N's coefficients are below
-    2^(8s-1), so its t-rows come out of its packed integer exactly.  When
-    the peel returns a decoded Q', its rows at the point times F equal
-    N's rows at the point: t^i by zero rows, t + 1 by exact synthetic
-    divisions over Z, P0^j by divisions without remainder.  Both N and F Q'
-    have every row in the box (Q' lies in its region), with coefficients at
-    most v0 and 2^10 B, so N - F Q' has coefficients below 2^(8s-1), and
-    on such polynomials evaluation at the point is injective (the first
-    nonzero slot of a difference would survive): F Q' = N.  A true Q
-    passes every check: evaluation is a ring homomorphism, and Q lies in
-    its region within bound B.
+    Substituting a tuple p, phi_p, is a ring homomorphism of that ring,
+    and it maps the transfer product of the 14 runs of
+    double_commutator_cyclic, whose scalars are monomials in a, b, c, d
+    (x^(m-k) scales by b/a), to p's: a run of exponent 0 is the identity,
+    and adjacent runs of one generator multiply to the merged run.  So it
+    maps alpha and beta to p's, each numerator N (delta^2 times trace - 2,
+    gamma - 1 or alpha - 1, delta = (abcd)^2 = prefactor_den) to p's, and
+    P = (a^2 - 1)(b^2 - 1)(c^2 - 1)(d^2 - 1) to p's prefactor, which is
+    nonzero; a quotient in a domain is unique, so the table
+    Q = N / (t^i (t+1)^i P^j) maps to p's.  Each variable is held by four
+    runs, each of which scales a term by it or its inverse, so alpha, beta
+    and the numerators before delta^2 have exponents in [-4, 4] in each
+    variable, and N in [0, 8].  In each variable P^j spans [0, 2j], and
+    the lowest and the highest exponents of a product are sums, so Q spans
+    at most [0, 8 - 2j].  phi at _GENERIC sends a^a' b^b' c^c' d^d' to
+    lambda^(a' + 16 b') mu^(c' + 16 d'), injective for exponents in
+    [-4, 12): an exponent e of its tables (_laurent_core) decodes by
+    divmod(e + 68, 16), less 4 in each place.  Each decoded exponent is
+    checked to lie in its table's span.
     """
-    boxes = _full_boxes(pairs)
-    if boxes is None:
-        return None
-    (al, gl, nl), (am, gm, nm) = boxes
-    s, bound = _peel_slot(pairs, nl, nm)
-    km = 8 * s
-    kl = km * nm
-    kt = kl * nl
-    runs = _shift_runs(pairs, gl, kl, gm, km)
-    column = lambda steps: _column(
-        steps, operator.lshift, operator.add, operator.sub, lambda f: f << kt, 1, 0
-    )
-    alpha, beta = column(runs)
-    alpha_s, beta_s = column(_swapped(runs))
-    gamma = alpha + (beta << kt)
-    one = 1 << (al // gl * kl + am // gm * km)
+    tau, gamma_inner, alpha_core, ap = _laurent_core(_GENERIC)
+    polys = (tau, gamma_inner, alpha_core, ap.alpha, ap.beta)
+    spans = ((0, 4), (0, 6), (0, 6), (-4, 4), (-4, 4))
+    split = lambda e: ((e + 68) % 16 - 4, (e + 68) // 16 - 4)
+    ab: dict[tuple[int, int], int] = {}
+    cd: dict[tuple[int, int], int] = {}
+    tables = []
+    for poly, (low, high) in zip(polys, spans):
+        rows = []
+        for row in poly.coeffs:
+            terms = []
+            for (el, em), coeff in row.terms().items():
+                exps = split(el) + split(em)
+                if not all(low <= e <= high for e in exps):
+                    raise AssertionError(f"universal table exponents {exps} out of range")
+                i = ab.setdefault(exps[:2], len(ab))
+                j = cd.setdefault(exps[2:], len(cd))
+                terms.append((i, j, coeff))
+            rows.append(tuple(terms))
+        tables.append(tuple(rows))
+    return tuple(ab), tuple(cd), tuple(tables)
 
-    def decode(rows: list[list[int]], el0: int, em0: int) -> TPoly:
-        return TPoly([_from_terms(_slot_terms(r, nm, el0, em0, gl, gm)) for r in rows])
 
-    def column_poly(packed: int) -> TPoly:
-        return decode([_unpack_slots(r, s, nl * nm) for r in unpack(packed, kt)], -al, -am)
-
-    p_terms = pref.terms()
-    ls, ms = zip(*p_terms)
-    pl, pm = min(ls), min(ms)
-    p0 = sum(c << ((el - pl) // gl * kl + (em - pm) // gm * km) for (el, em), c in p_terms.items())
-    ((dl, dm),) = den.terms()
-
-    def peel(numerator: int, i: int, j: int) -> TPoly:
-        top_l = nl - 1 - j * (max(ls) - pl) // gl
-        top_m = nm - 1 - j * (max(ms) - pm) // gm
-        region = [a <= top_l and b <= top_m for a in range(nl) for b in range(nm)]
-        divisor = p0**j
-        divide = lambda row: _packed_row_quotient(row, divisor, s, region, bound)
-        rows = _peel(list(unpack(numerator, kt)), i, divide)
-        return decode(rows, 2 * dl - al - j * pl, 2 * dm - am - j * pm)
-
-    tau = peel(gamma + alpha_s + (beta_s << kt) - 2 * one, 2, 2)
-    gamma_inner = peel(gamma - one, 1, 1)
-    alpha_core = peel(alpha - one, 1, 1)
-    return tau, gamma_inner, alpha_core, AssocPolys(column_poly(alpha), column_poly(beta), pairs)
+def _substituted(table: _Table, lam: list[int], mu: list[int]) -> TPoly:
+    """A table of _universal_tables at a tuple whose exponents of lambda
+    and mu at the (a, b) and (c, d) pairs are lam and mu."""
+    rows = []
+    for row in table:
+        terms: dict[tuple[int, int], int] = {}
+        for i, j, coeff in row:
+            e = (lam[i], mu[j])
+            terms[e] = terms.get(e, 0) + coeff
+        rows.append(_from_terms({e: c for e, c in terms.items() if c}))
+    return TPoly(rows)
 
 
 def core_polys(params: DCParams) -> CorePolys:
     """Symbolic tau, gamma_inner and the alpha cofactor for a double commutator.
 
-    The column recursion, trace - 2, gamma - 1, alpha - 1 and the peel run
-    on one packed integer per polynomial (_packed_core, whose docstring
-    proves every division checked).  When a run box has slots the runs
-    cannot reach (_full_boxes), the same steps run over the Laurent ring:
-    assoc_polys, then _peel.
+    They and the assoc polys are universal tables (_universal_tables,
+    whose docstring proves the substitution, built once per process) at
+    the tuple's lambda^k, lambda^m, mu^l and mu^n.
 
-    Raises TrivialWordError for trivial parameters and InexactDivisionError
-    if any closed-form factor, t, t + 1 or P, fails to divide exactly
-    (which would mean a bug, so it is never swallowed).
+    Raises TrivialWordError for trivial parameters.  Building the tables
+    raises InexactDivisionError if any closed-form factor, t, t + 1 or P,
+    fails to divide exactly (which would mean a bug, so it is never
+    swallowed).
     """
     if params.is_trivial():
         raise TrivialWordError(f"{params.as_list()} gives the trivial word")
-    pairs = as_pairs(params.cyclic_word())
-    pref = prefactor_num(params)
-    den = prefactor_den(params)
-    cofactors = _packed_core(pairs, pref, den)
-    if cofactors is None:
-        cofactors = _laurent_core(pairs, pref, den)
-    tau, gamma_inner, alpha_core, ap = cofactors
+    ab, cd, tables = _universal_tables()
+    lam = [a * params.k + b * params.m for a, b in ab]
+    mu = [c * params.l + d * params.n for c, d in cd]
+    tau, gamma_inner, alpha_core, alpha, beta = (_substituted(t, lam, mu) for t in tables)
     return CorePolys(
         params=params,
-        prefactor_num=pref,
-        prefactor_den=den,
+        prefactor_num=prefactor_num(params),
+        prefactor_den=prefactor_den(params),
         tau=tau,
         gamma_inner=gamma_inner,
         alpha_core=alpha_core,
-        assoc=ap,
+        assoc=AssocPolys(alpha, beta, as_pairs(params.cyclic_word())),
     )
 
 

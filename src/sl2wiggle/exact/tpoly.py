@@ -6,8 +6,8 @@ det(xi_g).  A product is coefficientwise (polycore.mul), each coefficient
 product a LaurentPoly product.  The resultant runs its remainder sequence
 on integers, the operands packed at one Kronecker point in (lambda, mu).
 There is no division by a polynomial in t: the tables peel t^k (t+1)^k
-off a coefficient list (certify._peel), on packed integers or, for a word
-whose exponent box the runs cannot fill, over this ring.
+off a coefficient list over this ring (certify._peel), once, at the
+generic tuple of certify._universal_tables.
 """
 
 from __future__ import annotations

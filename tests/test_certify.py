@@ -18,20 +18,15 @@ from sl2wiggle.certify import (
     CheckOutcome,
     DCParams,
     _ceil_abs,
-    _full_boxes,
     _laurent_core,
     _numeric_approx,
-    _packed_core,
-    _packed_row_quotient,
     _peel,
-    _peel_slot,
     _unipotent_not_identity,
+    _universal_tables,
     build_witness,
     certify,
     check_certificate,
     core_polys,
-    prefactor_den,
-    prefactor_num,
     sweep_box,
 )
 from sl2wiggle.errors import InexactDivisionError, PrecisionExhaustedError, TrivialWordError
@@ -41,8 +36,6 @@ from sl2wiggle.exact.mat2 import identity_q, mat2_q
 from sl2wiggle.exact.qpoly import real_roots, zexact_div
 from sl2wiggle.exact.tpoly import TPoly, resultant
 from sl2wiggle.wiggle import (
-    _column_norms,
-    as_pairs,
     assoc_polys,
     gamma_of,
     specialized_assoc,
@@ -78,7 +71,7 @@ def padded(p: TPoly, size: int) -> list:
 BOX2 = [
     params for params in product((-2, -1, 1, 2), repeat=4) if not DCParams(*params).is_trivial()
 ]
-# tuples whose runs leave most of a box unreachable
+# tuples with one large exponent among small ones
 LARGE = [(200, 1, 2, 1), (50, 1, -3, 2), (7, -5, 3, 6), (1000, 1, 2, 1)]
 
 
@@ -119,10 +112,12 @@ class TestCorePolys:
         assert cp.tau.scale(clear) == TPoly(coeffs)
 
     def test_factored_forms_reassemble(self):
-        # the last four have a large exponent, a sparse prefactor or both
+        # the last six have a large exponent, a sparse prefactor or both;
+        # the last two, exponents of up to 10^15
+        reach = [(10**12, 3, -7, 10**15), (2**40 + 1, -(3**25), 5**20, 7)]
         for params in [
             (1, 1, 2, 3), (1, 1, 1, 3), (1, 1, -1, -1), (2, -1, 1, 2),
-            (200, 1, 2, 1), (1, 200, 1, 3), (50, 1, -3, 2), (7, -5, 3, 6),
+            (200, 1, 2, 1), (1, 200, 1, 3), (50, 1, -3, 2), (7, -5, 3, 6), *reach,
         ]:
             p = DCParams(*params)
             cp = core_polys(p)
@@ -135,6 +130,9 @@ class TestCorePolys:
             gamma = gamma_of(ap)
             assert (gamma - TPoly.one()).scale(den2) == pref * t_t1 * cp.gamma_inner
             assert (ap.alpha - TPoly.one()).scale(den2) == pref * t_t1 * cp.alpha_core
+            if params in reach:
+                assert padded(cp.tau, 4) == tau_coeffs(*params)
+                assert padded(cp.alpha_core, 5) == alpha_core_coeffs(*params)
 
     def test_peel_raises_on_every_inexact_factor(self):
         # the peel of the Laurent route: rows are Laurent coefficients
@@ -166,7 +164,7 @@ class TestCorePolys:
     def test_tables_pin(self):
         # sha256 of the JSON of tau, gamma_inner and alpha_core, and with the
         # assoc polys, over every non-trivial box-2 tuple and three tuples
-        # the packed path declines, as the Laurent route computed them
+        # with a large exponent, as the Laurent route computed them
         rows = []
         for params in BOX2 + LARGE[:3]:
             cp = core_polys(DCParams(*params))
@@ -195,88 +193,45 @@ class TestCorePolys:
             assert ints(ap.alpha, ap.beta)
 
     def test_packed_path_matches_the_laurent_route(self):
-        # one tuple per orbit of lambda -> 1/lambda, mu -> 1/mu
+        # the substituted universal tables and assoc polys against the
+        # Laurent-ring peel and assoc_polys run on the tuple itself, for one
+        # tuple per orbit of lambda -> 1/lambda, mu -> 1/mu and the tuples
+        # with a large exponent
         orbits = {
             min((a * k, b * l, a * m, b * n) for a in (1, -1) for b in (1, -1))
             for k, l, m, n in BOX2
         }
         assert len(orbits) == 60
-        for params in sorted(orbits):
+        for params in sorted(orbits) + LARGE:
             p = DCParams(*params)
-            pairs = as_pairs(p.cyclic_word())
-            pref, den = prefactor_num(p), prefactor_den(p)
-            packed = _packed_core(pairs, pref, den)
-            assert packed is not None
-            assert packed == _laurent_core(pairs, pref, den)
+            cp = core_polys(p)
+            assert (cp.tau, cp.gamma_inner, cp.alpha_core, cp.assoc) == _laurent_core(p)
 
-    def test_decline_rule(self):
-        # every slot of both boxes is reachable for every |e| <= 2 tuple;
-        # a large exponent among small ones leaves most of a box unreachable
-        for params in BOX2:
-            assert _full_boxes(as_pairs(DCParams(*params).cyclic_word())) is not None
-        for params in LARGE:
-            assert _full_boxes(as_pairs(DCParams(*params).cyclic_word())) is None
+    def test_universal_tables_span_their_proven_ranges(self):
+        # tau, gamma_inner and alpha_core span [0, 8 - 2j] for j = 2, 1, 1
+        # in each of lambda^k, lambda^m, mu^l, mu^n, and alpha and beta
+        # [-4, 4]; every exponent is even, as the paper's tables are
+        # written in lambda^2k, ..., mu^2n
+        ab, cd, tables = _universal_tables()
+        sizes = []
+        spans = [(0, 4), (0, 6), (0, 6), (-4, 4), (-4, 4)]
+        for table, (low, high) in zip(tables, spans):
+            terms = [term for row in table for term in row]
+            sizes.append(len(terms))
+            exps = {e for i, j, _ in terms for e in ab[i] + cd[j]}
+            assert exps == set(range(low, high + 1, 2))
+        assert sizes == [117, 527, 296, 1432, 1882]
 
-    def test_peel_slot_holds_every_quotient(self):
-        # on real tuples the bounds hold and s is the least the proof allows
-        for params in [(1, 1, 2, 3), (-2, 2, -1, 1), (2, 1, 2, -1), (1, 2, -1, -2)]:
-            p = DCParams(*params)
-            pairs = as_pairs(p.cyclic_word())
-            (_, _, nl), (_, _, nm) = _full_boxes(pairs)
-            s, bound = _peel_slot(pairs, nl, nm)
-            u, v = _column_norms(pairs)
-            norm = 2 * (u + v + 1)
-            assert 2 ** (8 * s - 9) <= norm + (bound << 10) < 2 ** (8 * s - 1)
-            cp, ap = core_polys(p), assoc_polys(pairs)
-            coeffs = lambda f: [c for lp in f.coeffs for c in lp.terms().values()]
-            numerators = [trace_poly(ap) - TPoly.const(2), gamma_of(ap) - TPoly.one()]
-            assert max(sum(map(abs, coeffs(f))) for f in numerators) <= norm
-            quotients = [cp.tau, cp.gamma_inner, cp.alpha_core]
-            assert max(abs(c) for f in quotients for c in coeffs(f)) <= bound
-
-    def test_packed_peel_raises_on_every_inexact_factor(self):
-        # one slot per row: the rows are the coefficients in t themselves
-        def peel(rows, k, d, bound=9):
-            return _peel(rows, k, lambda row: _packed_row_quotient(row, d, 1, [True], bound))
-
-        # 3 t (t+1) (t+2) = 6t + 9t^2 + 3t^3
-        assert peel([0, 6, 9, 3], 1, 3) == [[2], [1]]
-        # a nonzero row below t^k
-        with pytest.raises(InexactDivisionError):
-            peel([1, 6, 9, 3], 1, 3)
-        # t + 1 divides t^2 (t+1) (t+2) once but not twice, t (t^2 + 1) never
-        with pytest.raises(InexactDivisionError):
-            peel([0, 0, 2, 3, 1], 2, 1)
-        with pytest.raises(InexactDivisionError):
-            peel([0, 1, 0, 1], 1, 1)
-        # P does not divide t (t+1) (t+2)
-        with pytest.raises(InexactDivisionError):
-            peel([0, 2, 3, 1], 1, 3)
-        # t (t+1) (5t + 7): a quotient coefficient beyond its bound
-        with pytest.raises(InexactDivisionError):
-            peel([0, 7, 12, 5], 1, 1, bound=6)
-        assert peel([0, 7, 12, 5], 1, 1, bound=7) == [[7], [5]]
-        # a quotient row with no expansion in its slots
-        with pytest.raises(InexactDivisionError):
-            peel([0, 300, 300], 1, 1, bound=400)
-
-    def test_packed_peel_catches_a_division_without_remainder(self):
-        # rows in M at M = 2^16, two-byte slots, P0 = M - 1: N = 20000 +
-        # 20000 M + 25535 M^2 is no multiple of P0, since N(1) != 0, but
-        # N(2^16) is a multiple of P0(2^16) = 2^16 - 1, because N(1) is
-        m = 1 << 16
-        row = 20000 + 20000 * m + 25535 * m * m
-        assert row % (m - 1) == 0
-
-        def peel(rows, bound):
-            divide = lambda r: _packed_row_quotient(r, m - 1, 2, [True, True, False], bound)
-            return _peel(rows, 1, divide)
-
-        with pytest.raises(InexactDivisionError):
-            peel([0, row, row], 2**14)
-        # P0 (1 + 2M) = -1 - M + 2M^2 divides, within region and bound
-        row = -1 - m + 2 * m * m
-        assert peel([0, row, row], 2) == [[1, 2, 0]]
+    def test_universal_tables_check_the_decoded_exponents(self, monkeypatch):
+        # a term of the generic tuple's tables outside the proven window
+        # raises when the tables are built, instead of decoding wrongly
+        C = importlib.import_module("sl2wiggle.certify")
+        tau, gamma_inner, alpha_core, ap = C._laurent_core(C._GENERIC)
+        for shift in (LaurentPoly.lam(-1), LaurentPoly.mu(16 * 7)):
+            shifted = (tau, gamma_inner.scale(shift), alpha_core, ap)
+            monkeypatch.setattr(C, "_laurent_core", lambda params: shifted)
+            with pytest.raises(AssertionError, match="out of range"):
+                C._universal_tables.__wrapped__()
 
     def test_specialized_matches_symbolic_route(self):
         t_t1 = QPoly([0, 1, 1])

@@ -333,12 +333,18 @@ def test_show_tables_reads_negative_exponents():
 
 
 def test_show_tables_with_a_sparse_mu_prefactor():
-    # mu^2000 - 1 divides the coefficients of trace - 2; each Laurent
-    # division takes its rows in mu and packs lambda, which makes the
-    # tables take well under a second
+    # mu^2000 - 1 divides the coefficients of trace - 2
     result = run_script("show_tables.py", "--dc", "1,1000,1,2", timeout=30)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("parameters (k, l, m, n) = (1, 1000, 1, 2)\n")
+
+
+def test_show_tables_with_exponents_of_a_trillion():
+    # the tables are substituted into, so their cost does not grow with
+    # the exponents
+    result = run_script("show_tables.py", "--dc", "1000000000000,3,-7,1000000000000000", timeout=30)
+    assert result.returncode == 0, result.stderr
+    assert "\ntau (degree 3):\n" in result.stdout
 
 
 @pytest.mark.parametrize(
