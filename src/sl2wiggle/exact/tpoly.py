@@ -13,11 +13,12 @@ generic tuple of certify._universal_tables.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from ..errors import InexactDivisionError, ZeroParameterError
 from . import polycore
-from .laurent import LaurentPoly, _deflation, _flat_terms, _from_terms, _slot_terms
+from .laurent import LaurentPoly, Terms, _from_terms
 
 _LZERO = LaurentPoly.zero()
 _LONE = LaurentPoly.one()
@@ -77,7 +78,8 @@ class TPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        # a constant equals its coefficient, so it hashes as that coefficient
+        return hash(self.coeff(0)) if len(self._coeffs) <= 1 else hash(self._coeffs)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -201,6 +203,35 @@ def _exact_int_div(a: int, b: int) -> int:
     return q
 
 
+def _flat_terms(coeffs: Sequence["LaurentPoly"]) -> dict[tuple[int, int, int], int]:
+    """The terms of a polynomial in t over the Laurent ring, given as its
+    coefficient list, keyed by the exponent triple (t, lambda, mu)."""
+    return {(i, el, em): c for i, p in enumerate(coeffs) for (el, em), c in p._terms.items()}
+
+
+def _deflation(
+    a: Iterable[tuple[int, ...]], b: Iterable[tuple[int, ...]]
+) -> list[tuple[int, int, int, int, int]]:
+    """The deflation of two supports, given as their exponent tuples: per
+    position (la, lb, g, da, db), with la and lb the lowest exponents of a
+    and of b there, g the gcd of every exponent's distance from its own
+    support's lowest over both (1 when all are 0), and da, db the degrees
+    of a and of b once shifted to start at 0 and divided by g."""
+    out = []
+    for ea, eb in zip(zip(*a), zip(*b)):
+        la, lb = min(ea), min(eb)
+        g = gcd(*[e - la for e in ea], *[e - lb for e in eb]) or 1
+        out.append((la, lb, g, (max(ea) - la) // g, (max(eb) - lb) // g))
+    return out
+
+
+def _slot_terms(values: Sequence[int], nm: int, el0: int, em0: int, gl: int, gm: int) -> Terms:
+    """The terms of a packed box read back: values[i nm + j] is the
+    coefficient of lambda^(el0 + i gl) mu^(em0 + j gm), and zeros are
+    dropped.  A single row, of at most nm values, reads back with i = 0."""
+    return {(el0 + i // nm * gl, em0 + i % nm * gm): c for i, c in enumerate(values) if c}
+
+
 def _slot_width(a: dict, b: dict, n: int, m: int) -> int:
     """The least K with 2^(K-1) > B, for the bound B of _packed_resultant:
     B^2 = (sum_i |f_i|_1^2)^m (sum_j |g_j|_1^2)^n over the t-coefficients
@@ -224,7 +255,7 @@ def _packed_resultant(
     Let n = deg f and m = deg g, both at least 1.  Shifting each support
     to exponent 0 and deflating lambda^s -> L, mu^s' -> M, with s and s'
     the gcds of the shifted lambda- and mu-exponents over both operands
-    (laurent._deflation), gives F', G' in Z[L, M][t] with
+    (_deflation), gives F', G' in Z[L, M][t] with
 
         res(f, g) = lambda^(m a + n c) mu^(m b + n d) R(lambda^s, mu^s'),
         R = res(F', G'),

@@ -22,13 +22,13 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import NotUnimodularError, ZeroParameterError
-from .exact.laurent import LaurentPoly, _flat_terms, _pack_slots
+from .exact.laurent import LaurentPoly
 from .exact.mat2 import Mat2, identity_q, xi_of
 from .exact.polycore import add, scale, sub, unpack
-from .exact.tpoly import TPoly
+from .exact.tpoly import TPoly, _flat_terms
 from .words import (
     CyclicForm,
     Gen,
@@ -406,6 +406,20 @@ def _slot_bytes(alpha: Sequence[int], beta: Sequence[int], pairs: Pairs) -> int:
     m = max(map(abs, alpha), default=0) + m_b
     bound = max(m * (norm_a + norm_b) + 2 * m_b * norm_b, m * max(_column_norms(pairs))) + 1
     return (bound.bit_length() + 8) // 8
+
+
+def _pack_slots(offsets: Iterable[int], coeffs: Iterable[int], s: int, nbytes: int) -> int:
+    """The integer of nbytes little-endian bytes whose s-byte slot at each
+    byte offset holds the matching nonzero integer coefficient, |c| < 256^s:
+    positive and negative coefficients go to two bytearrays, subtracted."""
+    pos = bytearray(nbytes)
+    neg = bytearray(nbytes)
+    for k, c in zip(offsets, coeffs):
+        if c > 0:
+            pos[k : k + s] = c.to_bytes(s, "little")
+        else:
+            neg[k : k + s] = (-c).to_bytes(s, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _packed_identities(ap: AssocPolys) -> IdentityReport | None:

@@ -1,8 +1,9 @@
 """Sparse long division in the Laurent ring, kept as a test oracle.
 
-`_sparse_quotient` cancels leading terms one at a time, with no packing
-and no bound on the coefficients.  Tests compare the row-packed quotient
-behind `sl2wiggle.exact.laurent.LaurentPoly.exact_div` with it.
+`_sparse_quotient` cancels leading terms one at a time on operands
+shifted to exponent 0.  `sl2wiggle.exact.laurent.LaurentPoly.exact_div`
+runs the same loop on the unshifted operands, bounding the quotient's
+exponents from below instead; tests compare the two.
 """
 
 from __future__ import annotations

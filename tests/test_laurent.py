@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2wiggle.errors import InexactDivisionError, NotAUnitError
-from sl2wiggle.exact.laurent import LaurentPoly, _pack_slots, _row_quotient, _unpack_slots
+from sl2wiggle.exact.laurent import LaurentPoly
 from sl2wiggle.exact.tpoly import TPoly
 
 from conftest import laurents, nonzero_laurents, nonzero_rationals
@@ -191,7 +191,7 @@ def test_product_cancels_to_zero(p, q):
 @pytest.mark.parametrize("scale", [1, -(2**200), -7])
 def test_product_cancels_inside_the_box(scale):
     # (1 + ... + lam^9)(1 - lam)(1 + ... + mu^4) = (1 - lam^10)(1 + ... + mu^4):
-    # every interior row of the packed product sums to zero
+    # every interior lambda-row of the product sums to zero
     p = LaurentPoly({(i, 0): scale for i in range(10)})
     mu_sum = LaurentPoly({(0, j): 1 for j in range(5)})
     q = (LaurentPoly.one() - LaurentPoly.lam(1)) * mu_sum
@@ -211,35 +211,6 @@ def test_product_at_the_coefficient_bound():
                 pq = p * q
                 assert pq == schoolbook(p, q)
                 assert integral(pq)
-
-
-@st.composite
-def slot_coefficients(draw):
-    """(s, coefficients) for s-byte slots: any balanced value, with zeros
-    and the two ends -2^(8s-1) and 2^(8s-1) - 1 drawn often."""
-    s = draw(st.integers(1, 3))
-    half = 1 << (8 * s - 1)
-    coeff = st.one_of(st.sampled_from([0, -half, half - 1]), st.integers(-half, half - 1))
-    return s, draw(st.lists(coeff, min_size=1, max_size=12))
-
-
-@given(slot_coefficients())
-def test_unpack_slots_inverts_pack_slots(drawn):
-    s, coeffs = drawn
-    n = len(coeffs)
-    assert _unpack_slots(_pack_slots(range(0, s * n, s), coeffs, s, s * n), s, n) == coeffs
-
-
-def test_unpack_slots_without_an_expansion_raises():
-    # every slot at 2^(8s-1) - 1, or every slot at -2^(8s-1), are the ends
-    for s, n in [(1, 1), (2, 3)]:
-        half = 1 << (8 * s - 1)
-        ones = sum(256 ** (s * i) for i in range(n))
-        assert _unpack_slots((half - 1) * ones, s, n) == [half - 1] * n
-        assert _unpack_slots(-half * ones, s, n) == [-half] * n
-        for value in ((half - 1) * ones + 1, -half * ones - 1):
-            with pytest.raises(OverflowError):
-                _unpack_slots(value, s, n)
 
 
 division_coeffs = {
@@ -263,7 +234,7 @@ def division_operands(draw, sizes=(0, 12)):
     )
 
 
-# a monomial (the shift), 2-4 terms and more than 4 (the row-packed quotient)
+# a monomial (the shift), and 2-4 or 5-12 terms (the long division)
 divisors = st.sampled_from([(1, 1), (2, 4), (5, 12)]).flatmap(division_operands)
 
 
@@ -274,9 +245,6 @@ def test_exact_division_matches_the_sparse_loop(p, q):
     assert pq.exact_div(q) == p
     if pq:
         assert LaurentPoly(_sparse_quotient(pq._terms, q._terms)) == p
-    # the slot width holds every quotient coefficient: the row path never declines
-    if p:
-        assert LaurentPoly(_row_quotient(pq._terms, q._terms)) == p
 
 
 @given(division_operands(), st.sampled_from([(2, 4), (5, 12)]).flatmap(division_operands),
@@ -290,12 +258,10 @@ def test_inexact_division_raises(p, q, e, c):
 
 def test_rational_quotient_of_integer_operands():
     # (lambda + 1) Phi / (2 Phi) is (lambda + 1) / 2, outside the ring: the
-    # divisor's leading row 2 does not divide the dividend's 1, so the row
-    # division declines
+    # divisor's leading coefficient 2 does not divide the dividend's 1
     cyclotomic = LaurentPoly({(i, 0): 1 for i in range(5)})
     num = (LaurentPoly.lam(1) + 1) * cyclotomic
     den = cyclotomic * 2
-    assert _row_quotient(num._terms, den._terms) is None
     with pytest.raises(InexactDivisionError):
         num.exact_div(den)
 
@@ -306,8 +272,7 @@ def mu_poly(coeffs: list[int]) -> LaurentPoly:
 
 def test_row_quotient_with_coefficients_above_the_dividend():
     # mu^30 - 1 over (mu^30 - 1) / (Phi_1 Phi_6 Phi_10 Phi_15): the quotient
-    # has a coefficient 12 and the dividend only +-1, so a slot width taken
-    # from the dividend's coefficients alone decodes a wrong row
+    # has a coefficient 12 and the dividend only +-1
     phis = [[-1, 1], [1, -1, 1], [1, -1, 1, -1, 1], [1, -1, 0, 1, -1, 1, 0, -1, 1]]
     quotient = LaurentPoly.one()
     for phi in phis:
@@ -315,42 +280,48 @@ def test_row_quotient_with_coefficients_above_the_dividend():
     num = LaurentPoly.mu(30) - 1
     den = LaurentPoly(_sparse_quotient(num._terms, quotient._terms))
     assert max(abs(c) for c in quotient.terms().values()) == 12
-    assert LaurentPoly(_row_quotient(num._terms, den._terms)) == quotient
     assert num.exact_div(den) == quotient
 
 
 def test_defect_below_the_row_divisions_fails_the_row_division():
-    # the lowest lambda-row of p q is never a leading row: the long
-    # division leaves it as the remainder, which must be zero
+    # the defect lies in the lowest lambda-row of p q: the long division
+    # reaches it after every quotient term above it
     q = (LaurentPoly.lam(-1) + 2 + LaurentPoly.lam(1)) * mu_poly([3, 1, -2])
     p = LaurentPoly({(2, 0): 5, (3, 1): -1, (2, 3): 4})
     num = p * q + LaurentPoly.mono(7, 1, 1)
     assert min(el for el, _ in (p * q).terms()) == 1
-    assert _row_quotient(num._terms, q._terms) is None
     with pytest.raises(InexactDivisionError, match="left a remainder"):
         num.exact_div(q)
 
 
 def test_rows_that_divide_at_the_slot_base_fail_the_product_check():
-    # num = lambda + 2 mu + 3 has K = 4-bit slots (3 terms, largest 3), and
-    # den = lambda + mu + 19 equals it at mu = 2^4: both rows divide there,
-    # with quotient 1, though den does not divide num; only multiplying the
-    # quotient back shows it
+    # den = lambda + mu + 19 equals num = lambda + 2 mu + 3 at mu = 2^4, so a
+    # division at that point accepts it; the long division's quotient term
+    # 1 leaves the remainder mu - 16
     num = LaurentPoly({(1, 0): 1, (0, 1): 2, (0, 0): 3})
     den = LaurentPoly({(1, 0): 1, (0, 1): 1, (0, 0): 19})
-    assert LaurentPoly(_row_quotient(num._terms, den._terms)) == LaurentPoly.one()
     with pytest.raises(InexactDivisionError, match="left a remainder"):
         num.exact_div(den)
 
 
 def test_divisor_whose_leading_row_vanishes_at_the_slot_base():
-    # the slots of this num are 3 bits wide, and den's leading row 8 - mu is
-    # 0 at mu = 2^3: no row can be divided by it
+    # den's leading lambda-row 8 - mu is 0 at mu = 2^3, so a row division at
+    # that point has no divisor; the long division's first term -1 leaves
+    # 9 lambda + 2, which den's leading term -lambda mu does not divide
     num = LaurentPoly({(0, 0): 1, (1, 0): 1, (1, 1): 1})
     den = LaurentPoly({(0, 0): 1, (1, 0): 8, (1, 1): -1})
-    assert _row_quotient(num._terms, den._terms) is None
     with pytest.raises(InexactDivisionError):
         num.exact_div(den)
+
+
+def test_constants_hash_as_the_int_they_equal():
+    lam_plus_2 = LaurentPoly.lam(1) + 2
+    for c in [0, 3, -(2**200)]:
+        for p in [LaurentPoly.const(c), TPoly.const(c)]:
+            assert p == c and hash(p) == hash(c)
+    assert len({LaurentPoly.const(3), TPoly.const(3), 3}) == 1
+    assert TPoly.const(lam_plus_2) == lam_plus_2
+    assert hash(TPoly.const(lam_plus_2)) == hash(lam_plus_2)
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from sl2wiggle.certify import (
     build_witness,
     core_polys,
 )
-from sl2wiggle.exact import laurent, polycore, tpoly
+from sl2wiggle.exact import polycore, tpoly
 from sl2wiggle.exact.qpoly import real_roots, zderivative, zexact_div, zgcd, zprimitive
 from sl2wiggle.exact.tpoly import TPoly, resultant
 from sl2wiggle.words import Word
@@ -464,7 +464,7 @@ class TestPackedResultant:
     @settings(max_examples=40, deadline=None)
     def test_slot_holds_every_coefficient(self, pair):
         f, g = pair
-        a, b = (laurent._flat_terms(p.coeffs) for p in (f, g))
+        a, b = (tpoly._flat_terms(p.coeffs) for p in (f, g))
         k = tpoly._slot_width(a, b, f.degree, g.degree)
         expected = resultant_sylvester(f, g)
         assert all(abs(c) < 2 ** (k - 1) for c in expected.terms().values())
@@ -473,7 +473,7 @@ class TestPackedResultant:
     def test_tight_bound(self):
         # res(t - 1, t + 1) = 2 is the Hadamard bound sqrt(2 * 2) itself
         f, g = TPoly([-1, 1]), TPoly([1, 1])
-        a, b = (laurent._flat_terms(p.coeffs) for p in (f, g))
+        a, b = (tpoly._flat_terms(p.coeffs) for p in (f, g))
         assert tpoly._slot_width(a, b, 1, 1) == 3
         assert tpoly._packed_resultant(f.coeffs, g.coeffs) == LaurentPoly.const(2)
 
