@@ -262,9 +262,13 @@ class TestCorePolys:
 
 
 class TestResultantFormula:
-    # (2, 3, -1, 2) ends in an 8592 / 2997-term division, larger than any
-    # the symbolic tables reach
-    @pytest.mark.parametrize("params", [(1, 1, 2, 3), (1, 2, 2, 1), (2, 3, -1, 2)])
+    # the generic tuples end in exact divisions of 406k by 213k bits
+    # (2, 3, -1, 2) and 578k by 308k bits (3, -2, 1, 3), above the 151k by
+    # 76k of the symbolic tables; the recursive division of
+    # tpoly._exact_int_div halves the divisor five and six times
+    @pytest.mark.parametrize(
+        "params", [(1, 1, 2, 3), (1, 2, 2, 1), (2, 3, -1, 2), (3, -2, 1, 3)]
+    )
     def test_closed_form(self, params):
         cp = core_polys(DCParams(*params))
         # matches the closed form exactly; the sign convention is

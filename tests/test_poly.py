@@ -506,6 +506,90 @@ class TestPackedResultant:
         assert packed == resultant(f, g) == resultant_sylvester(f, g)
 
 
+# bit lengths on both sides of the cutoffs of tpoly._schoolbook: a divisor
+# of 9000 bits, a quotient of 4500
+DIVISOR_BITS = st.sampled_from([1, 2, 64, 8999, 9000, 9001, 9002, 20000]) | st.integers(1, 20000)
+QUOTIENT_BITS = st.sampled_from([0, 1, 4499, 4500, 4501, 4502, 30000]) | st.integers(0, 30000)
+
+
+@st.composite
+def division_operands(draw):
+    """(a, b, exact) with a = q b + r for signed integers: b is +-1, a power
+    of two, all ones, its top bit over a low half of ones, or random; q is
+    0 (then a = 0 or |a| < |b|), a power of two, all ones or random; r is
+    0 for an exact division, else nonzero with |r| < |b|, random or the
+    largest."""
+    rng = draw(st.randoms(use_true_random=False))
+    nb, nq = draw(DIVISOR_BITS), draw(QUOTIENT_BITS)
+    shapes = {
+        "random": lambda n: rng.getrandbits(n) | 1 << (n - 1) if n else 0,
+        "power of two": lambda n: 1 << (n - 1) if n else 0,
+        "all ones": lambda n: (1 << n) - 1,
+        "low half ones": lambda n: 1 << (n - 1) | (1 << n // 2) - 1 if n else 0,
+    }
+    b = shapes[draw(st.sampled_from(sorted(shapes)))](nb)
+    q = shapes[draw(st.sampled_from(sorted(shapes)))](nq)
+    exact = b == 1 or draw(st.booleans())
+    r = 0 if exact else draw(st.sampled_from([rng.randrange(1, b), b - 1]))
+    b *= draw(st.sampled_from([1, -1]))
+    return draw(st.sampled_from([1, -1])) * (q * abs(b) + r), b, exact
+
+
+# (b, q): dividing q b + b - 1 by b, a 3n/2n step corrects its estimate twice
+TWO_CORRECTIONS = 1 << 9999 | (1 << 5000) - 1, 10**3000
+
+
+class TestExactIntDiv:
+    """tpoly._exact_int_div, the one division of the packed resultant, against
+    Python's own // and divmod, on either side of its cutoff."""
+
+    @given(division_operands())
+    @example((0, 3, True))
+    @example((0, -(1 << 9000) - 1, True))
+    @example((5, 7, False))
+    @example((-(1 << 20000) + 1, 1 << 9500, False))
+    @example(((1 << 30000) - 1, -1, True))
+    @example((TWO_CORRECTIONS[1] * TWO_CORRECTIONS[0] + TWO_CORRECTIONS[0] - 1,
+              TWO_CORRECTIONS[0], False))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_floor_division(self, operands):
+        a, b, exact = operands
+        if exact:
+            assert tpoly._exact_int_div(a, b) == a // b
+        else:
+            with pytest.raises(InexactDivisionError):
+                tpoly._exact_int_div(a, b)
+        # the recursive route, whichever route the cutoff picks
+        assert tpoly._recursive_divmod(abs(a), abs(b)) == divmod(abs(a), abs(b))
+
+    def test_the_cutoff_picks_the_route(self, monkeypatch):
+        calls = []
+        recursive = tpoly._recursive_divmod
+        monkeypatch.setattr(
+            tpoly, "_recursive_divmod", lambda a, b: calls.append(1) or recursive(a, b)
+        )
+        rng = random.Random(3)
+        # a = b 2^s has exactly s bits more than b
+        for nb, s, expected in [(9001, 4501, 1), (9000, 4501, 0), (9001, 4500, 0),
+                                (60000, 90000, 1)]:
+            b = rng.getrandbits(nb) | 1 << (nb - 1)
+            calls.clear()
+            assert tpoly._exact_int_div(-b << s, b) == -1 << s
+            assert len(calls) == expected, (nb, s)
+
+    def test_generic_table_recurses(self, monkeypatch):
+        # the last division of res(tau, gamma_inner) at (-1, -1, -2, 1) is
+        # 151k by 76k bits, above the cutoff
+        calls = []
+        div2n1n = tpoly._div2n1n
+        monkeypatch.setattr(
+            tpoly, "_div2n1n", lambda a, b, n: calls.append(n) or div2n1n(a, b, n)
+        )
+        cp = core_polys(DCParams(-1, -1, -2, 1))
+        resultant(cp.tau, cp.gamma_inner)  # its value: test_tables_take_the_packed_path
+        assert max(calls) > 70000
+
+
 class TestPretty:
     @pytest.mark.parametrize(
         "coeffs, text",
