@@ -2,8 +2,9 @@
 """Benchmark a change against its parent commit in alternating pairs.
 
 Runs the unmodified perfbench/run.py of each side, one process at a
-time: the parent in a git worktree made in a temporary directory (and
-removed afterwards), the change in this working tree, committed or not.
+time: the parent in a `git archive` export unpacked in a temporary
+directory (and removed afterwards), the change in this working tree,
+committed or not.
 Each pair runs both sides on one seed for BENCHMARK.json's run_seconds
 and alternates which side runs first.  The claimed workload gets 10 pairs (seeds 11-20), every other
 workload of BENCHMARK.json 5 (seeds 21-25).  The sweep digest of
@@ -20,6 +21,7 @@ the median, plus a note on the machine.  Standard library only.
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import platform
@@ -27,6 +29,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -124,7 +127,11 @@ def main() -> int:
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     parent_dir = tmp / "parent"
-    git("worktree", "add", "--detach", str(parent_dir), parent_rev)
+    archive = subprocess.run(
+        ["git", "archive", parent_rev], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(parent_dir)
     try:
         sides = {"parent": parent_dir, "change": ROOT}
         digests = {side: sweep_digest(path) for side, path in sides.items()}
@@ -147,7 +154,6 @@ def main() -> int:
                 "seeds": list(seeds), "pairs": pairs, "summary": summary(pairs, metrics)
             }
     finally:
-        git("worktree", "remove", "--force", str(parent_dir))
         shutil.rmtree(tmp, ignore_errors=True)
 
     report = {
@@ -156,7 +162,7 @@ def main() -> int:
         "parent": parent_rev,
         "procedure": (
             f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0"
-            " in a git worktree of the parent and in the working tree of the change, one process"
+            " in a git archive of the parent and in the working tree of the change, one process"
             " at a time; pairs alternate which side runs first. Quartiles are"
             " statistics.quantiles(n=4, method='inclusive') of the per-run values; a win is a"
             " pair where the change is better. Written by scripts/bench_pairs.py."

@@ -5,6 +5,8 @@ last entry (the empty sequence is zero).  These are the specializations
 of the Laurent-coefficient polynomials at a concrete torus parameter
 pair, cleared of denominators: a primitive divisor always has an integral
 quotient by Gauss's lemma, so gcds and divisibility need no fractions.
+`zgcd` reads the gcd from the digits of one integer gcd at a power of
+two, and checks it by exact division.
 
 `real_roots` isolates the real roots exactly; `rational_roots` finds the
 rational ones, by arithmetic where it can and by refining the isolating
@@ -18,6 +20,8 @@ from fractions import Fraction
 from math import gcd as int_gcd
 from math import isqrt, prod
 from typing import Optional, Sequence
+
+from .polycore import unpack
 
 
 def zprimitive(f: Sequence[int]) -> list[int]:
@@ -78,20 +82,55 @@ def zprem(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def zgcd(f: Sequence[int], g: Sequence[int]) -> list[int]:
     """The primitive gcd in Z[t], with a positive leading coefficient.
 
-    Runs a primitive remainder sequence (Brown 1971): every remainder is
-    reduced to its primitive part, so coefficients stay as small as the
-    gcd allows instead of growing as in rational Euclid.
+    One integer gcd at a power of two (Char, Geddes and Gonnet's heuristic
+    gcd, 1989), made exact.  For primitive nonzero a, b take
+    x = 2^k >= 2 min(|a|, |b|) + 2, where |.| is the largest absolute
+    coefficient, set gamma = gcd(a(x), b(x)) > 0 and let h be the primitive
+    part of the balanced base-x digits of gamma (polycore.unpack).  Write
+    G = gcd(a, b), a = G A and b = G B.
+
+    Every root r of a has |r| < 1 + |a| (Cauchy), and likewise for b.  So
+    a common factor q of positive degree has roots |r| < x/2, and
+    |q(x)| >= prod |x - r| > (x/2)^deg q >= x/2.
+
+    - Constant h: gamma is a single digit, so gamma < x/2.  G(x) divides
+      gamma, so G has degree 0, and G = 1.
+    - h divides a and b: then G = h q in Z[t] (Gauss's lemma).  The
+      digits of gamma are c(h) h for their content c(h) <= x/2, so
+      G(x) = h(x) q(x) divides gamma = c(h) h(x), with h(x) != 0, and
+      q(x) divides c(h).  So q is a constant, and q = 1, since G and h
+      are primitive and gamma > 0 gives h a positive top digit.
+    - Termination: gamma = c G(x) with c = gcd(A(x), B(x)), which divides
+      the nonzero integer res(A, B) whatever x is.  Once x > 2 c |G|, the
+      digits of gamma are c G, and h = G divides a and b.  Each failed
+      point doubles k.
+
+    So every returned h is the gcd; the loop takes a few points only when
+    gcd(A(x), B(x)) is large against x.
     """
     if not f and not g:
         raise ValueError("gcd of two zero polynomials")
     a, b = zprimitive(f), zprimitive(g)
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        a, b = b, zprem(a, b)
-    if b:
-        return [1]
-    return a if a[-1] > 0 else [-c for c in a]
+    if not a or not b:
+        h = a or b
+        return h if h[-1] > 0 else [-c for c in h]
+    k = (2 * min(max(map(abs, a)), max(map(abs, b))) + 1).bit_length()
+    while True:
+        gamma = int_gcd(_at_power_of_two(a, k), _at_power_of_two(b, k))
+        h = zprimitive(unpack(gamma, k))
+        if len(h) == 1:
+            return [1]
+        if zexact_div(a, h) is not None and zexact_div(b, h) is not None:
+            return h
+        k *= 2
+
+
+def _at_power_of_two(p: Sequence[int], k: int) -> int:
+    """p(2^k), by Horner's rule with shifts."""
+    acc = 0
+    for c in reversed(p):
+        acc = (acc << k) + c
+    return acc
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl2wiggle.certify import (
@@ -15,7 +15,8 @@ from sl2wiggle.certify import (
     _check_record,
     _stripped_squarefree,
 )
-from sl2wiggle.exact.polycore import add, div_t1, mul, trim
+from sl2wiggle.exact import qpoly
+from sl2wiggle.exact.polycore import add, div_t1, mul, scale, trim, unpack
 from sl2wiggle.exact.qpoly import (
     zderivative,
     zexact_div,
@@ -52,6 +53,22 @@ def zmul(*factors: list[int]) -> list[int]:
 
 def monic(f: list[int]) -> QPoly:
     return QPoly(f).monic()
+
+
+@st.composite
+def planted_gcd_pairs(draw):
+    """(f, g) shaped like the search's operands: degree at most 8,
+    coefficients up to about 2^600, a planted common factor of degree 0 to
+    3, and a random content and sign on each."""
+    edge = st.sampled_from([BIG, -BIG])
+    wide = st.one_of(st.integers(-9, 9), st.integers(-BIG, BIG), edge)
+    common = draw(st.lists(wide, min_size=1, max_size=4).map(trim).filter(bool))
+    pair = []
+    for _ in range(2):
+        cofactor = draw(st.lists(wide, max_size=10 - len(common)).map(trim))
+        content = draw(st.one_of(st.integers(1, 9), st.integers(-BIG, BIG), edge).filter(bool))
+        pair.append(scale(zmul(cofactor, common), content))
+    return tuple(pair)
 
 
 @st.composite
@@ -142,6 +159,43 @@ class TestGcd:
         to_sympy = lambda p: sympy.Poly(list(reversed(p)), t)
         expected = sympy.Poly(sympy.gcd(to_sympy(f), to_sympy(g)), t).all_coeffs()
         assert monic(zgcd(f, g)) == monic([int(v) for v in reversed(expected)])
+
+    @given(planted_gcd_pairs())
+    # a coprime pair, and a gcd equal to one operand as in the search's
+    # gcd(s, gamma - 1) = s on the swap family
+    @example(([-(2**600), 3, 1], [5, 0, -(2**599)]))
+    @example(([-9, 64, 64], zmul([-9, 64, 64], [2**300, -7, 2**290 + 1])))
+    @settings(max_examples=100, deadline=None)
+    def test_workload_shaped_operands(self, pair):
+        sympy = pytest.importorskip("sympy")
+        f, g = pair
+        if not f and not g:
+            return
+        d = zgcd(f, g)
+        assert d[-1] > 0 and zprimitive(d) == d
+        assert monic(d) == gcd_fraction_euclid(QPoly(f), QPoly(g))
+        t = sympy.Symbol("t")
+        to_sympy = lambda p: sympy.Poly(list(reversed(p)) or [0], t)
+        expected = sympy.Poly(sympy.gcd(to_sympy(f), to_sympy(g)), t).all_coeffs()
+        assert monic(d) == monic([int(v) for v in reversed(expected)])
+
+    @pytest.mark.parametrize(
+        "j, points",
+        [(8, [8, 16]), (40, [8, 16, 32, 64]), (1000, [8, 16, 32, 64, 128, 256, 512, 1024])],
+    )
+    def test_a_large_cofactor_gcd_takes_more_points(self, monkeypatch, j, points):
+        # a = t G and b = (t + 2^j) G: gcd(a(x), b(x)) = G(x) gcd(x, x + 2^j)
+        # carries a factor x into the digits until x > 2 * 2^j * |G|
+        G = [-9, 64, 64]
+        seen = []
+
+        def spy(packed, k):
+            seen.append(k)
+            return unpack(packed, k)
+
+        monkeypatch.setattr(qpoly, "unpack", spy)
+        assert zgcd(zmul([0, 1], G), zmul([2**j, 1], G)) == G
+        assert seen == points
 
 
 class TestSquarefree:
