@@ -23,7 +23,6 @@ from .exact import (
 from .wiggle import (
     AssocPolys,
     IdentityReport,
-    WiggleValue,
     assoc_polys,
     eval_direct,
     eval_normal_form,
@@ -33,12 +32,8 @@ from .wiggle import (
     verify_identities,
 )
 from .words import (
-    CyclicForm,
     Gen,
-    GeneratorPower,
-    ReducedCyclic,
     Syllable,
-    Trivial,
     Word,
     commutator,
     cyclic_reduce,

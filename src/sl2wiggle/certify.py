@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 from .errors import InexactDivisionError, PrecisionExhaustedError, TrivialWordError
 from .exact.laurent import LaurentPoly, _from_terms
 from .exact.mat2 import Mat2, mat2_q
-from .exact.polycore import add, div_t1, mul, trim
+from .exact.polycore import add, div_t1, trim
 from .exact.qpoly import (
     RealRoot,
     rational_roots,
@@ -44,7 +44,6 @@ from .exact.qpoly import (
     zderivative,
     zexact_div,
     zgcd,
-    zprem,
     zprimitive,
 )
 from .exact.tpoly import TPoly
@@ -118,10 +117,9 @@ def _peel(rows: Sequence, t_power: int, divide: Callable) -> list:
     """The coefficients, lowest degree first, of the polynomial in t with
     coefficients `rows` divided by t^t_power (t+1)^t_power, each then passed
     through `divide`: t_power rows dropped, then t_power synthetic
-    divisions by t + 1 (polycore.div_t1), which take + and - alone, so a
-    row is a Laurent polynomial or an integer standing for one at a point.
-    Raises InexactDivisionError on a nonzero row below t^t_power or a
-    nonzero value at t = -1; `divide` raises it on a row it cannot divide."""
+    divisions by t + 1 (polycore.div_t1) of the Laurent rows.  Raises
+    InexactDivisionError on a nonzero row below t^t_power or a nonzero
+    value at t = -1; `divide` raises it on a row it cannot divide."""
     if any(rows[:t_power]):
         raise InexactDivisionError("not divisible by the requested power of t")
     rows = rows[t_power:]
@@ -339,7 +337,8 @@ def _draw_parameter(rng: random.Random) -> Fraction:
 
 def _minus_2_and_1(sa: SpecializedAssoc) -> tuple[list[int], list[int]]:
     """D (trace - 2) and D (gamma - 1) in Z[t], for the shared denominator D."""
-    return add(sa.trace_num, [-2 * sa.den]), add(sa.gamma_num, [-sa.den])
+    trace = add(sa.gamma_num, sa.gamma_sigma_num)
+    return add(trace, [-2 * sa.den]), add(sa.gamma_num, [-sa.den])
 
 
 def _check_record(h: list[int], trace_minus_2, gamma_minus_1) -> CheckRecord:
@@ -700,9 +699,9 @@ def build_witness(cert: Certificate, precision_digits: int = 64) -> Witness:
     root location, and a cubic needs it only when no small prime proves
     that it has no rational root.  Otherwise h is irreducible and h1 = h.
     Either way the facts trace - 2 = 0 and beta * sigma(beta) invertible
-    are certified in Q[t]/(h1), by exact division and pseudo-remainders in
-    Z[t].  Without a rational root, the witness point is the smallest real
-    root of h1, isolated only now, or, for an h1 without real roots (a
+    are certified in Q[t]/(h1), by exact division and gcds in Z[t].
+    Without a rational root, the witness point is the smallest real root
+    of h1, isolated only now, or, for an h1 without real roots (a
     quadratic), its root below the real axis.  That root is bracketed to
     about digits log2(10) + 64 bits, doubled until t0 and u print the same
     at both ends and the middle of the bracket and the residual at the
@@ -719,10 +718,10 @@ def build_witness(cert: Certificate, precision_digits: int = 64) -> Witness:
     if h1[-1] < 0:  # a certificate read from JSON may hold -h
         h1 = [-c for c in h1]
     sa = specialized_assoc(eff.cyclic_word(), cert.lam0, cert.mu0)
-    beta_prod = mul(zprem(sa.beta_num, h1), zprem(sa.beta_sigma_num, h1), 0)
     modular = ModularCertificate(
         trace_minus_2_divisible=zexact_div(_minus_2_and_1(sa)[0], h1) is not None,
-        beta_product_invertible=zgcd(h1, beta_prod) == [1],
+        # coprime to a product in Q[t] exactly when coprime to each factor
+        beta_product_invertible=zgcd(h1, sa.beta_num) == [1] == zgcd(h1, sa.beta_sigma_num),
     )
     if not modular.all_ok:
         raise AssertionError("modular certificate failed; certificate unsound")

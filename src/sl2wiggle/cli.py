@@ -240,7 +240,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     for lam0, mu0, g in cases:
         nf = eval_normal_form(ap, lam0, mu0, g)
         direct = eval_direct(word, lam0, mu0, g)
-        if nf.matrix != direct:
+        if nf != direct:
             mismatches += 1
     if args.json:
         _emit({"cases": len(cases), "mismatches": mismatches})

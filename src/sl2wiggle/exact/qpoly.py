@@ -21,7 +21,7 @@ from math import gcd as int_gcd
 from math import isqrt, prod
 from typing import Optional, Sequence
 
-from .polycore import unpack
+from .polycore import prem, unpack
 
 
 def zprimitive(f: Sequence[int]) -> list[int]:
@@ -37,8 +37,8 @@ def zderivative(f: Sequence[int]) -> list[int]:
 def zexact_div(f: Sequence[int], g: Sequence[int]) -> Optional[list[int]]:
     """f / g in Z[t], or None when g does not divide f there.  For a
     primitive g that is the same as dividing in Q[t] (Gauss's lemma).
-    Only the nonzero coefficients of g are subtracted, so a sparse g, such
-    as the packed rows of a Laurent division, costs what its terms do."""
+    Only the nonzero coefficients of g are subtracted, so a sparse g costs
+    what its terms do."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     dg, lc = len(g) - 1, g[-1]
@@ -53,30 +53,6 @@ def zexact_div(f: Sequence[int], g: Sequence[int]) -> Optional[list[int]]:
             for j, c in low:
                 rem[shift + j] -= q * c
     return None if any(rem[:dg]) else quot
-
-
-def zprem(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Primitive part of a positive multiple of a mod b, for b != 0.
-
-    Each step scales a by |lc(b)|/g and subtracts (±lc(a)/g) t^k b for
-    g = gcd(lc(a), lc(b)), so only integers occur.  The scale is positive,
-    so the remainder keeps the sign a Sturm sequence needs.
-    """
-    lb, db = b[-1], len(b) - 1
-    sign = 1 if lb > 0 else -1
-    rem = list(a)
-    while len(rem) > db:
-        la = rem.pop()
-        g = int_gcd(la, lb)
-        sa, sb = abs(lb) // g, sign * la // g
-        shift = len(rem) - db
-        if sa != 1:
-            rem = [sa * c for c in rem]
-        for j in range(db):
-            rem[shift + j] -= sb * b[j]
-        while rem and not rem[-1]:
-            rem.pop()
-    return zprimitive(rem)
 
 
 def zgcd(f: Sequence[int], g: Sequence[int]) -> list[int]:
@@ -295,13 +271,22 @@ def rational_roots(f: Sequence[int]) -> list[Fraction]:
 
 
 def _sturm_chain(p: list[int]) -> list[list[int]]:
-    """p, p' and the negated primitive remainders, up to a constant or gcd(p, p')."""
+    """p, p' and the negated primitive remainders, up to a constant or gcd(p, p').
+
+    polycore.prem(a, b) is a mod b times lc(b)^(deg a - deg b + 1), a
+    negative factor exactly when lc(b) < 0 and deg a - deg b is even, so
+    there its sign is already that of -(a mod b).  Each entry is thus
+    -(a mod b) up to a positive factor: the same sign changes as the
+    Sturm sequence over Q.
+    """
     chain = [p, zprimitive(zderivative(p))]
     while len(chain[-1]) > 1:
-        rem = zprem(chain[-2], chain[-1])
+        a, b = chain[-2], chain[-1]
+        rem = zprimitive(prem(a, b))
         if not rem:
             break
-        chain.append([-c for c in rem])
+        flip = b[-1] < 0 and (len(a) - len(b)) % 2 == 0
+        chain.append(rem if flip else [-c for c in rem])
     return chain
 
 

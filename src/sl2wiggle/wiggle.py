@@ -29,18 +29,10 @@ from .exact.laurent import LaurentPoly
 from .exact.mat2 import Mat2, identity_q, xi_of
 from .exact.polycore import add, scale, sub, unpack
 from .exact.tpoly import TPoly, _flat_terms
-from .words import (
-    CyclicForm,
-    Gen,
-    GeneratorPower,
-    ReducedCyclic,
-    Trivial,
-    Word,
-    word_to_pairs,
-)
+from .words import Gen, Word, word_to_pairs
 
 Pairs = tuple[tuple[int, int], ...]
-WordLike = Union[Word, CyclicForm, Sequence[tuple[int, int]]]
+WordLike = Union[Word, Sequence[tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -51,12 +43,6 @@ class AssocPolys:
     alpha: TPoly
     beta: TPoly
     pairs: Pairs
-
-
-@dataclass(frozen=True)
-class WiggleValue:
-    matrix: Mat2[Fraction]
-    t_value: Fraction
 
 
 @dataclass(frozen=True)
@@ -88,12 +74,6 @@ class IdentityReport:
 def as_pairs(w: WordLike) -> Pairs:
     if isinstance(w, Word):
         return word_to_pairs(w)
-    if isinstance(w, Trivial):
-        return ()
-    if isinstance(w, GeneratorPower):
-        return ((w.exp, 0),) if w.gen is Gen.X else ((0, w.exp),)
-    if isinstance(w, ReducedCyclic):
-        return w.pairs
     return tuple((int(a), int(b)) for a, b in w)
 
 
@@ -190,7 +170,7 @@ def _laurent_column(runs, top: list, bottom: list) -> tuple[TPoly, TPoly]:
 
 
 def assoc_polys(w: WordLike) -> AssocPolys:
-    """Compute (alpha, beta) for a word, cyclic form or explicit run list."""
+    """Compute (alpha, beta) for a word or a run list such as cyclic_reduce's."""
     pairs = as_pairs(w)
     alpha, beta = _laurent_column(_laurent_runs(pairs), [LaurentPoly.one()], [])
     return AssocPolys(alpha=alpha, beta=beta, pairs=pairs)
@@ -241,7 +221,7 @@ def eval_direct(w: Word, lam0, mu0, g: Mat2[Fraction]) -> Mat2[Fraction]:
     return word_value(w, xm, y_conj, identity_q())
 
 
-def eval_normal_form(ap: AssocPolys, lam0, mu0, g: Mat2[Fraction]) -> WiggleValue:
+def eval_normal_form(ap: AssocPolys, lam0, mu0, g: Mat2[Fraction]) -> Mat2[Fraction]:
     """Assemble the wiggle value from (alpha, beta) at t = det(xi_g)."""
     lam0, mu0 = Fraction(lam0), Fraction(mu0)
     _check_specialization(lam0, mu0)
@@ -265,23 +245,21 @@ def eval_normal_form(ap: AssocPolys, lam0, mu0, g: Mat2[Fraction]) -> WiggleValu
     matrix = Mat2(g11, b12, b21, g22)
     if matrix.det() != 1:
         raise AssertionError("normal-form value must have determinant 1")
-    return WiggleValue(matrix=matrix, t_value=t0)
+    return matrix
 
 
 @dataclass(frozen=True)
 class SpecializedAssoc:
-    """beta, gamma = alpha + beta*t, their sigma-partners and the trace, all
-    at a fixed rational (lam, mu), each as an integer numerator in Z[t]
-    over the shared denominator `den` (alpha is gamma - t*beta)."""
+    """beta, gamma = alpha + beta*t and their sigma-partners at a fixed
+    rational (lam, mu), each as an integer numerator in Z[t] over the shared
+    denominator `den` (alpha is gamma - t*beta, the trace gamma +
+    sigma(gamma))."""
 
-    lam0: Fraction
-    mu0: Fraction
     den: int
     beta_num: tuple[int, ...]
     beta_sigma_num: tuple[int, ...]
     gamma_num: tuple[int, ...]
     gamma_sigma_num: tuple[int, ...]
-    trace_num: tuple[int, ...]
 
 
 def specialized_assoc(w: WordLike, lam0, mu0) -> SpecializedAssoc:
@@ -290,8 +268,8 @@ def specialized_assoc(w: WordLike, lam0, mu0) -> SpecializedAssoc:
     The integer column is D times the true one, D = (pq)^sum|a| (rs)^sum|b|;
     inverting the parameters (U and V swapped, same D) gives the sigma-partners.
     Each entry is one integer, its polynomial at t = 2^K: a run multiplies the
-    column's l1 norm by at most 2 max(U, V), gamma and the trace add two bits,
-    and a sign bit makes every coefficient fit a balanced K-bit slot.
+    column's l1 norm by at most 2 max(U, V), gamma adds a bit, and a sign
+    bit makes every coefficient fit a balanced K-bit slot.
     """
     lam0, mu0 = Fraction(lam0), Fraction(mu0)
     _check_specialization(lam0, mu0)
@@ -301,16 +279,15 @@ def specialized_assoc(w: WordLike, lam0, mu0) -> SpecializedAssoc:
     runs = _runs(
         pairs, lambda e: (p ** (2 * e), q ** (2 * e)), lambda e: (r ** (2 * e), s ** (2 * e))
     )
-    k = 3 + sum(max(u, v).bit_length() + 1 for _, u, v in runs)
+    k = 2 + sum(max(u, v).bit_length() + 1 for _, u, v in runs)
     column = lambda steps: _column(
         steps, operator.mul, operator.add, operator.sub, lambda f: f << k, 1, 0
     )
     alpha, beta = column(runs)
     alpha_s, beta_s = column(_swapped(runs))
     gamma, gamma_s = alpha + (beta << k), alpha_s + (beta_s << k)
-    packed = (beta, beta_s, gamma, gamma_s, gamma + gamma_s)
     den = (p * q) ** sum(abs(a) for a, _ in pairs) * (r * s) ** sum(abs(b) for _, b in pairs)
-    return SpecializedAssoc(lam0, mu0, den, *(unpack(f, k) for f in packed))
+    return SpecializedAssoc(den, *(unpack(f, k) for f in (beta, beta_s, gamma, gamma_s)))
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple
 
 from .errors import ParseError
 from .exact.polycore import power
@@ -151,35 +151,12 @@ def word_to_pairs(w: Word) -> tuple[tuple[int, int], ...]:
 # cyclic reduction
 
 
-@dataclass(frozen=True)
-class Trivial:
-    pass
-
-
-@dataclass(frozen=True)
-class GeneratorPower:
-    gen: Gen
-    exp: int
-
-
-@dataclass(frozen=True)
-class ReducedCyclic:
-    """Cyclically reduced word as (a_i, b_i) pairs, all nonzero.
-
-    The stored rotation is canonical: the lexicographically least among
-    the rotations that begin with an x-run, so equality of ReducedCyclic
-    values decides conjugacy.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-
-
-
-CyclicForm = Union[Trivial, GeneratorPower, ReducedCyclic]
-
-
-def cyclic_reduce(w: Word) -> CyclicForm:
-    """Strip conjugating prefix/suffix pairs and canonicalize the rotation."""
+def cyclic_reduce(w: Word) -> tuple[tuple[int, int], ...]:
+    """The run pairs of w's cyclically reduced conjugate, in canonical
+    rotation: () for the trivial word, ((e, 0),) or ((0, e),) for a
+    generator power, and otherwise the lexicographically least rotation
+    that begins with an x-run, all entries nonzero.  Equal results decide
+    conjugacy."""
     syl = list(w.syllables)
     while len(syl) >= 2 and syl[0].gen is syl[-1].gen:
         merged = syl[-1].exp + syl[0].exp
@@ -187,15 +164,10 @@ def cyclic_reduce(w: Word) -> CyclicForm:
         syl = syl[1:-1]
         if merged:
             syl.append(Syllable(gen, merged))
-    if not syl:
-        return Trivial()
-    if len(syl) == 1:
-        return GeneratorPower(syl[0].gen, syl[0].exp)
-    if syl[0].gen is Gen.Y:
+    if syl and syl[0].gen is Gen.Y:
         syl = syl[1:] + syl[:1]
-    pairs = [(syl[i].exp, syl[i + 1].exp) for i in range(0, len(syl), 2)]
-    rotations = [tuple(pairs[i:] + pairs[:i]) for i in range(len(pairs))]
-    return ReducedCyclic(min(rotations))
+    pairs = word_to_pairs(Word(tuple(syl)))
+    return min((pairs[i:] + pairs[:i] for i in range(len(pairs))), default=())
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from sl2wiggle.exact.laurent import LaurentPoly
 from sl2wiggle.exact.mat2 import Mat2, identity_q, mat2_q
-from sl2wiggle.words import Gen, ReducedCyclic, Syllable, Word
+from sl2wiggle.words import Gen, Syllable, Word
 
 nonzero_exponents = st.integers(min_value=-4, max_value=4).filter(lambda e: e != 0)
 
@@ -29,10 +29,10 @@ laurents = st.dictionaries(
 nonzero_laurents = laurents.filter(bool)
 
 
-def reduced_cyclic_word(cf: ReducedCyclic) -> Word:
-    """The word x^a1 y^b1 x^a2 y^b2 ... of a cyclic form's run pairs."""
+def pairs_word(pairs) -> Word:
+    """The word x^a1 y^b1 x^a2 y^b2 ... of run pairs such as cyclic_reduce's."""
     return Word.from_syllables(
-        Syllable(gen, e) for a, b in cf.pairs for gen, e in ((Gen.X, a), (Gen.Y, b))
+        Syllable(gen, e) for a, b in pairs for gen, e in ((Gen.X, a), (Gen.Y, b))
     )
 
 

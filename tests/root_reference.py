@@ -1,5 +1,6 @@
 """The numeric rational-root search that exact root isolation replaced,
-kept as a test oracle.
+and the integer pseudo-remainder the Sturm chain used to be built from,
+kept as test oracles.
 
 `rational_roots_numeric` reconstructs rational roots from mpmath.polyroots
 approximations: a candidate is the fraction nearest a real approximation
@@ -11,9 +12,13 @@ it only where it converges.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd as int_gcd
 from math import isqrt
+from typing import Sequence
 
 import mpmath
+
+from sl2wiggle.exact.qpoly import zderivative, zprimitive
 
 from fraction_reference import QPoly
 
@@ -96,3 +101,39 @@ def smallest_root_numeric(h: QPoly):
         (mpmath.mpc(r) for r in roots),
         key=lambda z: (abs(z.imag) > tiny, z.real, z.imag),
     )[0]
+
+
+def zprem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Primitive part of a positive multiple of a mod b, for b != 0.
+
+    Each step scales a by |lc(b)|/g and subtracts (±lc(a)/g) t^k b for
+    g = gcd(lc(a), lc(b)), so only integers occur.  The scale is positive,
+    so the remainder keeps the sign a Sturm sequence needs.
+    """
+    lb, db = b[-1], len(b) - 1
+    sign = 1 if lb > 0 else -1
+    rem = list(a)
+    while len(rem) > db:
+        la = rem.pop()
+        g = int_gcd(la, lb)
+        sa, sb = abs(lb) // g, sign * la // g
+        shift = len(rem) - db
+        if sa != 1:
+            rem = [sa * c for c in rem]
+        for j in range(db):
+            rem[shift + j] -= sb * b[j]
+        while rem and not rem[-1]:
+            rem.pop()
+    return zprimitive(rem)
+
+
+def sturm_chain_zprem(p: list[int]) -> list[list[int]]:
+    """p, p' and the negated remainders by zprem, up to a constant or
+    gcd(p, p'): the Sturm chain of a nonconstant primitive integer p."""
+    chain = [p, zprimitive(zderivative(p))]
+    while len(chain[-1]) > 1:
+        rem = zprem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    return chain

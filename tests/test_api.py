@@ -17,10 +17,9 @@ import sl2wiggle.exact
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 PACKAGE_NAMES = [
-    "AssocPolys", "CertStatus", "Certificate", "CorePolys", "CyclicForm", "DCParams",
-    "Gen", "GeneratorPower", "IdentityReport", "LaurentPoly", "Mat2", "ReducedCyclic",
-    "Syllable", "TPoly", "Trivial", "WiggleValue", "Witness", "Word", "assoc_polys",
-    "build_witness", "certify", "check_certificate", "commutator", "core_polys",
+    "AssocPolys", "CertStatus", "Certificate", "CorePolys", "DCParams", "Gen",
+    "IdentityReport", "LaurentPoly", "Mat2", "Syllable", "TPoly", "Witness", "Word",
+    "assoc_polys", "build_witness", "certify", "check_certificate", "commutator", "core_polys",
     "cyclic_reduce", "double_commutator", "double_commutator_cyclic", "eval_direct",
     "eval_normal_form", "gamma_of", "parse_word", "resultant", "specialized_assoc",
     "swap_generators", "sweep_box", "trace_poly", "verify_identities", "xi_of",
@@ -65,17 +64,17 @@ def test_no_runtime_dependency():
 
 
 def test_helpers_have_callers_in_src():
-    # a private module-level function, or any function of the generic
-    # kernel module polycore, is named somewhere in src/ outside its own
+    # a private module-level function, or any function of the kernel
+    # modules polycore and qpoly, is named somewhere in src/ outside its own
     # body; a cross-check that only tests call belongs in tests/
     trees = {path: ast.parse(path.read_text()) for path in SRC.rglob("*.py")}
-    polycore = SRC / "sl2wiggle" / "exact" / "polycore.py"
+    kernels = {SRC / "sl2wiggle" / "exact" / name for name in ("polycore.py", "qpoly.py")}
     checked = [
         (path, node)
         for path, tree in trees.items()
         for node in tree.body
         if isinstance(node, ast.FunctionDef)
-        and (node.name.startswith("_") or path == polycore)
+        and (node.name.startswith("_") or path in kernels)
     ]
     uses: dict[str, list[ast.AST]] = {}
     for tree in trees.values():

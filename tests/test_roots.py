@@ -7,7 +7,7 @@ from math import prod
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sl2wiggle.certify import _witness_points
@@ -20,6 +20,7 @@ from root_reference import (
     rational_roots_numeric,
     real_root_approximations,
     smallest_root_numeric,
+    sturm_chain_zprem,
 )
 
 BIG = 10**40
@@ -162,24 +163,83 @@ class TestRealRoots:
     @given(int_polys() | rooted_polys())
     @settings(max_examples=80, deadline=None)
     def test_intervals_match_sympy(self, f):
-        sp = _sympy_poly(f)
-        roots = real_roots(f.primitive_ints())
-        _check_isolation(f, roots)
-        assert len(roots) == sp.count_roots()
-        for root in roots:
-            lo, hi = root.bounds
-            if lo == hi:
-                continue  # an exact root, checked by _check_isolation
-            assert _roots_in(sp, lo, hi) == 1
-            for bits in (3, 30, 200):
-                r = root.refined(bits)
-                a, b = r.bounds
-                assert b - a <= Fraction(1, 2**bits)
-                assert lo <= a and b <= hi
-                if a == b:
-                    assert f.evaluate(a) == 0
-                else:
-                    assert _roots_in(sp, a, b) == 1
+        _check_against_sympy(f)
+
+
+def _check_against_sympy(f: QPoly) -> None:
+    """real_roots(f) isolates each real root sympy counts, and refining
+    keeps one root per interval."""
+    sp = _sympy_poly(f)
+    roots = real_roots(f.primitive_ints())
+    _check_isolation(f, roots)
+    assert len(roots) == sp.count_roots()
+    for root in roots:
+        lo, hi = root.bounds
+        if lo == hi:
+            continue  # an exact root, checked by _check_isolation
+        assert _roots_in(sp, lo, hi) == 1
+        for bits in (3, 30, 200):
+            r = root.refined(bits)
+            a, b = r.bounds
+            assert b - a <= Fraction(1, 2**bits)
+            assert lo <= a and b <= hi
+            if a == b:
+                assert f.evaluate(a) == 0
+            else:
+                assert _roots_in(sp, a, b) == 1
+
+
+# Primitive polynomials whose Sturm chain takes a remainder step a mod b
+# with lc(b) < 0 and deg a - deg b even, where polycore.prem's factor
+# lc(b)^(deg a - deg b + 1) is negative.  That needs a remainder two or
+# more degrees below its divisor, then one more step, so no polynomial of
+# degree <= 3 has one; these were found by searching small coefficients.
+FLIP_EXAMPLES = [
+    (-2, 1, 0, 0, 1),  # t^4 + t - 2: p mod p' has degree 1
+    (-(BIG + 7), BIG, 0, 0, 1),
+    (-3, 1, 2, 0, 0, 1),
+    (2, 0, 0, 0, 2, 1),  # p' mod the third entry drops two degrees
+    (2, 2, 0, 0, 0, -2, -1),
+    (-1, 1, 0, 0, 0, 0, 1),  # p mod p' drops four degrees
+]
+
+
+def _flip_steps(chain: list[list[int]]) -> int:
+    """The steps of a Sturm chain that appended an entry from a b with
+    lc(b) < 0 and deg a - deg b even."""
+    return sum(
+        b[-1] < 0 and (len(a) - len(b)) % 2 == 0 for a, b in zip(chain, chain[1:-1])
+    )
+
+
+def _with_examples(examples):
+    def decorate(test):
+        for f in examples:
+            test = example(list(f))(test)
+        return test
+
+    return decorate
+
+
+class TestSturmChain:
+    @given(
+        st.lists(coefficients, min_size=2, max_size=7)
+        .map(lambda f: qpoly.zprimitive(polycore.trim(f)))
+        .filter(lambda p: len(p) >= 2)
+    )
+    @_with_examples(FLIP_EXAMPLES)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_zprem_chain(self, p):
+        # prem's chain entries are primitive parts of the same remainders
+        assert qpoly._sturm_chain(p) == sturm_chain_zprem(p)
+
+    @pytest.mark.parametrize("f", FLIP_EXAMPLES)
+    def test_examples_reach_the_sign_flip(self, f):
+        assert _flip_steps(sturm_chain_zprem(list(f))) >= 1
+
+    @pytest.mark.parametrize("f", FLIP_EXAMPLES)
+    def test_real_roots_match_sympy_on_the_examples(self, f):
+        _check_against_sympy(QPoly(f))
 
 
 class TestRationalRoots:

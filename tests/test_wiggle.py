@@ -31,8 +31,8 @@ from sl2wiggle.words import Word, cyclic_reduce, parse_word
 
 from fraction_reference import QPoly
 from conftest import (
+    pairs_word,
     random_commutator_subgroup_word,
-    reduced_cyclic_word,
     random_nonzero_fraction,
     random_sl2,
     random_word,
@@ -75,11 +75,11 @@ class TestAssocPolys:
     def test_accepts_cyclic_form_and_pairs(self):
         w = parse_word("x^2 y x^-1 y^3")
         # the cyclic form is a canonical rotation, i.e. a specific conjugate
-        cf = cyclic_reduce(w)
-        assert assoc_polys(cf).alpha == assoc_polys(reduced_cyclic_word(cf)).alpha
+        pairs = cyclic_reduce(w)
+        assert assoc_polys(pairs).alpha == assoc_polys(pairs_word(pairs)).alpha
         assert assoc_polys([(2, 1), (-1, 3)]).alpha == assoc_polys(w).alpha
         # trace is a conjugacy invariant, so either representative gives it
-        assert trace_poly(assoc_polys(cf)) == trace_poly(assoc_polys(w))
+        assert trace_poly(assoc_polys(pairs)) == trace_poly(assoc_polys(w))
 
     def test_independent_of_run_decomposition(self):
         # splitting a run into pieces with zero partners changes nothing
@@ -145,19 +145,18 @@ class TestEvaluation:
     def test_identity_g(self):
         w = parse_word("x^2 y^-1")
         ap = assoc_polys(w)
-        nf = eval_normal_form(ap, 2, 3, identity_q())
-        assert nf.t_value == 0
-        assert nf.matrix == eval_direct(w, 2, 3, identity_q())
+        assert xi_of(identity_q()).det() == 0
+        assert eval_normal_form(ap, 2, 3, identity_q()) == eval_direct(w, 2, 3, identity_q())
 
     def test_intro_unipotent(self):
         w = parse_word("[x,y]")
         ap = assoc_polys(w)
         g = mat2_q(0, 1, -1, 1)
         value = eval_normal_form(ap, 2, 2, g)
-        assert value.matrix.trace() == 2
-        assert value.matrix != identity_q()
-        assert value.matrix.det() == 1
-        assert value.matrix == eval_direct(w, 2, 2, g)
+        assert value.trace() == 2
+        assert value != identity_q()
+        assert value.det() == 1
+        assert value == eval_direct(w, 2, 2, g)
 
     def test_random_agreement(self, rng):
         for _ in range(80):
@@ -166,9 +165,7 @@ class TestEvaluation:
             lam0 = random_nonzero_fraction(rng)
             mu0 = random_nonzero_fraction(rng)
             g = random_sl2(rng)
-            nf = eval_normal_form(ap, lam0, mu0, g)
-            assert nf.matrix == eval_direct(w, lam0, mu0, g)
-            assert nf.t_value == xi_of(g).det()
+            assert eval_normal_form(ap, lam0, mu0, g) == eval_direct(w, lam0, mu0, g)
 
     def test_specialized_assoc_matches_symbolic(self, rng):
         # random words (DC or not), parameters of both signs, small and large
@@ -187,7 +184,7 @@ class TestEvaluation:
             assert gamma_s - beta_s * QPoly.t() == QPoly(ap.alpha.sigma().specialize(lam0, mu0))
             assert gamma == QPoly(gamma_of(ap).specialize(lam0, mu0))
             assert gamma_s == QPoly(gamma_of(ap).sigma().specialize(lam0, mu0))
-            assert over_den(sa, "trace") == QPoly(trace_poly(ap).specialize(lam0, mu0))
+            assert gamma + gamma_s == QPoly(trace_poly(ap).specialize(lam0, mu0))
 
     def test_specialized_assoc_at_unit_parameters(self):
         # lambda, mu = +-1 make runs act trivially or by sign flips
@@ -195,7 +192,8 @@ class TestEvaluation:
         ap = reference_assoc(w)
         for lam0, mu0 in ((1, 1), (-1, 2), (3, -1), (-1, -1)):
             sa = specialized_assoc(w, lam0, mu0)
-            assert over_den(sa, "trace") == QPoly(trace_poly(ap).specialize(lam0, mu0))
+            trace = over_den(sa, "gamma") + over_den(sa, "gamma_sigma")
+            assert trace == QPoly(trace_poly(ap).specialize(lam0, mu0))
             assert over_den(sa, "beta_sigma") == QPoly(ap.beta.sigma().specialize(lam0, mu0))
 
     def test_word_value_on_upper_triangular(self):
@@ -373,9 +371,9 @@ def specialized_column(pairs, lam0, mu0) -> tuple[QPoly, QPoly]:
 
 
 def slot_bits(pairs, lam0: Fraction, mu0: Fraction) -> int:
-    """K = 3 + sum over runs of (bit length of max(U, V)) + 1, where
+    """K = 2 + sum over runs of (bit length of max(U, V)) + 1, where
     (U, V) = (P^2, Q^2) for lambda^a = P/Q resp. mu^b = P/Q."""
-    k = 3
+    k = 2
     for param, exps in ((lam0, [a for a, _ in pairs]), (mu0, [b for _, b in pairs])):
         big = max(abs(param.numerator), param.denominator)
         k += sum((big ** (2 * abs(e))).bit_length() + 1 for e in exps if e)
@@ -402,8 +400,7 @@ def test_specialized_assoc_matches_transfer_product(pairs, lam0, mu0):
     assert (beta_got, beta_s_got) == (beta, beta_s)
     # alpha = gamma - t*beta
     assert (gamma - beta * QPoly.t(), gamma_s - beta_s * QPoly.t()) == (alpha, alpha_s)
-    assert over_den(sa, "trace") == gamma + gamma_s
-    expected = (beta, beta_s, gamma, gamma_s, gamma + gamma_s)
+    expected = (beta, beta_s, gamma, gamma_s)
     # every numerator coefficient fits a balanced slot of the packed recursion
     largest = max((abs(c * sa.den) for f in expected for c in f.coeffs), default=0)
     assert largest < 2 ** (slot_bits(pairs, lam0, mu0) - 1)

@@ -8,10 +8,7 @@ from sl2wiggle.certify import DCParams
 from sl2wiggle.errors import ParseError
 from sl2wiggle.words import (
     Gen,
-    GeneratorPower,
-    ReducedCyclic,
     Syllable,
-    Trivial,
     Word,
     cyclic_reduce,
     double_commutator,
@@ -21,7 +18,7 @@ from sl2wiggle.words import (
     word_to_pairs,
 )
 
-from conftest import reduced_cyclic_word, words
+from conftest import pairs_word, words
 
 
 def syl(g: str, e: int) -> Syllable:
@@ -99,27 +96,28 @@ class TestParse:
 
 class TestCyclicReduce:
     def test_power(self):
-        assert cyclic_reduce(Word.x_pow(5)) == GeneratorPower(Gen.X, 5)
+        assert cyclic_reduce(Word.x_pow(5)) == ((5, 0),)
+        assert cyclic_reduce(Word.y_pow(-2)) == ((0, -2),)
 
     def test_trivial(self):
-        assert cyclic_reduce(Word.identity()) == Trivial()
+        assert cyclic_reduce(Word.identity()) == ()
+        assert cyclic_reduce(parse_word("x y x^-1 y^-1 y x y^-1 x^-1")) == ()
 
     def test_conjugate_of_generator(self):
-        w = parse_word("y x^3 y^-1")
-        assert cyclic_reduce(w) == GeneratorPower(Gen.X, 3)
+        assert cyclic_reduce(parse_word("y x^3 y^-1")) == ((3, 0),)
+        assert cyclic_reduce(parse_word("x^2 y^4 x^-2")) == ((0, 4),)
 
     def test_double_commutator_standard_form(self):
         # [[x,y^2],[x^3,y^4]] reduces to the standard 7-run representative
         k, l, m, n = 1, 2, 3, 4
-        cf = cyclic_reduce(double_commutator(k, l, m, n))
-        assert isinstance(cf, ReducedCyclic)
-        assert len(cf.pairs) == 7
-        assert cf == cyclic_reduce(double_commutator_cyclic(k, l, m, n))
+        pairs = cyclic_reduce(double_commutator(k, l, m, n))
+        assert len(pairs) == 7
+        assert pairs == cyclic_reduce(double_commutator_cyclic(k, l, m, n))
 
     def test_all_runs_nonzero(self):
-        cf = cyclic_reduce(parse_word("x y x^-1 y x y^2"))
-        assert isinstance(cf, ReducedCyclic)
-        assert all(a and b for a, b in cf.pairs)
+        pairs = cyclic_reduce(parse_word("x y x^-1 y x y^2"))
+        assert pairs == ((-1, 1), (1, 2), (1, 1))
+        assert all(a and b for a, b in pairs)
 
     @given(words, words)
     @settings(max_examples=150)
@@ -128,9 +126,8 @@ class TestCyclicReduce:
 
     @given(words)
     def test_result_is_conjugate_to_input(self, w):
-        cf = cyclic_reduce(w)
-        if isinstance(cf, ReducedCyclic):
-            assert cyclic_reduce(reduced_cyclic_word(cf)) == cf
+        pairs = cyclic_reduce(w)
+        assert cyclic_reduce(pairs_word(pairs)) == pairs
 
 
 class TestDoubleCommutator:

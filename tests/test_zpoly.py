@@ -233,7 +233,7 @@ def fraction_pipeline(params: DCParams, lam0: Fraction, mu0: Fraction):
     """The certificate h the search took before the integer pipeline: in
     Fractions, from the specialized trace - 2 and gamma - 1."""
     sa = specialized_assoc(params.cyclic_word(), lam0, mu0)
-    trace_minus_2 = QPoly.from_ints(sa.trace_num, sa.den) - 2
+    trace_minus_2 = QPoly.from_ints(add(sa.gamma_num, sa.gamma_sigma_num), sa.den) - 2
     gamma_minus_1 = QPoly.from_ints(sa.gamma_num, sa.den) - 1
     if not trace_minus_2:
         return None
