@@ -51,13 +51,12 @@ from .wiggle import (
     AssocPolys,
     Pairs,
     SpecializedAssoc,
-    as_pairs,
     assoc_polys,
     gamma_of,
     specialized_assoc,
     trace_poly,
 )
-from .words import Word, double_commutator, double_commutator_cyclic
+from .words import Word, double_commutator, double_commutator_cyclic, double_commutator_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -81,6 +80,10 @@ class DCParams:
 
     def cyclic_word(self) -> Word:
         return double_commutator_cyclic(self.k, self.l, self.m, self.n)
+
+    def cyclic_pairs(self) -> Pairs:
+        """The run pairs of cyclic_word(), without building the Word."""
+        return double_commutator_pairs(self.k, self.l, self.m, self.n)
 
     def as_list(self) -> list[int]:
         return [self.k, self.l, self.m, self.n]
@@ -134,7 +137,7 @@ def _laurent_core(params: DCParams) -> tuple[TPoly, TPoly, TPoly, AssocPolys]:
     """(tau, gamma_inner, alpha_core, assoc) of params over the Laurent
     ring: assoc_polys, then _peel with one exact LaurentPoly division by
     P^j per coefficient."""
-    ap = assoc_polys(params.cyclic_word())
+    ap = assoc_polys(params.cyclic_pairs())
     pref = prefactor_num(params)
     den = prefactor_den(params)
     den2 = den * den
@@ -248,7 +251,7 @@ def core_polys(params: DCParams) -> CorePolys:
         tau=tau,
         gamma_inner=gamma_inner,
         alpha_core=alpha_core,
-        assoc=AssocPolys(alpha, beta, as_pairs(params.cyclic_word())),
+        assoc=AssocPolys(alpha, beta, params.cyclic_pairs()),
     )
 
 
@@ -416,7 +419,7 @@ def certify(
         (params, CertStatus.CERTIFIED),
         (params.swapped(), CertStatus.SWAPPED_CERTIFIED),
     ):
-        runs = as_pairs(phase_params.cyclic_word())
+        runs = phase_params.cyclic_pairs()
         for i in range(max_attempts):
             if attempts == 0 and initial is not None:
                 lam0, mu0 = Fraction(initial[0]), Fraction(initial[1])
@@ -462,7 +465,7 @@ def check_certificate(cert: Certificate) -> CheckOutcome:
     eff = cert.effective_params()
     if prefactor_num(eff).evaluate(cert.lam0, cert.mu0) == 0:
         return CheckOutcome(valid=False, reason="degenerate specialization")
-    sa = specialized_assoc(eff.cyclic_word(), cert.lam0, cert.mu0)
+    sa = specialized_assoc(eff.cyclic_pairs(), cert.lam0, cert.mu0)
     h = zprimitive(cert.hpoly)  # Gauss's lemma needs a primitive h
     checks = _check_record(h, *_minus_2_and_1(sa))
     valid = checks.all_ok and zgcd(h, zderivative(h)) == [1]  # h squarefree
@@ -717,7 +720,7 @@ def build_witness(cert: Certificate, precision_digits: int = 64) -> Witness:
     h1 = [-t0.numerator, t0.denominator] if rational else zprimitive(cert.hpoly)
     if h1[-1] < 0:  # a certificate read from JSON may hold -h
         h1 = [-c for c in h1]
-    sa = specialized_assoc(eff.cyclic_word(), cert.lam0, cert.mu0)
+    sa = specialized_assoc(eff.cyclic_pairs(), cert.lam0, cert.mu0)
     modular = ModularCertificate(
         trace_minus_2_divisible=zexact_div(_minus_2_and_1(sa)[0], h1) is not None,
         # coprime to a product in Q[t] exactly when coprime to each factor

@@ -9,11 +9,12 @@ Laurent ring such that the value of the wiggle at g equals
 where gamma = alpha + beta*t and xi_g = ((t, p), (q, -t)).  The pair
 (alpha, beta) is the first column of a product of elementary transfer
 matrices, one per x-run or y-run of the word, which is how everything
-here is computed: one loop, _column, gives any column of that product
-over the Laurent ring or over integers.  verify_identities checks the
-normal form's three identities, each as one big-integer equation at a
-single point (t, lambda, mu) = (2^k_t, 2^k_lambda, 2^k_mu), and falls back
-to TPoly arithmetic when the packed box would be mostly empty.
+here is computed: one loop, _column, applies that product, or its
+adjugate (the swapped runs in reverse order), to a column over the
+Laurent ring or over integers.  verify_identities checks the normal
+form's three identities, each as one big-integer equation at a single
+point (t, lambda, mu) = (2^k_t, 2^k_lambda, 2^k_mu), and falls back to
+TPoly arithmetic when the packed box would be mostly empty.
 """
 
 from __future__ import annotations
@@ -95,9 +96,9 @@ def _swapped(runs):
 
 
 def _column(runs, scale, add, sub, times_t, top, bottom):
-    """The column of the transfer product that starts as (top, bottom), in
-    closed form: (1, 0) gives the first column (alpha, beta) and (0, 1) the
-    second.
+    """The product of the runs' matrices applied to the column (top, bottom),
+    in closed form: (1, 0) gives the first column (alpha, beta) of the
+    transfer product.
 
     Each step (is_x, U, V) of `runs` has U/V = lambda^2a resp. mu^2b; up to
     the scalar sqrt(UV) the runs act by
@@ -105,7 +106,11 @@ def _column(runs, scale, add, sub, times_t, top, bottom):
         x^a:  alpha <- U*(alpha + t*beta) - V*t*beta,   beta <- V*beta
         y^b:  alpha <- U*alpha,   beta <- U*alpha + V*(beta - alpha),
 
-    so a run scales twice, by U and by V, and never by U - V.  The caller
+    that is by the matrices X(U, V) = ((U, (U - V) t), (0, V)) and
+    Y(U, V) = ((U, 0), (U - V, V)) of determinant UV, whose adjugates are
+    X(V, U) and Y(V, U): the swapped runs in reverse order apply the
+    adjugate of the product.  A run scales twice, by U and by V, and never
+    by U - V.  The caller
     supplies the column arithmetic: scale(f, c), add(f, g), sub(f, g) and
     times_t(f) on coefficient lists or TPoly over the Laurent ring (U, V =
     lambda^a, lambda^-a, scalar 1), or on one integer standing for a
@@ -301,7 +306,21 @@ def verify_identities(ap: AssocPolys) -> IdentityReport:
         sigma        the runs at inverted parameters (U and V swapped) give
                      the column (sigma(alpha), sigma(beta));
         Bezout       alpha*delta - c*beta = 1, with (c, delta) the second
-                     column of the transfer product.
+                     column of the transfer product M, read off
+                     adj(M)*(alpha, beta).
+
+    The Bezout relation needs no product and no second column.  _column's
+    steps are X(U, V) and Y(U, V) of determinant UV, and their adjugates
+    are the swapped steps X(V, U) and Y(V, U).  For M = X_n ... X_1,
+    adj M = adj X_1 ... adj X_n, so the swapped runs in reverse order,
+    started at (alpha, beta), give adj(M)*(alpha, beta) =
+    (delta*alpha - c*beta, alpha_M*beta - beta_M*alpha) with (alpha_M,
+    beta_M) and (c, delta) the columns of M.  Its first entry less det M
+    is the Bezout difference, and det M, the product of all UV, is one:
+    TPoly.one() over the Laurent ring, a power of two when packed.  Only
+    the first entry is compared, so the check is the same equation as
+    alpha*delta = 1 + c*beta on every input, the slot bound below holds
+    unchanged, and a tampered input gets the same verdict.
 
     Each identity is one big-integer equation at a single point.  Per
     variable, say lambda, let A = sum|a| over the x-runs and g = gcd(2a)
@@ -352,10 +371,13 @@ def verify_identities(ap: AssocPolys) -> IdentityReport:
 def _identities(alpha, beta, alpha_s, beta_s, runs, zero, unit, one, scale, times_t):
     """The identities of verify_identities over caller-supplied arithmetic.
 
-    alpha, beta and their sigma-partners support +, -, * and ==.  The
-    columns start from `unit` and `zero` and run through _column with
-    `scale` and `times_t`; `one` is the identity among products (unit and
-    one are both TPoly.one(), or two powers of two for packed integers).
+    alpha, beta and their sigma-partners support +, -, * and ==; the only
+    products are the determinant identity's two.  The sigma column starts
+    from `unit` and `zero`, the adjugate of the transfer product from
+    (alpha, beta), both through _column with `scale` and `times_t`; `one`
+    is the identity among products and the product's determinant (unit
+    and one are both TPoly.one(), or two powers of two for packed
+    integers).
     """
     gamma, gamma_s = alpha + times_t(beta), alpha_s + times_t(beta_s)
     beta_t = times_t(beta * beta_s)
@@ -366,11 +388,12 @@ def _identities(alpha, beta, alpha_s, beta_s, runs, zero, unit, one, scale, time
 
     # Inverting the parameters swaps U and V in every run; at the scalar
     # level that computes exactly the sigma-substituted pair.
-    sigma_ok = column(_swapped(runs), unit, zero) == (alpha_s, beta_s)
-    # The second column (c, delta) of the product makes alpha*delta - c*beta
-    # = 1 a Bezout relation, so alpha and beta are coprime.
-    c, delta = column(runs, zero, unit)
-    bezout_ok = alpha * delta == one + c * beta
+    swapped = _swapped(runs)
+    sigma_ok = column(swapped, unit, zero) == (alpha_s, beta_s)
+    # adj(M) (alpha, beta) starts with delta*alpha - c*beta for the second
+    # column (c, delta) of the product M: a Bezout relation, so alpha and
+    # beta are coprime.
+    bezout_ok = column(swapped[::-1], alpha, beta)[0] == one
     return IdentityReport(det_identity_ok=det_ok, sigma_symmetry_ok=sigma_ok, bezout_ok=bezout_ok)
 
 

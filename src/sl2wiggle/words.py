@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from itertools import cycle
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ParseError
 from .exact.polycore import power
@@ -36,19 +37,19 @@ class Syllable(NamedTuple):
     exp: int
 
 
-def _reduce(syllables: Iterable[Syllable]) -> tuple[Syllable, ...]:
-    stack: list[Syllable] = []
-    for s in syllables:
-        if s.exp == 0:
+def _reduce(syllables: Iterable[tuple[Gen, int]]) -> list[tuple[Gen, int]]:
+    """Free reduction of (generator, exponent) pairs, as plain tuples."""
+    stack: list[tuple[Gen, int]] = []
+    for gen, exp in syllables:
+        if exp == 0:
             continue
-        if stack and stack[-1].gen is s.gen:
-            merged = stack[-1].exp + s.exp
-            stack.pop()
+        if stack and stack[-1][0] is gen:
+            merged = stack.pop()[1] + exp
             if merged:
-                stack.append(Syllable(s.gen, merged))
+                stack.append((gen, merged))
         else:
-            stack.append(s)
-    return tuple(stack)
+            stack.append((gen, exp))
+    return stack
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,8 @@ class Word:
     syllables: tuple[Syllable, ...] = ()
 
     @classmethod
-    def from_syllables(cls, syllables: Iterable[Syllable]) -> "Word":
-        return cls(_reduce(syllables))
+    def from_syllables(cls, syllables: Iterable[tuple[Gen, int]]) -> "Word":
+        return cls(tuple(Syllable(gen, exp) for gen, exp in _reduce(syllables)))
 
     @classmethod
     def identity(cls) -> "Word":
@@ -115,33 +116,47 @@ def double_commutator(k: int, l: int, m: int, n: int) -> Word:
     return commutator(inner1, inner2)
 
 
+def _cyclic_syllables(k: int, l: int, m: int, n: int) -> Iterable[tuple[Gen, int]]:
+    exps = (m, n - l, -k, l, k, -n, -m, n, m - k, -l, k, l, -m, -n)
+    return zip(cycle((Gen.X, Gen.Y)), exps)
+
+
 def double_commutator_cyclic(k: int, l: int, m: int, n: int) -> Word:
     """The cyclically reduced conjugate of [[x^k, y^l], [x^m, y^n]]
     obtained by rotating its last x-run and y-run to the front:
 
         x^m y^(n-l) x^-k y^l x^k y^-n x^-m y^n x^(m-k) y^-l x^k y^l x^-m y^-n
     """
-    exps = (m, n - l, -k, l, k, -n, -m, n, m - k, -l, k, l, -m, -n)
     # a conjugate of the word, so it reduces to () exactly when the word does
-    return Word.from_syllables(Syllable((Gen.X, Gen.Y)[i % 2], e) for i, e in enumerate(exps))
+    return Word.from_syllables(_cyclic_syllables(k, l, m, n))
+
+
+def double_commutator_pairs(k: int, l: int, m: int, n: int) -> tuple[tuple[int, int], ...]:
+    """word_to_pairs(double_commutator_cyclic(k, l, m, n)), reduced and
+    grouped on plain tuples without building the Word."""
+    return _pairs(_reduce(_cyclic_syllables(k, l, m, n)))
 
 
 def word_to_pairs(w: Word) -> tuple[tuple[int, int], ...]:
     """Group syllables into (x-exponent, y-exponent) pairs, zeros allowed."""
+    return _pairs(w.syllables)
+
+
+def _pairs(s: Sequence[tuple[Gen, int]]) -> tuple[tuple[int, int], ...]:
+    """word_to_pairs on (generator, exponent) pairs."""
     pairs: list[tuple[int, int]] = []
     i = 0
-    s = w.syllables
     while i < len(s):
-        if s[i].gen is Gen.X:
-            a = s[i].exp
+        if s[i][0] is Gen.X:
+            a = s[i][1]
             i += 1
             b = 0
-            if i < len(s) and s[i].gen is Gen.Y:
-                b = s[i].exp
+            if i < len(s) and s[i][0] is Gen.Y:
+                b = s[i][1]
                 i += 1
         else:
             a = 0
-            b = s[i].exp
+            b = s[i][1]
             i += 1
         pairs.append((a, b))
     return tuple(pairs)

@@ -37,7 +37,12 @@ from conftest import (
     random_sl2,
     random_word,
 )
-from transfer_reference import identity_differences, reference_identities, transfer_matrix
+from transfer_reference import (
+    _steps,
+    identity_differences,
+    reference_identities,
+    transfer_matrix,
+)
 
 T = TPoly.t()
 ONE = TPoly.one()
@@ -252,6 +257,16 @@ def tampered(tamper) -> AssocPolys:
     return AssocPolys(alpha, beta, pairs)
 
 
+def assert_adjugate_column(ap: AssocPolys):
+    """_column over the swapped runs in reverse order, from (alpha, beta),
+    is adj(M) (alpha, beta) for the transfer product M of ap.pairs."""
+    m = transfer_matrix(ap.pairs)
+    alpha, beta = ap.alpha, ap.beta
+    runs = _swapped(_laurent_runs(ap.pairs))[::-1]
+    column = _laurent_column(runs, list(alpha.coeffs), list(beta.coeffs))
+    assert column == (alpha * m.e22 - m.e12 * beta, m.e11 * beta - m.e21 * alpha)
+
+
 class TestIdentities:
     def test_commutator_passes(self):
         assert verify_identities(assoc_polys(parse_word("[x,y]"))).ok
@@ -279,6 +294,20 @@ class TestIdentities:
             assert _laurent_column(runs, [], one) == (m.e12, m.e22)
             m_inv = transfer_matrix(w, invert_params=True)
             assert _laurent_column(_swapped(runs), one, []) == (m_inv.e11, m_inv.e21)
+
+    def test_swapped_steps_are_adjugates(self):
+        # each step has determinant 1, so its adjugate is its inverse
+        for step, swapped in zip(_steps(False), _steps(True)):
+            assert step.inv_det1() == swapped
+
+    def test_reversed_swapped_runs_apply_the_adjugate_on_random_words(self, rng):
+        for _ in range(20):
+            assert_adjugate_column(assoc_polys(random_word(rng, max_syllables=6)))
+
+    @pytest.mark.parametrize("tamper", [None, *TAMPERS])
+    def test_reversed_swapped_runs_apply_the_adjugate_on_tampers(self, tamper):
+        # the Bezout check reads the first entry, whatever alpha and beta are
+        assert_adjugate_column(tampered(tamper))
 
     @pytest.mark.parametrize("tamper, det_ok", TAMPERS.items())
     def test_tampered_input_fails(self, tamper, det_ok):

@@ -168,6 +168,14 @@ class TestDoubleCommutator:
             assert (v == Word.identity()) == trivial == (w == Word.identity())
             assert cyclic_reduce(w) == cyclic_reduce(v)
 
+    def test_cyclic_pairs_equal_the_cyclic_words(self):
+        # the pairs of the word itself, not cyclic_reduce's rotation, which
+        # would change gamma; zeros included
+        large = [(10**6, -3, 10**6, 5), (-(10**7), 10**9, 2, 10**9), (10**12, 1, -(10**12), 1)]
+        for params in [*product(range(-4, 5), repeat=4), *large]:
+            p = DCParams(*params)
+            assert p.cyclic_pairs() == word_to_pairs(p.cyclic_word())
+
     def test_pairs_of_cyclic_form(self):
         w = double_commutator_cyclic(1, 2, 3, 4)
         assert word_to_pairs(w) == (
