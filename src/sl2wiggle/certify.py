@@ -56,7 +56,7 @@ from .wiggle import (
     specialized_assoc,
     trace_poly,
 )
-from .words import Word, double_commutator, double_commutator_cyclic, double_commutator_pairs
+from .words import Word, double_commutator, double_commutator_cyclic
 
 logger = logging.getLogger(__name__)
 
@@ -78,12 +78,9 @@ class DCParams:
     def word(self) -> Word:
         return double_commutator(self.k, self.l, self.m, self.n)
 
-    def cyclic_word(self) -> Word:
-        return double_commutator_cyclic(self.k, self.l, self.m, self.n)
-
     def cyclic_pairs(self) -> Pairs:
-        """The run pairs of cyclic_word(), without building the Word."""
-        return double_commutator_pairs(self.k, self.l, self.m, self.n)
+        """The cyclic conjugate's run pairs, which every attempt and check runs."""
+        return double_commutator_cyclic(self.k, self.l, self.m, self.n)
 
     def as_list(self) -> list[int]:
         return [self.k, self.l, self.m, self.n]

@@ -9,10 +9,6 @@ class ParseError(ValueError):
         self.position = position
 
 
-class NotAUnitError(ArithmeticError):
-    """Inversion requested for a Laurent polynomial that is not a monomial."""
-
-
 class InexactDivisionError(ArithmeticError):
     """Exact division requested but the divisor does not divide the dividend."""
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from ..errors import InexactDivisionError, NotAUnitError
+from ..errors import InexactDivisionError
 from . import polycore
 
 Terms = dict[tuple[int, int], int]
@@ -154,16 +154,8 @@ class LaurentPoly:
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
-            return self.unit_inverse() ** (-n)
+            raise ValueError("negative polynomial power")
         return polycore.power(self, n, LaurentPoly.one())
-
-    def unit_inverse(self) -> "LaurentPoly":
-        """Invert a monomial of coefficient +-1; the only units of the ring."""
-        if len(self._terms) == 1:
-            ((el, em), c), = self._terms.items()
-            if abs(c) == 1:
-                return _from_terms({(-el, -em): c})
-        raise NotAUnitError("only monomials of coefficient +-1 are invertible")
 
     def sigma(self) -> "LaurentPoly":
         """Substitute lambda -> lambda^-1 and mu -> mu^-1."""

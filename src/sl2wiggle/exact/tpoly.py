@@ -62,10 +62,6 @@ class TPoly:
     def degree(self) -> int:
         return len(self._coeffs) - 1
 
-    @property
-    def lc(self) -> LaurentPoly:
-        return self._coeffs[-1] if self._coeffs else _LZERO
-
     def coeff(self, i: int) -> LaurentPoly:
         return self._coeffs[i] if 0 <= i < len(self._coeffs) else _LZERO
 

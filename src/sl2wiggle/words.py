@@ -116,25 +116,15 @@ def double_commutator(k: int, l: int, m: int, n: int) -> Word:
     return commutator(inner1, inner2)
 
 
-def _cyclic_syllables(k: int, l: int, m: int, n: int) -> Iterable[tuple[Gen, int]]:
-    exps = (m, n - l, -k, l, k, -n, -m, n, m - k, -l, k, l, -m, -n)
-    return zip(cycle((Gen.X, Gen.Y)), exps)
-
-
-def double_commutator_cyclic(k: int, l: int, m: int, n: int) -> Word:
-    """The cyclically reduced conjugate of [[x^k, y^l], [x^m, y^n]]
-    obtained by rotating its last x-run and y-run to the front:
+def double_commutator_cyclic(k: int, l: int, m: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The run pairs, zeros allowed, of the cyclic conjugate of
+    [[x^k, y^l], [x^m, y^n]] with its last x-run and y-run rotated to the
+    front, reduced on plain tuples; () exactly when the word is trivial:
 
         x^m y^(n-l) x^-k y^l x^k y^-n x^-m y^n x^(m-k) y^-l x^k y^l x^-m y^-n
     """
-    # a conjugate of the word, so it reduces to () exactly when the word does
-    return Word.from_syllables(_cyclic_syllables(k, l, m, n))
-
-
-def double_commutator_pairs(k: int, l: int, m: int, n: int) -> tuple[tuple[int, int], ...]:
-    """word_to_pairs(double_commutator_cyclic(k, l, m, n)), reduced and
-    grouped on plain tuples without building the Word."""
-    return _pairs(_reduce(_cyclic_syllables(k, l, m, n)))
+    exps = (m, n - l, -k, l, k, -n, -m, n, m - k, -l, k, l, -m, -n)
+    return _pairs(_reduce(zip(cycle((Gen.X, Gen.Y)), exps)))
 
 
 def word_to_pairs(w: Word) -> tuple[tuple[int, int], ...]:
@@ -171,7 +161,8 @@ def cyclic_reduce(w: Word) -> tuple[tuple[int, int], ...]:
     rotation: () for the trivial word, ((e, 0),) or ((0, e),) for a
     generator power, and otherwise the lexicographically least rotation
     that begins with an x-run, all entries nonzero.  Equal results decide
-    conjugacy."""
+    conjugacy.  Like double_commutator_cyclic, it returns run pairs, not a
+    Word."""
     syl = list(w.syllables)
     while len(syl) >= 2 and syl[0].gen is syl[-1].gen:
         merged = syl[-1].exp + syl[0].exp
@@ -181,7 +172,7 @@ def cyclic_reduce(w: Word) -> tuple[tuple[int, int], ...]:
             syl.append(Syllable(gen, merged))
     if syl and syl[0].gen is Gen.Y:
         syl = syl[1:] + syl[:1]
-    pairs = word_to_pairs(Word(tuple(syl)))
+    pairs = _pairs(syl)
     return min((pairs[i:] + pairs[:i] for i in range(len(pairs))), default=())
 
 

@@ -239,7 +239,7 @@ class TestCorePolys:
             p = DCParams(*params)
             cp = core_polys(p)
             for lam0, mu0 in [(Fraction(2), Fraction(3)), (Fraction(3, 2), Fraction(5, 7))]:
-                sa = specialized_assoc(p.cyclic_word(), lam0, mu0)
+                sa = specialized_assoc(p.cyclic_pairs(), lam0, mu0)
                 pref = cp.prefactor_num.evaluate(lam0, mu0)
                 den = cp.prefactor_den.evaluate(lam0, mu0)
                 assert pref != 0
@@ -253,7 +253,7 @@ class TestCorePolys:
     def test_degenerate_specialization_returns_none(self):
         # lambda = +-1 makes the prefactor and so trace - 2 vanish identically
         for lam0 in (Fraction(1), Fraction(-1)):
-            sa = specialized_assoc(DCParams(1, 1, 2, 3).cyclic_word(), lam0, Fraction(2))
+            sa = specialized_assoc(DCParams(1, 1, 2, 3).cyclic_pairs(), lam0, Fraction(2))
             trace = polycore.add(sa.gamma_num, sa.gamma_sigma_num)
             assert QPoly.from_ints(trace, sa.den) == QPoly([2])
             cert = certify(DCParams(1, 1, 2, 3), initial=(lam0, Fraction(2)))
@@ -514,7 +514,7 @@ class TestWitness:
         # branch is pinned on a hand-picked quadratic; its root is no root of
         # trace - 2 here, so the residual is large
         cert = certify(DCParams(1, 1, 2, 3), seed=7)
-        sa = specialized_assoc(cert.params.cyclic_word(), cert.lam0, cert.mu0)
+        sa = specialized_assoc(cert.params.cyclic_pairs(), cert.lam0, cert.mu0)
         bits = int(digits * math.log2(10)) + 64
         texts, residual = _numeric_approx(sa, [7, -3, 5], None, digits, bits)
         assert texts == self.COMPLEX_ROOT_STRINGS[digits]
@@ -550,7 +550,7 @@ class TestWitness:
         # witness JSON without "residual", from the mpmath evaluation that
         # numeric witnesses used before they moved to integers
         cert = certify(DCParams(-1, -3, -3, 3), initial=(Fraction(4, 83), Fraction(17, 71)))
-        sa = specialized_assoc(cert.params.cyclic_word(), cert.lam0, cert.mu0)
+        sa = specialized_assoc(cert.params.cyclic_pairs(), cert.lam0, cert.mu0)
         root = real_roots(cert.hpoly)[0]
         assert _numeric_approx(sa, list(cert.hpoly), root, 64, 276)[0] is None
         data = build_witness(cert, 64).to_json()
@@ -564,7 +564,7 @@ class TestWitness:
         scale = 10**50
         assert w.residual <= Fraction(1, 10**26) and (w.residual * scale).denominator == 1
         # the same bound from Fractions, at the midpoint the witness used
-        sa = specialized_assoc(cert.params.cyclic_word(), cert.lam0, cert.mu0)
+        sa = specialized_assoc(cert.params.cyclic_pairs(), cert.lam0, cert.mu0)
         root = real_roots(cert.hpoly)[0].refined(int(40 * math.log2(10)) + 64)
         t0 = Fraction(root.lo + root.hi, 1 << (root.k + 1))
         u11, u12, u21, u22 = (

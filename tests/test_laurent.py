@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2wiggle.errors import InexactDivisionError, NotAUnitError
+from sl2wiggle.errors import InexactDivisionError
 from sl2wiggle.exact.laurent import LaurentPoly
 from sl2wiggle.exact.tpoly import TPoly
 
@@ -17,27 +17,10 @@ def test_difference_of_squares():
     assert (lam - lam_inv) * (lam + lam_inv) == LaurentPoly.lam(2) - LaurentPoly.lam(-2)
 
 
-def test_unit_inverse_monomial():
-    p = LaurentPoly.mono(-1, 2, -1)
-    assert p.unit_inverse() == LaurentPoly.mono(-1, -2, 1)
-    assert p * p.unit_inverse() == LaurentPoly.one()
-    # 3 lambda^2 mu^-1 is no unit: its inverse has the coefficient 1/3
-    with pytest.raises(NotAUnitError):
-        LaurentPoly.mono(3, 2, -1).unit_inverse()
-
-
-def test_unit_inverse_non_monomial_raises():
-    with pytest.raises(NotAUnitError):
-        (LaurentPoly.lam(1) + LaurentPoly.one()).unit_inverse()
-    with pytest.raises(NotAUnitError):
-        LaurentPoly.zero().unit_inverse()
-
-
 def test_negative_power_of_monomial():
-    assert LaurentPoly.mono(-1, 1, 1) ** -2 == LaurentPoly.mono(1, -2, -2)
-    assert LaurentPoly.mono(-1, 1, 1) ** -3 == LaurentPoly.mono(-1, -3, -3)
-    with pytest.raises(NotAUnitError):
-        LaurentPoly.mono(2, 1, 1) ** -2
+    # no inverse is taken, not even of a unit: build lambda^-a directly
+    with pytest.raises(ValueError):
+        LaurentPoly.mono(-1, 1, 1) ** -1
 
 
 def test_sigma_on_variables():
@@ -86,7 +69,7 @@ def test_exact_division_remainder_raises():
 def test_exact_division_by_unit():
     p = LaurentPoly.lam(3) - LaurentPoly.mu(-2) * 5
     unit = LaurentPoly.mono(-1, -1, 4)
-    assert p.exact_div(unit) == p * unit.unit_inverse()
+    assert p.exact_div(unit) == p * LaurentPoly.mono(-1, 1, -4)
 
 
 def test_exact_division_by_a_monomial_divides_every_coefficient():

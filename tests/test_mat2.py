@@ -28,7 +28,7 @@ def test_inverse_and_powers():
 
 def test_matrix_ring_entries():
     lam = LaurentPoly.lam(1)
-    m = Mat2(lam, LaurentPoly.zero(), LaurentPoly.zero(), lam.unit_inverse())
+    m = Mat2(lam, LaurentPoly.zero(), LaurentPoly.zero(), LaurentPoly.lam(-1))
     assert m.det() == LaurentPoly.one()
 
 

@@ -107,7 +107,7 @@ class TestAssocPolys:
                 xbar_a * mu_b
             ) * T
             beta_next = base.alpha.scale(ybar_b * lam_a) + base.beta * (
-                TPoly.const(lam_a.unit_inverse() * mu_b.unit_inverse())
+                TPoly.const(LaurentPoly.mono(1, -a, -b))
                 + TPoly.const(xbar_a * ybar_b) * T
             )
             extended = assoc_polys(tuple(base.pairs) + ((a, b),))
@@ -338,7 +338,7 @@ class TestIdentities:
         ids=["generic", "k=m", "l=n", "anti"],
     )
     def test_matches_reference_on_each_family(self, params):
-        ap = assoc_polys(DCParams(*params).cyclic_word())
+        ap = assoc_polys(DCParams(*params).cyclic_pairs())
         assert _packed_identities(ap) is not None
         report = verify_identities(ap)
         assert report.ok and report == reference_identities(ap)
@@ -366,7 +366,7 @@ class TestIdentities:
     def test_decline_rule(self, params, packed):
         # a box with more slots than #alpha #beta term pairs takes the TPoly
         # path: one large exponent among small ones leaves most slots empty
-        ap = assoc_polys(DCParams(*params).cyclic_word())
+        ap = assoc_polys(DCParams(*params).cyclic_pairs())
         assert (_packed_identities(ap) is not None) == packed
         assert verify_identities(ap).ok
 

@@ -112,7 +112,7 @@ class TestCyclicReduce:
         k, l, m, n = 1, 2, 3, 4
         pairs = cyclic_reduce(double_commutator(k, l, m, n))
         assert len(pairs) == 7
-        assert pairs == cyclic_reduce(double_commutator_cyclic(k, l, m, n))
+        assert pairs == cyclic_reduce(pairs_word(double_commutator_cyclic(k, l, m, n)))
 
     def test_all_runs_nonzero(self):
         pairs = cyclic_reduce(parse_word("x y x^-1 y x y^2"))
@@ -156,7 +156,7 @@ class TestDoubleCommutator:
     def test_cyclic_representative_is_conjugate(self):
         for params in [(1, 1, 2, 3), (2, 1, 1, 3), (1, 1, -1, -1), (1, 1, 2, 1)]:
             w = double_commutator(*params)
-            v = double_commutator_cyclic(*params)
+            v = pairs_word(double_commutator_cyclic(*params))
             assert cyclic_reduce(w) == cyclic_reduce(v)
 
     def test_cyclic_word_trivial_iff_params_trivial(self):
@@ -165,20 +165,21 @@ class TestDoubleCommutator:
             w = double_commutator(*params)
             v = double_commutator_cyclic(*params)
             trivial = DCParams(*params).is_trivial()
-            assert (v == Word.identity()) == trivial == (w == Word.identity())
-            assert cyclic_reduce(w) == cyclic_reduce(v)
+            assert (v == ()) == trivial == (w == Word.identity())
+            assert cyclic_reduce(w) == cyclic_reduce(pairs_word(v))
 
     def test_cyclic_pairs_equal_the_cyclic_words(self):
-        # the pairs of the word itself, not cyclic_reduce's rotation, which
-        # would change gamma; zeros included
+        # the pairs of c w c^-1 for c = x^m y^n, the word's last x-run and
+        # y-run, not cyclic_reduce's rotation, which would change gamma;
+        # zeros included
         large = [(10**6, -3, 10**6, 5), (-(10**7), 10**9, 2, 10**9), (10**12, 1, -(10**12), 1)]
         for params in [*product(range(-4, 5), repeat=4), *large]:
             p = DCParams(*params)
-            assert p.cyclic_pairs() == word_to_pairs(p.cyclic_word())
+            c = Word.x_pow(p.m) * Word.y_pow(p.n)
+            assert p.cyclic_pairs() == word_to_pairs(c * p.word() * c.inverse())
 
     def test_pairs_of_cyclic_form(self):
-        w = double_commutator_cyclic(1, 2, 3, 4)
-        assert word_to_pairs(w) == (
+        assert double_commutator_cyclic(1, 2, 3, 4) == (
             (3, 2),
             (-1, 2),
             (1, -4),

@@ -23,7 +23,7 @@ from sl2wiggle.exact.qpoly import (
     zgcd,
     zprimitive,
 )
-from sl2wiggle.wiggle import as_pairs, specialized_assoc
+from sl2wiggle.wiggle import specialized_assoc
 
 from fraction_reference import (
     QPoly,
@@ -232,7 +232,7 @@ def test_each_check_is_decided_on_its_own():
 def fraction_pipeline(params: DCParams, lam0: Fraction, mu0: Fraction):
     """The certificate h the search took before the integer pipeline: in
     Fractions, from the specialized trace - 2 and gamma - 1."""
-    sa = specialized_assoc(params.cyclic_word(), lam0, mu0)
+    sa = specialized_assoc(params.cyclic_pairs(), lam0, mu0)
     trace_minus_2 = QPoly.from_ints(add(sa.gamma_num, sa.gamma_sigma_num), sa.den) - 2
     gamma_minus_1 = QPoly.from_ints(sa.gamma_num, sa.den) - 1
     if not trace_minus_2:
@@ -251,7 +251,7 @@ def test_attempt_matches_the_fraction_pipeline():
     for _ in range(60):
         params = DCParams(*(rng.choice(values) for _ in range(4)))
         lam0, mu0 = (Fraction(rng.randint(-30, 30) or 1, rng.randint(1, 30)) for _ in "lm")
-        result = _attempt(params, as_pairs(params.cyclic_word()), lam0, mu0)
+        result = _attempt(params, params.cyclic_pairs(), lam0, mu0)
         expected = fraction_pipeline(params, lam0, mu0)
         assert (result and result[0]) == expected, (params, lam0, mu0)
         certified += result is not None

@@ -16,9 +16,9 @@ from sl2wiggle.wiggle import AssocPolys, IdentityReport, WordLike, as_pairs
 
 def _steps(invert_params: bool) -> tuple[Mat2[TPoly], Mat2[TPoly]]:
     """Transfer matrices of x and y; their powers are the run matrices."""
-    lam = LaurentPoly.lam(-1 if invert_params else 1)
-    mu = LaurentPoly.mu(-1 if invert_params else 1)
-    lam_inv, mu_inv = lam.unit_inverse(), mu.unit_inverse()
+    e = -1 if invert_params else 1
+    lam, mu = LaurentPoly.lam(e), LaurentPoly.mu(e)
+    lam_inv, mu_inv = LaurentPoly.lam(-e), LaurentPoly.mu(-e)
     zero = TPoly.zero()
     x_step = Mat2(TPoly.const(lam), TPoly([0, lam - lam_inv]), zero, TPoly.const(lam_inv))
     y_step = Mat2(TPoly.const(mu), zero, TPoly.const(mu - mu_inv), TPoly.const(mu_inv))
