@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import isqrt, log2, log10
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 from .errors import InexactDivisionError, PrecisionExhaustedError, TrivialWordError
 from .exact.laurent import LaurentPoly, _from_terms
@@ -113,13 +113,13 @@ class CorePolys:
     assoc: AssocPolys
 
 
-def _peel(rows: Sequence, t_power: int, divide: Callable) -> list:
-    """The coefficients, lowest degree first, of the polynomial in t with
-    coefficients `rows` divided by t^t_power (t+1)^t_power, each then passed
-    through `divide`: t_power rows dropped, then t_power synthetic
-    divisions by t + 1 (polycore.div_t1) of the Laurent rows.  Raises
-    InexactDivisionError on a nonzero row below t^t_power or a nonzero
-    value at t = -1; `divide` raises it on a row it cannot divide."""
+def _peel(f: TPoly, t_power: int, divisor: LaurentPoly) -> TPoly:
+    """f divided by t^t_power (t+1)^t_power and by divisor: t_power rows
+    dropped, then t_power synthetic divisions by t + 1 (polycore.div_t1)
+    of the Laurent rows, then an exact LaurentPoly division of each row.
+    Raises InexactDivisionError on a nonzero row below t^t_power, a
+    nonzero value at t = -1 or a row that divisor does not divide."""
+    rows = f.coeffs
     if any(rows[:t_power]):
         raise InexactDivisionError("not divisible by the requested power of t")
     rows = rows[t_power:]
@@ -127,26 +127,20 @@ def _peel(rows: Sequence, t_power: int, divide: Callable) -> list:
         rows, at_m1 = div_t1(rows)
         if at_m1:
             raise InexactDivisionError("not divisible by t + 1")
-    return [divide(row) for row in rows]
+    return TPoly([row.exact_div(divisor) for row in rows])
 
 
 def _laurent_core(params: DCParams) -> tuple[TPoly, TPoly, TPoly, AssocPolys]:
     """(tau, gamma_inner, alpha_core, assoc) of params over the Laurent
-    ring: assoc_polys, then _peel with one exact LaurentPoly division by
-    P^j per coefficient."""
+    ring: assoc_polys, then each numerator, times D^2, through _peel with
+    one exact LaurentPoly division by P^j per coefficient."""
     ap = assoc_polys(params.cyclic_pairs())
     pref = prefactor_num(params)
     den = prefactor_den(params)
     den2 = den * den
-
-    def peel(numerator: TPoly, t_power: int, divisor: LaurentPoly) -> TPoly:
-        rows = numerator.scale(den2).coeffs
-        return TPoly(_peel(rows, t_power, lambda c: c.exact_div(divisor)))
-
-    gamma = gamma_of(ap)
-    tau = peel(trace_poly(ap) - TPoly.one() * 2, 2, pref * pref)
-    gamma_inner = peel(gamma - TPoly.one(), 1, pref)
-    alpha_core = peel(ap.alpha - TPoly.one(), 1, pref)
+    tau = _peel((trace_poly(ap) - TPoly.one() * 2).scale(den2), 2, pref * pref)
+    gamma_inner = _peel((gamma_of(ap) - TPoly.one()).scale(den2), 1, pref)
+    alpha_core = _peel((ap.alpha - TPoly.one()).scale(den2), 1, pref)
     return tau, gamma_inner, alpha_core, ap
 
 

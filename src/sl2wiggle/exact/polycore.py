@@ -87,12 +87,6 @@ def power(base, n: int, one):
     return result
 
 
-def scale(f: Sequence[C], c: C) -> list[C]:
-    if not c:
-        return []
-    return trim([a * c for a in f])
-
-
 def div_t1(f: Sequence[C]) -> tuple[list[C], C]:
     """(q, f(-1)) with f = (t + 1) q + f(-1), by synthetic division; it
     takes only + and - of the coefficients, so ints and Laurent

@@ -8,8 +8,8 @@ on integers, the operands packed at one Kronecker point in (lambda, mu),
 and divides them exactly by Burnikel and Ziegler's recursive division
 once they pass CPython 3.12's cutoff (_exact_int_div).
 There is no division by a polynomial in t: the tables peel t^k (t+1)^k
-off a coefficient list over this ring (certify._peel), once, at the
-generic tuple of certify._universal_tables.
+off a TPoly (certify._peel), once, at the generic tuple of
+certify._universal_tables.
 """
 
 from __future__ import annotations
@@ -124,6 +124,18 @@ class TPoly:
     def scale(self, c: LaurentPoly) -> "TPoly":
         return _wrap([a * c for a in self._coeffs])
 
+    def times_t(self) -> "TPoly":
+        """self * t: every coefficient one degree up."""
+        return _wrap((_LZERO, *self._coeffs))
+
+    def terms(self) -> dict[tuple[int, int, int], int]:
+        """The nonzero terms, keyed by the exponent triple (t, lambda, mu)."""
+        return {
+            (i, el, em): c
+            for i, p in enumerate(self._coeffs)
+            for (el, em), c in p._terms.items()
+        }
+
     # ------------------------------------------------------------------
     def sigma(self) -> "TPoly":
         """Apply lambda -> lambda^-1, mu -> mu^-1 coefficientwise; t is fixed."""
@@ -187,7 +199,7 @@ def resultant(f: TPoly, g: TPoly) -> LaurentPoly:
     """
     if not f or not g:
         raise ValueError("resultant of a zero polynomial")
-    res = _packed_resultant(f.coeffs, g.coeffs)
+    res = _packed_resultant(f, g)
     if res is None:
         res = polycore.resultant_prs(f.coeffs, g.coeffs, _LONE, _LZERO, LaurentPoly.exact_div)
     return res
@@ -269,12 +281,6 @@ def _div3n2n(a12: int, a3: int, b: int, h: int) -> tuple[int, int]:
     return q, r
 
 
-def _flat_terms(coeffs: Sequence["LaurentPoly"]) -> dict[tuple[int, int, int], int]:
-    """The terms of a polynomial in t over the Laurent ring, given as its
-    coefficient list, keyed by the exponent triple (t, lambda, mu)."""
-    return {(i, el, em): c for i, p in enumerate(coeffs) for (el, em), c in p._terms.items()}
-
-
 def _deflation(
     a: Iterable[tuple[int, ...]], b: Iterable[tuple[int, ...]]
 ) -> list[tuple[int, int, int, int, int]]:
@@ -312,9 +318,7 @@ def _slot_width(a: dict, b: dict, n: int, m: int) -> int:
     return (bound2.bit_length() + 1) // 2 + 1  # 2^(2K-2) > B^2
 
 
-def _packed_resultant(
-    f: Sequence[LaurentPoly], g: Sequence[LaurentPoly]
-) -> LaurentPoly | None:
+def _packed_resultant(f: TPoly, g: TPoly) -> LaurentPoly | None:
     """res(f, g) as one integer resultant at a Kronecker point; None if f
     or g has degree 0 or the packed box would be sparse.
 
@@ -368,10 +372,10 @@ def _packed_resultant(
     of terms, as with a coefficient lambda^1000 - 1: the packed integers
     would be mostly empty slots.
     """
-    n, m = len(f) - 1, len(g) - 1
+    n, m = f.degree, g.degree
     if not n or not m:
         return None
-    a, b = _flat_terms(f), _flat_terms(g)
+    a, b = f.terms(), g.terms()
     (la, lb, sl, dla, dlb), (ma, mb, sm, dma, dmb) = _deflation(
         [key[1:] for key in a], [key[1:] for key in b]
     )

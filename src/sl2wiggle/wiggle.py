@@ -10,11 +10,11 @@ where gamma = alpha + beta*t and xi_g = ((t, p), (q, -t)).  The pair
 (alpha, beta) is the first column of a product of elementary transfer
 matrices, one per x-run or y-run of the word, which is how everything
 here is computed: one loop, _column, applies that product, or its
-adjugate (the swapped runs in reverse order), to a column over the
-Laurent ring or over integers.  verify_identities checks the normal
-form's three identities, each as one big-integer equation at a single
-point (t, lambda, mu) = (2^k_t, 2^k_lambda, 2^k_mu), and falls back to
-TPoly arithmetic when the packed box would be mostly empty.
+adjugate (the swapped runs in reverse order), to a column of TPolys
+over the Laurent ring or of integers.  verify_identities checks the
+normal form's three identities, each as one big-integer equation at a
+single point (t, lambda, mu) = (2^k_t, 2^k_lambda, 2^k_mu), and falls
+back to TPoly arithmetic when the packed box would be mostly empty.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from typing import Iterable, Sequence, Union
 from .errors import NotUnimodularError, ZeroParameterError
 from .exact.laurent import LaurentPoly
 from .exact.mat2 import Mat2, identity_q, xi_of
-from .exact.polycore import add, scale, sub, unpack
-from .exact.tpoly import TPoly, _flat_terms
+from .exact.polycore import unpack
+from .exact.tpoly import TPoly
 from .words import Gen, Word, word_to_pairs
 
 Pairs = tuple[tuple[int, int], ...]
@@ -95,7 +95,7 @@ def _swapped(runs):
     return [(is_x, v, u) for is_x, u, v in runs]
 
 
-def _column(runs, scale, add, sub, times_t, top, bottom):
+def _column(runs, scale, times_t, top, bottom):
     """The product of the runs' matrices applied to the column (top, bottom),
     in closed form: (1, 0) gives the first column (alpha, beta) of the
     transfer product.
@@ -110,22 +110,25 @@ def _column(runs, scale, add, sub, times_t, top, bottom):
     Y(U, V) = ((U, 0), (U - V, V)) of determinant UV, whose adjugates are
     X(V, U) and Y(V, U): the swapped runs in reverse order apply the
     adjugate of the product.  A run scales twice, by U and by V, and never
-    by U - V.  The caller
-    supplies the column arithmetic: scale(f, c), add(f, g), sub(f, g) and
-    times_t(f) on coefficient lists or TPoly over the Laurent ring (U, V =
-    lambda^a, lambda^-a, scalar 1), or on one integer standing for a
-    polynomial evaluated at a point of powers of two (U, V = P^2, Q^2 for
-    lambda^a = P/Q, scalar PQ; or shift counts that << applies).
+    by U - V.
+
+    The operands are TPolys or ints, added and subtracted by their own +
+    and - (a list operand would be concatenated without an error).  The
+    caller supplies scale(f, c) and times_t(f): TPoly.scale and
+    TPoly.times_t over the Laurent ring (U, V = lambda^a, lambda^-a,
+    scalar 1), or, for one integer standing for a polynomial evaluated at
+    a point of powers of two, * (U, V = P^2, Q^2 for lambda^a = P/Q,
+    scalar PQ) or << of shift counts, and a left shift for t.
     """
     alpha, beta = top, bottom
     for is_x, u, v in runs:
         if is_x:
             beta_v = scale(beta, v)
-            alpha = sub(scale(add(alpha, times_t(beta)), u), times_t(beta_v))
+            alpha = scale(alpha + times_t(beta), u) - times_t(beta_v)
             beta = beta_v
         else:
             alpha_u = scale(alpha, u)
-            beta = add(alpha_u, scale(sub(beta, alpha), v))
+            beta = alpha_u + scale(beta - alpha, v)
             alpha = alpha_u
     return alpha, beta
 
@@ -167,17 +170,11 @@ def _laurent_runs(pairs: Pairs) -> list[tuple[bool, LaurentPoly, LaurentPoly]]:
     return _runs(pairs, lambda e: (lam(e), lam(-e)), lambda e: (mu(e), mu(-e)))
 
 
-def _laurent_column(runs, top: list, bottom: list) -> tuple[TPoly, TPoly]:
-    """_column over the Laurent ring, from coefficient lists top, bottom."""
-    zero = LaurentPoly.zero()
-    column = _column(runs, scale, add, sub, lambda f: [zero] + f, top, bottom)
-    return TPoly(column[0]), TPoly(column[1])
-
-
 def assoc_polys(w: WordLike) -> AssocPolys:
     """Compute (alpha, beta) for a word or a run list such as cyclic_reduce's."""
     pairs = as_pairs(w)
-    alpha, beta = _laurent_column(_laurent_runs(pairs), [LaurentPoly.one()], [])
+    runs = _laurent_runs(pairs)
+    alpha, beta = _column(runs, TPoly.scale, TPoly.times_t, TPoly.one(), TPoly.zero())
     return AssocPolys(alpha=alpha, beta=beta, pairs=pairs)
 
 
@@ -285,9 +282,7 @@ def specialized_assoc(w: WordLike, lam0, mu0) -> SpecializedAssoc:
         pairs, lambda e: (p ** (2 * e), q ** (2 * e)), lambda e: (r ** (2 * e), s ** (2 * e))
     )
     k = 2 + sum(max(u, v).bit_length() + 1 for _, u, v in runs)
-    column = lambda steps: _column(
-        steps, operator.mul, operator.add, operator.sub, lambda f: f << k, 1, 0
-    )
+    column = lambda steps: _column(steps, operator.mul, lambda f: f << k, 1, 0)
     alpha, beta = column(runs)
     alpha_s, beta_s = column(_swapped(runs))
     gamma, gamma_s = alpha + (beta << k), alpha_s + (beta_s << k)
@@ -359,17 +354,16 @@ def verify_identities(ap: AssocPolys) -> IdentityReport:
     """
     report = _packed_identities(ap)
     if report is None:
-        t = TPoly.t()
         one = TPoly.one()
         report = _identities(
             ap.alpha, ap.beta, ap.alpha.sigma(), ap.beta.sigma(), _laurent_runs(ap.pairs),
-            TPoly.zero(), one, one, TPoly.scale, lambda f: f * t,
+            TPoly.zero(), one, one, TPoly.scale, TPoly.times_t,
         )
     return report
 
 
 def _identities(alpha, beta, alpha_s, beta_s, runs, zero, unit, one, scale, times_t):
-    """The identities of verify_identities over caller-supplied arithmetic.
+    """The identities of verify_identities on TPolys or on packed ints.
 
     alpha, beta and their sigma-partners support +, -, * and ==; the only
     products are the determinant identity's two.  The sigma column starts
@@ -382,18 +376,14 @@ def _identities(alpha, beta, alpha_s, beta_s, runs, zero, unit, one, scale, time
     gamma, gamma_s = alpha + times_t(beta), alpha_s + times_t(beta_s)
     beta_t = times_t(beta * beta_s)
     det_ok = gamma * gamma_s == one + beta_t + times_t(beta_t)
-
-    def column(steps, top, bottom):
-        return _column(steps, scale, operator.add, operator.sub, times_t, top, bottom)
-
     # Inverting the parameters swaps U and V in every run; at the scalar
     # level that computes exactly the sigma-substituted pair.
     swapped = _swapped(runs)
-    sigma_ok = column(swapped, unit, zero) == (alpha_s, beta_s)
+    sigma_ok = _column(swapped, scale, times_t, unit, zero) == (alpha_s, beta_s)
     # adj(M) (alpha, beta) starts with delta*alpha - c*beta for the second
     # column (c, delta) of the product M: a Bezout relation, so alpha and
     # beta are coprime.
-    bezout_ok = column(swapped[::-1], alpha, beta)[0] == one
+    bezout_ok = _column(swapped[::-1], scale, times_t, alpha, beta)[0] == one
     return IdentityReport(det_identity_ok=det_ok, sigma_symmetry_ok=sigma_ok, bezout_ok=bezout_ok)
 
 
@@ -424,7 +414,7 @@ def _pack_slots(offsets: Iterable[int], coeffs: Iterable[int], s: int, nbytes: i
 
 def _packed_identities(ap: AssocPolys) -> IdentityReport | None:
     """verify_identities at the point of packed integers; None if it declines."""
-    a, b = _flat_terms(ap.alpha.coeffs), _flat_terms(ap.beta.coeffs)
+    a, b = ap.alpha.terms(), ap.beta.terms()
     x_exps = [e for e, _ in ap.pairs if e]
     (al, gl, nl), (am, gm, nm) = _box(x_exps), _box([e for _, e in ap.pairs if e])
     if any(

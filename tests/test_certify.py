@@ -136,30 +136,27 @@ class TestCorePolys:
 
     def test_peel_raises_on_every_inexact_factor(self):
         # the peel of the Laurent route: rows are Laurent coefficients
-        def peel(f: TPoly, k: int, pref: LaurentPoly) -> TPoly:
-            return TPoly(_peel(f.coeffs, k, lambda c: c.exact_div(pref)))
-
         lam, t, one = LaurentPoly.lam(1), TPoly.t(), LaurentPoly.one()
         t_t1 = t * (t + TPoly.one())
         # a nonzero coefficient below t^k, also when f has degree below k
         with pytest.raises(InexactDivisionError):
-            peel(t_t1 + TPoly.one(), 1, one)
+            _peel(t_t1 + TPoly.one(), 1, one)
         with pytest.raises(InexactDivisionError):
-            peel(TPoly.one(), 1, one)
-        assert peel(TPoly.zero(), 2, one) == TPoly.zero()
+            _peel(TPoly.one(), 1, one)
+        assert _peel(TPoly.zero(), 2, one) == TPoly.zero()
         # t + 1 divides once but not twice, or not at all
         with pytest.raises(InexactDivisionError):
-            peel(t_t1 * t * (t + 2), 2, one)
+            _peel(t_t1 * t * (t + 2), 2, one)
         with pytest.raises(InexactDivisionError):
-            peel(t * (t * t + TPoly.one()), 1, one)
+            _peel(t * (t * t + TPoly.one()), 1, one)
         # P does not divide a coefficient of the quotient
         with pytest.raises(InexactDivisionError):
-            peel(t_t1 * (t * (lam + 1) + TPoly.const(lam)), 1, lam + 1)
-        assert peel(t_t1 * t_t1 * (t + TPoly.const(lam)).scale(lam + 1), 2, lam + 1) == (
+            _peel(t_t1 * (t * (lam + 1) + TPoly.const(lam)), 1, lam + 1)
+        assert _peel(t_t1 * t_t1 * (t + TPoly.const(lam)).scale(lam + 1), 2, lam + 1) == (
             t + TPoly.const(lam)
         )
         # a constant quotient: t^2 (t+1)^2 lambda
-        assert peel(t_t1 * t_t1 * TPoly.const(lam), 2, one) == TPoly.const(lam)
+        assert _peel(t_t1 * t_t1 * TPoly.const(lam), 2, one) == TPoly.const(lam)
 
     def test_tables_pin(self):
         # sha256 of the JSON of tau, gamma_inner and alpha_core, and with the

@@ -86,6 +86,32 @@ class TestSpecialize:
         assert f.sigma().specialize(lam0, mu0) == f.specialize(1 / lam0, 1 / mu0)
 
 
+class TestTermsAndTimesT:
+    """TPoly.terms, the flat term view of the packed paths, and
+    TPoly.times_t, the shift by t of the transfer column."""
+
+    @given(small_tpolys)
+    @example(TPoly.zero())
+    @example(TPoly([LaurentPoly.lam(-2), 0, LaurentPoly({(1, 3): -4, (0, 0): 7})]))
+    def test_terms_are_the_rows_terms(self, f):
+        terms = f.terms()
+        assert terms == {
+            (i, el, em): c
+            for i, row in enumerate(f.coeffs)
+            for (el, em), c in row.terms().items()
+        }
+        assert 0 not in terms.values()
+
+    @given(small_tpolys)
+    @example(TPoly.zero())
+    @example(TPoly([0, LaurentPoly.mu(5)]))
+    def test_times_t_is_the_product_with_t(self, f):
+        shifted = f.times_t()
+        assert shifted == f * TPoly.t()
+        assert shifted.coeffs == (f * TPoly.t()).coeffs
+        assert shifted.degree == (f.degree + 1 if f else -1)
+
+
 class TestExactDiv:
     """QPoly's division, the oracle's long division over Q, and the shift
     down by t^k that opens certify._peel, the only division of a TPoly."""
@@ -127,9 +153,9 @@ class TestExactDiv:
         lam = LaurentPoly.lam(1)
         t1 = TPoly.t() + TPoly.one()
         f = TPoly([0, 0, lam]) * t1 * t1
-        assert TPoly(_peel(f.coeffs, 2, lambda c: c)) == TPoly.const(lam)
+        assert _peel(f, 2, LaurentPoly.one()) == TPoly.const(lam)
         with pytest.raises(InexactDivisionError):
-            _peel(TPoly.one().coeffs, 1, lambda c: c)
+            _peel(TPoly.one(), 1, LaurentPoly.one())
 
 
 # products with a shared factor, so gcds of every degree occur; the empty
@@ -432,14 +458,14 @@ class TestPackedResultant:
     @settings(max_examples=40, deadline=None)
     def test_matches_sylvester_and_laurent_prs(self, pair):
         f, g = pair
-        packed = tpoly._packed_resultant(f.coeffs, g.coeffs)
+        packed = tpoly._packed_resultant(f, g)
         assert (packed is None) == (f.degree == 0 or g.degree == 0)
         expected = resultant_sylvester(f, g)
         assert resultant(f, g) == expected
         if packed is not None:
             assert packed == expected == laurent_resultant(f, g)
             # the other argument order differs by (-1)^(deg f deg g)
-            swapped = tpoly._packed_resultant(g.coeffs, f.coeffs)
+            swapped = tpoly._packed_resultant(g, f)
             assert swapped == (-1) ** (f.degree * g.degree) * packed
 
     @pytest.mark.parametrize(
@@ -450,7 +476,7 @@ class TestPackedResultant:
     )
     def test_tables_take_the_packed_path(self, params, vanishes):
         cp = core_polys(DCParams(*params))
-        packed = tpoly._packed_resultant(cp.tau.coeffs, cp.gamma_inner.coeffs)
+        packed = tpoly._packed_resultant(cp.tau, cp.gamma_inner)
         assert packed is not None and (packed == 0) == vanishes
         assert packed == laurent_resultant(cp.tau, cp.gamma_inner)
         assert packed == resultant_sylvester(cp.tau, cp.gamma_inner)
@@ -464,18 +490,18 @@ class TestPackedResultant:
     @settings(max_examples=40, deadline=None)
     def test_slot_holds_every_coefficient(self, pair):
         f, g = pair
-        a, b = (tpoly._flat_terms(p.coeffs) for p in (f, g))
+        a, b = (p.terms() for p in (f, g))
         k = tpoly._slot_width(a, b, f.degree, g.degree)
         expected = resultant_sylvester(f, g)
         assert all(abs(c) < 2 ** (k - 1) for c in expected.terms().values())
-        assert tpoly._packed_resultant(f.coeffs, g.coeffs) == expected
+        assert tpoly._packed_resultant(f, g) == expected
 
     def test_tight_bound(self):
         # res(t - 1, t + 1) = 2 is the Hadamard bound sqrt(2 * 2) itself
         f, g = TPoly([-1, 1]), TPoly([1, 1])
-        a, b = (tpoly._flat_terms(p.coeffs) for p in (f, g))
+        a, b = (p.terms() for p in (f, g))
         assert tpoly._slot_width(a, b, 1, 1) == 3
-        assert tpoly._packed_resultant(f.coeffs, g.coeffs) == LaurentPoly.const(2)
+        assert tpoly._packed_resultant(f, g) == LaurentPoly.const(2)
 
     def test_strided_exponents_are_deflated(self):
         # exponents in 1000 Z deflate to a box of 9 slots for 35 pairs of
@@ -483,7 +509,7 @@ class TestPackedResultant:
         lam = LaurentPoly.lam
         f = TPoly([lam(1000) - 1, lam(1000) + 2 + lam(-1000), lam(1000) * 3 + 1])
         g = TPoly([lam(2000) - lam(1000) + 3, lam(-1000) * 2 - 5])
-        packed = tpoly._packed_resultant(f.coeffs, g.coeffs)
+        packed = tpoly._packed_resultant(f, g)
         assert packed is not None
         assert packed == resultant_sylvester(f, g) == laurent_resultant(f, g)
 
@@ -493,7 +519,7 @@ class TestPackedResultant:
         lam = LaurentPoly.lam
         f = TPoly([lam(1) + 1, lam(1000) - 1, LaurentPoly.mu(1)])
         g = TPoly([lam(1) * 2, lam(-1) + 1])
-        assert tpoly._packed_resultant(f.coeffs, g.coeffs) is None
+        assert tpoly._packed_resultant(f, g) is None
         assert resultant(f, g) == resultant_sylvester(f, g)
 
     def test_tiny_pair_packs(self):
@@ -501,7 +527,7 @@ class TestPackedResultant:
         lam, mu = LaurentPoly.lam(1), LaurentPoly.mu(1)
         f = TPoly([lam + mu, lam - 1, 1])
         g = TPoly([mu * 3, lam + mu + 1])
-        packed = tpoly._packed_resultant(f.coeffs, g.coeffs)
+        packed = tpoly._packed_resultant(f, g)
         assert packed is not None
         assert packed == resultant(f, g) == resultant_sylvester(f, g)
 

@@ -11,7 +11,7 @@ from sl2wiggle.exact.tpoly import TPoly
 from sl2wiggle.wiggle import (
     AssocPolys,
     SpecializedAssoc,
-    _laurent_column,
+    _column,
     _laurent_runs,
     _packed_identities,
     _slot_bytes,
@@ -263,7 +263,7 @@ def assert_adjugate_column(ap: AssocPolys):
     m = transfer_matrix(ap.pairs)
     alpha, beta = ap.alpha, ap.beta
     runs = _swapped(_laurent_runs(ap.pairs))[::-1]
-    column = _laurent_column(runs, list(alpha.coeffs), list(beta.coeffs))
+    column = _column(runs, TPoly.scale, TPoly.times_t, alpha, beta)
     assert column == (alpha * m.e22 - m.e12 * beta, m.e11 * beta - m.e21 * alpha)
 
 
@@ -289,11 +289,12 @@ class TestIdentities:
             w = random_word(rng, max_syllables=6)
             assert assoc_polys(w) == reference_assoc(w)
             runs = _laurent_runs(as_pairs(w))
-            one = [LaurentPoly.one()]
+            zero, one = TPoly.zero(), TPoly.one()
+            scale, times_t = TPoly.scale, TPoly.times_t
             m = transfer_matrix(w)
-            assert _laurent_column(runs, [], one) == (m.e12, m.e22)
+            assert _column(runs, scale, times_t, zero, one) == (m.e12, m.e22)
             m_inv = transfer_matrix(w, invert_params=True)
-            assert _laurent_column(_swapped(runs), one, []) == (m_inv.e11, m_inv.e21)
+            assert _column(_swapped(runs), scale, times_t, one, zero) == (m_inv.e11, m_inv.e21)
 
     def test_swapped_steps_are_adjugates(self):
         # each step has determinant 1, so its adjugate is its inverse

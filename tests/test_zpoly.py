@@ -16,7 +16,7 @@ from sl2wiggle.certify import (
     _stripped_squarefree,
 )
 from sl2wiggle.exact import qpoly
-from sl2wiggle.exact.polycore import add, div_t1, mul, scale, trim, unpack
+from sl2wiggle.exact.polycore import add, div_t1, mul, trim, unpack
 from sl2wiggle.exact.qpoly import (
     zderivative,
     zexact_div,
@@ -67,7 +67,7 @@ def planted_gcd_pairs(draw):
     for _ in range(2):
         cofactor = draw(st.lists(wide, max_size=10 - len(common)).map(trim))
         content = draw(st.one_of(st.integers(1, 9), st.integers(-BIG, BIG), edge).filter(bool))
-        pair.append(scale(zmul(cofactor, common), content))
+        pair.append(trim([c * content for c in zmul(cofactor, common)]))
     return tuple(pair)
 
 
