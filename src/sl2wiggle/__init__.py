@@ -32,15 +32,12 @@ from .wiggle import (
     verify_identities,
 )
 from .words import (
-    Gen,
-    Syllable,
     Word,
     commutator,
     cyclic_reduce,
     double_commutator,
     double_commutator_cyclic,
     parse_word,
-    swap_generators,
 )
 
 __version__ = "0.1.0"

@@ -30,9 +30,8 @@ from .exact.laurent import LaurentPoly
 from .exact.mat2 import Mat2, identity_q, xi_of
 from .exact.polycore import unpack
 from .exact.tpoly import TPoly
-from .words import Gen, Word, word_to_pairs
+from .words import Pairs, Word
 
-Pairs = tuple[tuple[int, int], ...]
 WordLike = Union[Word, Sequence[tuple[int, int]]]
 
 
@@ -73,8 +72,9 @@ class IdentityReport:
 
 
 def as_pairs(w: WordLike) -> Pairs:
+    """A word's run pairs, or a run list such as cyclic_reduce's as int pairs."""
     if isinstance(w, Word):
-        return word_to_pairs(w)
+        return w.pairs
     return tuple((int(a), int(b)) for a, b in w)
 
 
@@ -195,10 +195,9 @@ def trace_poly(ap: AssocPolys) -> TPoly:
 
 def word_value(w: Word, xm: Mat2, ym: Mat2, identity: Mat2) -> Mat2:
     """Substitute matrices for the generators and multiply out the word."""
-    gens = {Gen.X: xm, Gen.Y: ym}
     value = identity
-    for s in w.syllables:
-        value = value * gens[s.gen].pow_det1(s.exp, identity)
+    for a, b in w.pairs:
+        value = value * xm.pow_det1(a, identity) * ym.pow_det1(b, identity)
     return value
 
 

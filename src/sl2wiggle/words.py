@@ -1,8 +1,12 @@
 """Words in the free group on two generators x and y.
 
-A Word is a freely reduced syllable sequence; cyclic reduction produces a
-canonical conjugacy-class representative.  The grammar accepted by
-parse_word:
+A Word is freely reduced and held as its run pairs ((a1, b1), (a2, b2),
+...), the word x^a1 y^b1 x^a2 y^b2 ...: every exponent is nonzero except
+that a1 is 0 for a word that begins with a y-run and the last b is 0 for
+one that ends with an x-run; () is the identity.  Every consumer reads
+these pairs, one transfer matrix per nonzero entry.  Cyclic reduction
+produces a canonical conjugacy-class representative.  The grammar
+accepted by parse_word:
 
     word   := factor+
     factor := atom power?
@@ -16,51 +20,46 @@ u^-1 v^-1 u v.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from itertools import cycle
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable
 
 from .errors import ParseError
 from .exact.polycore import power
 
-
-class Gen(Enum):
-    X = "x"
-    Y = "y"
-
-    def other(self) -> "Gen":
-        return Gen.Y if self is Gen.X else Gen.X
+Pairs = tuple[tuple[int, int], ...]
 
 
-class Syllable(NamedTuple):
-    gen: Gen
-    exp: int
-
-
-def _reduce(syllables: Iterable[tuple[Gen, int]]) -> list[tuple[Gen, int]]:
-    """Free reduction of (generator, exponent) pairs, as plain tuples."""
-    stack: list[tuple[Gen, int]] = []
-    for gen, exp in syllables:
-        if exp == 0:
-            continue
-        if stack and stack[-1][0] is gen:
-            merged = stack.pop()[1] + exp
-            if merged:
-                stack.append((gen, merged))
-        else:
-            stack.append((gen, exp))
-    return stack
+def _flat(pairs: Pairs) -> list[int]:
+    """The exponents of run pairs, alternating from x."""
+    return [e for pair in pairs for e in pair]
 
 
 @dataclass(frozen=True)
 class Word:
-    """Freely reduced word; the empty tuple is the identity."""
+    """Freely reduced word as its run pairs; () is the identity."""
 
-    syllables: tuple[Syllable, ...] = ()
+    pairs: Pairs = ()
 
     @classmethod
-    def from_syllables(cls, syllables: Iterable[tuple[Gen, int]]) -> "Word":
-        return cls(tuple(Syllable(gen, exp) for gen, exp in _reduce(syllables)))
+    def from_exps(cls, exps: Iterable[int]) -> "Word":
+        """The freely reduced word x^e0 y^e1 x^e2 y^e3 ...: a zero exponent
+        drops out and merges its two neighbours."""
+        stack: list[int] = []  # alternating from x; only stack[0] may be 0
+        for i, e in enumerate(exps):
+            if not e:
+                continue
+            if not stack and i % 2:
+                stack.append(0)
+            if (len(stack) + i) % 2:  # the top has e's generator
+                stack[-1] += e
+                if not stack[-1]:
+                    stack.pop()
+            else:
+                stack.append(e)
+        if stack == [0]:
+            stack.pop()
+        if len(stack) % 2:
+            stack.append(0)
+        return cls(tuple(zip(stack[::2], stack[1::2])))
 
     @classmethod
     def identity(cls) -> "Word":
@@ -68,20 +67,21 @@ class Word:
 
     @classmethod
     def x_pow(cls, e: int) -> "Word":
-        return cls((Syllable(Gen.X, e),) if e else ())
+        return cls.from_exps((e,))
 
     @classmethod
     def y_pow(cls, e: int) -> "Word":
-        return cls((Syllable(Gen.Y, e),) if e else ())
+        return cls.from_exps((0, e))
 
     def __len__(self) -> int:
-        return len(self.syllables)
+        """The number of syllables, nonzero exponents."""
+        return sum(bool(a) + bool(b) for a, b in self.pairs)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word.from_syllables(self.syllables + other.syllables)
+        return Word.from_exps(_flat(self.pairs + other.pairs))
 
     def inverse(self) -> "Word":
-        return Word(tuple(Syllable(s.gen, -s.exp) for s in reversed(self.syllables)))
+        return Word.from_exps([0, *(-e for e in reversed(_flat(self.pairs)))])
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
@@ -89,12 +89,9 @@ class Word:
         return power(self, n, Word.identity())
 
     def __str__(self) -> str:
-        if not self.syllables:
-            return "1"
         return " ".join(
-            s.gen.value if s.exp == 1 else f"{s.gen.value}^{s.exp}"
-            for s in self.syllables
-        )
+            g if e == 1 else f"{g}^{e}" for pair in self.pairs for g, e in zip("xy", pair) if e
+        ) or "1"
 
     def __repr__(self) -> str:
         return f"Word({self})"
@@ -104,75 +101,47 @@ def commutator(u: Word, v: Word) -> Word:
     return u.inverse() * v.inverse() * u * v
 
 
-def swap_generators(w: Word) -> Word:
-    """Exchange x and y in every syllable."""
-    return Word(tuple(Syllable(s.gen.other(), s.exp) for s in w.syllables))
+def _dc_exps(k: int, l: int, m: int, n: int) -> tuple[int, ...]:
+    """[[x^k, y^l], [x^m, y^n]] = y^-l x^-k y^l x^k y^-n x^-m y^n x^(m-k)
+    y^-l x^k y^l x^-m y^-n x^m y^n as exponents alternating from x."""
+    return (0, -l, -k, l, k, -n, -m, n, m - k, -l, k, l, -m, -n, m, n)
 
 
 def double_commutator(k: int, l: int, m: int, n: int) -> Word:
     """The freely reduced word [[x^k, y^l], [x^m, y^n]]."""
-    inner1 = commutator(Word.x_pow(k), Word.y_pow(l))
-    inner2 = commutator(Word.x_pow(m), Word.y_pow(n))
-    return commutator(inner1, inner2)
+    return Word.from_exps(_dc_exps(k, l, m, n))
 
 
-def double_commutator_cyclic(k: int, l: int, m: int, n: int) -> tuple[tuple[int, int], ...]:
+def double_commutator_cyclic(k: int, l: int, m: int, n: int) -> Pairs:
     """The run pairs, zeros allowed, of the cyclic conjugate of
     [[x^k, y^l], [x^m, y^n]] with its last x-run and y-run rotated to the
-    front, reduced on plain tuples; () exactly when the word is trivial:
+    front; () exactly when the word is trivial:
 
         x^m y^(n-l) x^-k y^l x^k y^-n x^-m y^n x^(m-k) y^-l x^k y^l x^-m y^-n
     """
-    exps = (m, n - l, -k, l, k, -n, -m, n, m - k, -l, k, l, -m, -n)
-    return _pairs(_reduce(zip(cycle((Gen.X, Gen.Y)), exps)))
-
-
-def word_to_pairs(w: Word) -> tuple[tuple[int, int], ...]:
-    """Group syllables into (x-exponent, y-exponent) pairs, zeros allowed."""
-    return _pairs(w.syllables)
-
-
-def _pairs(s: Sequence[tuple[Gen, int]]) -> tuple[tuple[int, int], ...]:
-    """word_to_pairs on (generator, exponent) pairs."""
-    pairs: list[tuple[int, int]] = []
-    i = 0
-    while i < len(s):
-        if s[i][0] is Gen.X:
-            a = s[i][1]
-            i += 1
-            b = 0
-            if i < len(s) and s[i][0] is Gen.Y:
-                b = s[i][1]
-                i += 1
-        else:
-            a = 0
-            b = s[i][1]
-            i += 1
-        pairs.append((a, b))
-    return tuple(pairs)
+    exps = _dc_exps(k, l, m, n)
+    return Word.from_exps(exps[-2:] + exps[:-2]).pairs
 
 
 # ----------------------------------------------------------------------
 # cyclic reduction
 
 
-def cyclic_reduce(w: Word) -> tuple[tuple[int, int], ...]:
+def cyclic_reduce(w: Word) -> Pairs:
     """The run pairs of w's cyclically reduced conjugate, in canonical
     rotation: () for the trivial word, ((e, 0),) or ((0, e),) for a
     generator power, and otherwise the lexicographically least rotation
     that begins with an x-run, all entries nonzero.  Equal results decide
     conjugacy.  Like double_commutator_cyclic, it returns run pairs, not a
     Word."""
-    syl = list(w.syllables)
-    while len(syl) >= 2 and syl[0].gen is syl[-1].gen:
-        merged = syl[-1].exp + syl[0].exp
-        gen = syl[0].gen
-        syl = syl[1:-1]
-        if merged:
-            syl.append(Syllable(gen, merged))
-    if syl and syl[0].gen is Gen.Y:
-        syl = syl[1:] + syl[:1]
-    pairs = _pairs(syl)
+    pairs = w.pairs
+    # while the first and last syllables share a generator, conjugate by
+    # the last pair, which merges them
+    while len(pairs) > 1 and (pairs[0][0] == 0) != (pairs[-1][1] == 0):
+        pairs = Word.from_exps(_flat(pairs[-1:] + pairs[:-1])).pairs
+    if len(pairs) > 1 and pairs[0][0] == 0:
+        # a leading y-run and a trailing x-run: move the y-run to the end
+        pairs = pairs[1:-1] + ((pairs[-1][0], pairs[0][1]),)
     return min((pairs[i:] + pairs[:i] for i in range(len(pairs))), default=())
 
 
@@ -217,12 +186,14 @@ class _Parser:
         self.skip_ws()
         if self.peek() not in ("x", "y", "(", "["):
             self.fail("expected 'x', 'y', '(' or '['")
-        word = Word.identity()
+        # the factors' exponents, reduced once at the end: free reduction is
+        # confluent, and reducing the product at every factor is quadratic
+        exps: list[int] = []
         while True:
-            word = word * self.parse_factor()
+            exps += _flat(self.parse_factor().pairs)
             self.skip_ws()
             if self.peek() not in ("x", "y", "(", "["):
-                return word
+                return Word.from_exps(exps)
 
     def parse_factor(self) -> Word:
         atom = self.parse_atom()

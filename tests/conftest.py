@@ -6,13 +6,26 @@ from hypothesis import strategies as st
 
 from sl2wiggle.exact.laurent import LaurentPoly
 from sl2wiggle.exact.mat2 import Mat2, identity_q, mat2_q
-from sl2wiggle.words import Gen, Syllable, Word
+from sl2wiggle.words import Word
 
 nonzero_exponents = st.integers(min_value=-4, max_value=4).filter(lambda e: e != 0)
 
-syllables = st.builds(Syllable, st.sampled_from([Gen.X, Gen.Y]), nonzero_exponents)
+syllables = st.tuples(st.sampled_from("xy"), nonzero_exponents)
 
-words = st.lists(syllables, max_size=8).map(Word.from_syllables)
+
+def syllables_word(syls) -> Word:
+    """The freely reduced word of (generator, exponent) syllables such as
+    ("x", 2), ("y", -1): a zero fills the other generator's slot between
+    two syllables of one generator, so that they merge."""
+    exps = []
+    for gen, e in syls:
+        if len(exps) % 2 != "xy".index(gen):
+            exps.append(0)
+        exps.append(e)
+    return Word.from_exps(exps)
+
+
+words = st.lists(syllables, max_size=8).map(syllables_word)
 
 nonzero_rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=8
@@ -31,9 +44,7 @@ nonzero_laurents = laurents.filter(bool)
 
 def pairs_word(pairs) -> Word:
     """The word x^a1 y^b1 x^a2 y^b2 ... of run pairs such as cyclic_reduce's."""
-    return Word.from_syllables(
-        Syllable(gen, e) for a, b in pairs for gen, e in ((Gen.X, a), (Gen.Y, b))
-    )
+    return Word.from_exps(e for pair in pairs for e in pair)
 
 
 def conjugate(x: Mat2, g: Mat2) -> Mat2:
@@ -56,8 +67,8 @@ def random_word(rng: random.Random, max_syllables: int = 6, max_exp: int = 3) ->
         e = 0
         while e == 0:
             e = rng.randint(-max_exp, max_exp)
-        out.append(Syllable(rng.choice([Gen.X, Gen.Y]), e))
-    return Word.from_syllables(out)
+        out.append((rng.choice("xy"), e))
+    return syllables_word(out)
 
 
 def random_commutator_subgroup_word(rng: random.Random) -> Word:

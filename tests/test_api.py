@@ -17,12 +17,12 @@ import sl2wiggle.exact
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 PACKAGE_NAMES = [
-    "AssocPolys", "CertStatus", "Certificate", "CorePolys", "DCParams", "Gen",
-    "IdentityReport", "LaurentPoly", "Mat2", "Syllable", "TPoly", "Witness", "Word",
+    "AssocPolys", "CertStatus", "Certificate", "CorePolys", "DCParams",
+    "IdentityReport", "LaurentPoly", "Mat2", "TPoly", "Witness", "Word",
     "assoc_polys", "build_witness", "certify", "check_certificate", "commutator", "core_polys",
     "cyclic_reduce", "double_commutator", "double_commutator_cyclic", "eval_direct",
     "eval_normal_form", "gamma_of", "parse_word", "resultant", "specialized_assoc",
-    "swap_generators", "sweep_box", "trace_poly", "verify_identities", "xi_of",
+    "sweep_box", "trace_poly", "verify_identities", "xi_of",
 ]
 
 EXACT_NAMES = [
@@ -63,29 +63,66 @@ def test_no_runtime_dependency():
     assert result.stdout == "[]\n"
 
 
+def _modules() -> tuple[dict[str, ast.Module], set[str]]:
+    """The parsed modules of src/ by dotted name, and the packages among them."""
+    modules, packages = {}, set()
+    for path in SRC.rglob("*.py"):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+            packages.add(".".join(parts))
+        modules[".".join(parts)] = ast.parse(path.read_text())
+    return modules, packages
+
+
 def test_helpers_have_callers_in_src():
     # a private module-level function, or any function of the kernel
-    # modules polycore and qpoly, is named somewhere in src/ outside its own
-    # body; a cross-check that only tests call belongs in tests/
-    trees = {path: ast.parse(path.read_text()) for path in SRC.rglob("*.py")}
-    kernels = {SRC / "sl2wiggle" / "exact" / name for name in ("polycore.py", "qpoly.py")}
-    checked = [
-        (path, node)
-        for path, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-        and (node.name.startswith("_") or path in kernels)
-    ]
-    uses: dict[str, list[ast.AST]] = {}
-    for tree in trees.values():
+    # modules polycore and qpoly, is used somewhere in src/ outside its own
+    # body: by name in its own module, as `module.name` through a module
+    # alias, or by a name imported from its module (through re-exports);
+    # a cross-check that only tests call belongs in tests/
+    modules, packages = _modules()
+    imported: dict[tuple[str, str], tuple[str, str]] = {}  # (module, local) -> (source, name)
+    aliases: dict[tuple[str, str], str] = {}  # (module, local) -> aliased module
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = node.module or ""
+                if node.level:
+                    base = module if module in packages else module.rpartition(".")[0]
+                    base = base.rsplit(".", node.level - 1)[0]
+                    source = f"{base}.{source}" if source else base
+                for alias in node.names:
+                    local = (module, alias.asname or alias.name)
+                    if f"{source}.{alias.name}" in modules:
+                        aliases[local] = f"{source}.{alias.name}"
+                    else:
+                        imported[local] = (source, alias.name)
+
+    def origin(module: str, name: str) -> tuple[str, str]:
+        while (module, name) in imported:
+            module, name = imported[(module, name)]
+        return module, name
+
+    uses: dict[tuple[str, str], list[ast.AST]] = {}
+    for module, tree in modules.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                uses.setdefault(node.id, []).append(node)
-            elif isinstance(node, ast.Attribute):
-                uses.setdefault(node.attr, []).append(node)
+                uses.setdefault(origin(module, node.id), []).append(node)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and (module, node.value.id) in aliases
+            ):
+                target = origin(aliases[(module, node.value.id)], node.attr)
+                uses.setdefault(target, []).append(node)
+
+    kernels = {"sl2wiggle.exact.polycore", "sl2wiggle.exact.qpoly"}
     unused = []
-    for path, fn in checked:
-        inside = {id(node) for node in ast.walk(fn)}
-        if not any(id(node) not in inside for node in uses.get(fn.name, [])):
-            unused.append(f"{path.relative_to(SRC)}::{fn.name}")
+    for module, tree in modules.items():
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and (fn.name.startswith("_") or module in kernels):
+                inside = {id(node) for node in ast.walk(fn)}
+                if not any(id(node) not in inside for node in uses.get((module, fn.name), [])):
+                    unused.append(f"{module}::{fn.name}")
     assert unused == []

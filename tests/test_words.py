@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import cycle, product
 
 import pytest
 from hypothesis import given, settings
@@ -7,39 +7,40 @@ from hypothesis import strategies as st
 from sl2wiggle.certify import DCParams
 from sl2wiggle.errors import ParseError
 from sl2wiggle.words import (
-    Gen,
-    Syllable,
     Word,
+    commutator,
     cyclic_reduce,
     double_commutator,
     double_commutator_cyclic,
     parse_word,
-    swap_generators,
-    word_to_pairs,
 )
 
-from conftest import pairs_word, words
+import words_reference as ref
+from conftest import pairs_word, syllables, syllables_word, words
 
 
-def syl(g: str, e: int) -> Syllable:
-    return Syllable(Gen(g), e)
+def syllables_of(w: Word) -> list[tuple[str, int]]:
+    return [(g, e) for pair in w.pairs for g, e in zip("xy", pair) if e]
+
+
+def swap_generators(w: Word) -> Word:
+    """Exchange x and y in every syllable."""
+    return Word.from_exps([0, *(e for pair in w.pairs for e in pair)])
 
 
 class TestParse:
     def test_literal(self):
-        assert parse_word("x^3 y^-2") == Word((syl("x", 3), syl("y", -2)))
+        assert parse_word("x^3 y^-2") == Word(((3, -2),))
 
     def test_commutator_bracket(self):
-        assert parse_word("[x,y]") == Word(
-            (syl("x", -1), syl("y", -1), syl("x", 1), syl("y", 1))
-        )
+        assert parse_word("[x,y]") == Word(((-1, -1), (1, 1)))
 
     def test_free_cancellation(self):
         assert parse_word("x y y^-1 x^-1") == Word.identity()
 
     def test_zero_power_elides(self):
         assert parse_word("x^0") == Word.identity()
-        assert parse_word("x^0 y") == Word((syl("y", 1),))
+        assert parse_word("x^0 y") == Word(((0, 1),))
 
     def test_parens_and_powers(self):
         assert parse_word("(x y)^2") == parse_word("x y x y")
@@ -70,12 +71,19 @@ class TestParse:
 
     def test_huge_generator_power_is_fine(self):
         w = parse_word("x^123456789012")
-        assert w == Word((syl("x", 123456789012),))
+        assert w == Word(((123456789012, 0),))
 
     def test_huge_compound_power_rejected(self):
         with pytest.raises(ParseError) as exc:
             parse_word("(x y)^2000000")
         assert "too large" in str(exc.value)
+
+    def test_long_literal_word(self):
+        # 20,000 syllables, reduced once: reducing the product at every
+        # factor made this quadratic
+        w = parse_word(" ".join(["x y"] * 10_000))
+        assert len(w) == 20_000
+        assert w == parse_word("(x y)^10000")
 
     @given(words)
     def test_str_round_trip(self, w):
@@ -85,13 +93,13 @@ class TestParse:
     @given(words, st.data())
     def test_free_reduction_confluent(self, w, data):
         # insert cancelling syllable pairs anywhere; the reduced word is unchanged
-        syllables = list(w.syllables)
+        syls = syllables_of(w)
         for _ in range(data.draw(st.integers(0, 3))):
-            pos = data.draw(st.integers(0, len(syllables)))
-            g = data.draw(st.sampled_from([Gen.X, Gen.Y]))
+            pos = data.draw(st.integers(0, len(syls)))
+            g = data.draw(st.sampled_from("xy"))
             e = data.draw(st.integers(1, 3))
-            syllables[pos:pos] = [Syllable(g, e), Syllable(g, -e)]
-        assert Word.from_syllables(syllables) == w
+            syls[pos:pos] = [(g, e), (g, -e)]
+        assert syllables_word(syls) == w
 
 
 class TestCyclicReduce:
@@ -176,7 +184,7 @@ class TestDoubleCommutator:
         for params in [*product(range(-4, 5), repeat=4), *large]:
             p = DCParams(*params)
             c = Word.x_pow(p.m) * Word.y_pow(p.n)
-            assert p.cyclic_pairs() == word_to_pairs(c * p.word() * c.inverse())
+            assert p.cyclic_pairs() == (c * p.word() * c.inverse()).pairs
 
     def test_pairs_of_cyclic_form(self):
         assert double_commutator_cyclic(1, 2, 3, 4) == (
@@ -190,11 +198,39 @@ class TestDoubleCommutator:
         )
 
 
+class TestAgainstReference:
+    """Word, which reduces exponents alternating from x, against the
+    syllable reduction and pair grouping of words_reference."""
+
+    @given(st.lists(st.integers(-3, 3), max_size=16))
+    def test_from_exps(self, exps):
+        w = Word.from_exps(exps)
+        assert w.pairs == ref.pairs(ref.reduce(zip(cycle("xy"), exps)))
+
+    @given(st.lists(syllables, max_size=8), st.lists(syllables, max_size=8), st.integers(-3, 3))
+    @settings(max_examples=300)
+    def test_operations(self, s, t, n):
+        u, v = ref.reduce(s), ref.reduce(t)
+        w, x = syllables_word(s), syllables_word(t)
+        assert w.pairs == ref.pairs(u)
+        assert (w * x).pairs == ref.pairs(ref.reduce(u + v))
+        assert w.inverse().pairs == ref.pairs(ref.inverse(u))
+        assert (w**n).pairs == ref.pairs(ref.power(u, n))
+        assert str(w) == ref.to_str(u)
+        assert len(w) == len(u)
+        assert cyclic_reduce(w) == ref.cyclic_reduce(u)
+        assert commutator(w, x).pairs == ref.pairs(ref.commutator(u, v))
+
+    def test_double_commutators(self):
+        # all of [-4, 4]^4, zeros included
+        for params in product(range(-4, 5), repeat=4):
+            assert double_commutator(*params).pairs == ref.pairs(ref.double_commutator(*params))
+            assert double_commutator_cyclic(*params) == ref.double_commutator_cyclic(*params)
+
+
 class TestSwap:
     def test_definition(self):
-        assert swap_generators(Word((syl("x", 2), syl("y", -1)))) == Word(
-            (syl("y", 2), syl("x", -1))
-        )
+        assert swap_generators(Word(((2, -1),))) == Word(((0, 2), (-1, 0)))
 
     @given(words)
     def test_involution(self, w):
