@@ -8,7 +8,7 @@ for eyeball comparison.
 
 import time
 
-from sl2wiggle.certify import core_polys
+from sl2wiggle.certify import core_polys, prefactor_den, prefactor_num
 from sl2wiggle.cli import _NumericParser, _exponents
 from sl2wiggle.exact.tpoly import resultant
 
@@ -24,8 +24,8 @@ def main() -> int:
     start = time.perf_counter()
     cp = core_polys(args.dc)
     print(f"parameters (k, l, m, n) = {tuple(args.dc.as_list())}")
-    print(f"prefactor  = {cp.prefactor_num.pretty()}")
-    print(f"denominator = {cp.prefactor_den.pretty()}")
+    print(f"prefactor  = {prefactor_num(args.dc).pretty()}")
+    print(f"denominator = {prefactor_den(args.dc).pretty()}")
     print()
     for name, poly in (
         ("tau", cp.tau),

@@ -104,9 +104,6 @@ def prefactor_den(p: DCParams) -> LaurentPoly:
 class CorePolys:
     """Cofactors left after peeling the closed-form prefactors."""
 
-    params: DCParams
-    prefactor_num: LaurentPoly
-    prefactor_den: LaurentPoly
     tau: TPoly
     gamma_inner: TPoly
     alpha_core: TPoly
@@ -235,15 +232,7 @@ def core_polys(params: DCParams) -> CorePolys:
     lam = [a * params.k + b * params.m for a, b in ab]
     mu = [c * params.l + d * params.n for c, d in cd]
     tau, gamma_inner, alpha_core, alpha, beta = (_substituted(t, lam, mu) for t in tables)
-    return CorePolys(
-        params=params,
-        prefactor_num=prefactor_num(params),
-        prefactor_den=prefactor_den(params),
-        tau=tau,
-        gamma_inner=gamma_inner,
-        alpha_core=alpha_core,
-        assoc=AssocPolys(alpha, beta, params.cyclic_pairs()),
-    )
+    return CorePolys(tau, gamma_inner, alpha_core, AssocPolys(alpha, beta, params.cyclic_pairs()))
 
 
 # ----------------------------------------------------------------------

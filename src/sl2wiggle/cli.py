@@ -14,6 +14,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Optional
 
 from .certify import (
@@ -29,7 +30,7 @@ from .errors import PrecisionExhaustedError
 from .exact.mat2 import Mat2, mat2_q
 from .exact.polycore import pretty
 from .wiggle import assoc_polys, eval_direct, eval_normal_form, gamma_of, trace_poly, verify_identities
-from .words import Word, parse_word
+from .words import EXPANSION_CAP, Word, parse_word
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
@@ -69,6 +70,11 @@ def _grid(text: str) -> list[DCParams]:
         if hi < lo:
             raise argparse.ArgumentTypeError(f"empty range {part.strip()}")
         ranges.append(range(lo, hi + 1))
+    size = prod(map(len, ranges))  # counted before any tuple is built
+    if size > EXPANSION_CAP:
+        raise argparse.ArgumentTypeError(
+            f"grid of {size} tuples exceeds the cap of {EXPANSION_CAP}"
+        )
     return [DCParams(*e) for e in product(*ranges)]
 
 

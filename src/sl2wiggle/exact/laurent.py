@@ -13,7 +13,7 @@ sparse long division, one integer division per quotient term.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from ..errors import InexactDivisionError
 from . import polycore
@@ -239,10 +239,6 @@ class LaurentPoly:
             {"el": el, "em": em, "c": str(c)}
             for (el, em), c in sorted(self._terms.items())
         ]
-
-    @classmethod
-    def from_json(cls, data: Iterable[Mapping]) -> "LaurentPoly":
-        return cls({(int(d["el"]), int(d["em"])): int(d["c"]) for d in data})
 
     def pretty(self) -> str:
         return polycore.signed_sum(

@@ -153,13 +153,10 @@ class TPoly:
     def to_json(self) -> list[list[dict]]:
         return [c.to_json() for c in self._coeffs]
 
-    @classmethod
-    def from_json(cls, data: Iterable[list]) -> "TPoly":
-        return cls([LaurentPoly.from_json(c) for c in data])
-
     def pretty(self, var: str = "t") -> str:
         """Leading term first; a coefficient of several terms is parenthesized,
-        and a later one-term coefficient with a negative scalar is subtracted."""
+        a later one-term coefficient with a negative scalar is subtracted and
+        a coefficient of 1 or -1 is left out before a power of t."""
         text = ""
         for i in range(len(self._coeffs) - 1, -1, -1):
             c = self._coeffs[i]
@@ -172,7 +169,7 @@ class TPoly:
             mono = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
             body = c.pretty() if len(terms) == 1 else f"({c.pretty()})"
             if mono:
-                body = mono if c.is_one() else f"{body}·{mono}"
+                body = mono if c.is_one() else f"-{mono}" if (-c).is_one() else f"{body}·{mono}"
             text += (" - " if minus else " + ") + body if text else body
         return text or "0"
 
@@ -363,10 +360,9 @@ def _packed_resultant(f: TPoly, g: TPoly) -> LaurentPoly | None:
     through _exact_int_div: divmod up to CPython 3.12's cutoff, recursive
     2n/1n division above it.  The generic tables cross it: at
     (-1, -1, -2, 1) the sequence divides 90.5k by 30.2k bits twice and
-    151k by 75.9k once.  In process on a 2-core machine under CPython
-    3.11.7, its divisions went from 12.0 to 3.2 ms and that resultant
-    from 20.0 to 11.1 ms, (2, 3, -1, 2) from 127 to 57 ms, and a
-    symbolic-tables item of perfbench from 5.25 to 4.60 ms.
+    151k by 75.9k once.  CPython 3.11's divmod is quadratic in the
+    operands' length, while the recursive division does its work in
+    products, which are subquadratic, so above the cutoff it is faster.
 
     Returns None when the box has more slots N_L N_M than there are pairs
     of terms, as with a coefficient lambda^1000 - 1: the packed integers

@@ -193,10 +193,10 @@ def trace_poly(ap: AssocPolys) -> TPoly:
 # evaluation
 
 
-def word_value(w: Word, xm: Mat2, ym: Mat2, identity: Mat2) -> Mat2:
+def word_value(w: WordLike, xm: Mat2, ym: Mat2, identity: Mat2) -> Mat2:
     """Substitute matrices for the generators and multiply out the word."""
     value = identity
-    for a, b in w.pairs:
+    for a, b in as_pairs(w):
         value = value * xm.pow_det1(a, identity) * ym.pow_det1(b, identity)
     return value
 
@@ -211,7 +211,7 @@ def _check_unimodular(g: Mat2[Fraction]):
         raise NotUnimodularError("g must have determinant 1")
 
 
-def eval_direct(w: Word, lam0, mu0, g: Mat2[Fraction]) -> Mat2[Fraction]:
+def eval_direct(w: WordLike, lam0, mu0, g: Mat2[Fraction]) -> Mat2[Fraction]:
     """Brute-force value w(x, g^-1 y g) with x, y the diagonal matrices."""
     lam0, mu0 = Fraction(lam0), Fraction(mu0)
     _check_specialization(lam0, mu0)

@@ -27,6 +27,9 @@ from .exact.polycore import power
 
 Pairs = tuple[tuple[int, int], ...]
 
+# the most syllables the parser expands a power into, and cli's most grid tuples
+EXPANSION_CAP = 1_000_000
+
 
 def _flat(pairs: Pairs) -> list[int]:
     """The exponents of run pairs, alternating from x."""
@@ -61,18 +64,6 @@ class Word:
             stack.append(0)
         return cls(tuple(zip(stack[::2], stack[1::2])))
 
-    @classmethod
-    def identity(cls) -> "Word":
-        return cls()
-
-    @classmethod
-    def x_pow(cls, e: int) -> "Word":
-        return cls.from_exps((e,))
-
-    @classmethod
-    def y_pow(cls, e: int) -> "Word":
-        return cls.from_exps((0, e))
-
     def __len__(self) -> int:
         """The number of syllables, nonzero exponents."""
         return sum(bool(a) + bool(b) for a, b in self.pairs)
@@ -86,7 +77,7 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        return power(self, n, Word.identity())
+        return power(self, n, Word())
 
     def __str__(self) -> str:
         return " ".join(
@@ -203,7 +194,7 @@ class _Parser:
             self.pos += 1
             exponent = self.parse_exponent()
             # a power of a compound atom expands syllable by syllable
-            if len(atom) > 1 and abs(exponent) * len(atom) > 1_000_000:
+            if len(atom) > 1 and abs(exponent) * len(atom) > EXPANSION_CAP:
                 self.pos = power_pos
                 self.fail("exponent too large to expand")
             return atom ** exponent
@@ -214,10 +205,10 @@ class _Parser:
         ch = self.peek()
         if ch == "x":
             self.pos += 1
-            return Word.x_pow(1)
+            return Word(((1, 0),))
         if ch == "y":
             self.pos += 1
-            return Word.y_pow(1)
+            return Word(((0, 1),))
         if ch == "(":
             self.pos += 1
             inner = self.parse_word()

@@ -73,7 +73,7 @@ def random_word(rng: random.Random, max_syllables: int = 6, max_exp: int = 3) ->
 
 def random_commutator_subgroup_word(rng: random.Random) -> Word:
     """Random element of the commutator subgroup: a product of commutators."""
-    w = Word.identity()
+    w = Word()
     for _ in range(rng.randint(1, 2)):
         u = random_word(rng, max_syllables=2, max_exp=2)
         v = random_word(rng, max_syllables=2, max_exp=2)

@@ -27,6 +27,8 @@ from sl2wiggle.certify import (
     certify,
     check_certificate,
     core_polys,
+    prefactor_den,
+    prefactor_num,
     sweep_box,
 )
 from sl2wiggle.errors import InexactDivisionError, PrecisionExhaustedError, TrivialWordError
@@ -123,8 +125,8 @@ class TestCorePolys:
             cp = core_polys(p)
             ap = cp.assoc
             t_t1 = TPoly.t() * (TPoly.t() + TPoly.one())
-            den2 = cp.prefactor_den * cp.prefactor_den
-            pref = TPoly.const(cp.prefactor_num)
+            den2 = prefactor_den(p) * prefactor_den(p)
+            pref = TPoly.const(prefactor_num(p))
             trace = trace_poly(ap)
             assert (trace - TPoly.one() * 2).scale(den2) == pref * pref * t_t1 * t_t1 * cp.tau
             gamma = gamma_of(ap)
@@ -237,8 +239,8 @@ class TestCorePolys:
             cp = core_polys(p)
             for lam0, mu0 in [(Fraction(2), Fraction(3)), (Fraction(3, 2), Fraction(5, 7))]:
                 sa = specialized_assoc(p.cyclic_pairs(), lam0, mu0)
-                pref = cp.prefactor_num.evaluate(lam0, mu0)
-                den = cp.prefactor_den.evaluate(lam0, mu0)
+                pref = prefactor_num(p).evaluate(lam0, mu0)
+                den = prefactor_den(p).evaluate(lam0, mu0)
                 assert pref != 0
                 tau = QPoly(cp.tau.specialize(lam0, mu0))
                 gamma_inner = QPoly(cp.gamma_inner.specialize(lam0, mu0))
@@ -383,6 +385,10 @@ class TestCertify:
             ({"mu": None}, "missing h or specialization"),
             ({"lambda": "0"}, "zero torus parameter"),
             ({"mu": "0"}, "zero torus parameter"),
+            # P(lambda, mu) = 0: the word's runs act trivially or by a sign
+            ({"lambda": "1"}, "degenerate specialization"),
+            ({"lambda": "-1"}, "degenerate specialization"),
+            ({"mu": "1"}, "degenerate specialization"),
         ],
     )
     def test_checker_rejects_malformed_parameters(self, change, reason):
@@ -403,6 +409,26 @@ class TestCertify:
         )
         assert check_certificate(cert).valid
         assert not check_certificate(wrong).valid
+
+    def test_checker_reads_the_status_against_the_word(self):
+        data = certify(DCParams(1, 1, 2, 3), seed=7).to_json()
+        on_trivial = Certificate.from_json({**data, "params": [1, 1, 1, 1]})
+        reason = "certified status on a trivial word"
+        assert check_certificate(on_trivial) == CheckOutcome(valid=False, reason=reason)
+        for params, outcome in [
+            ((1, 1, 1, 1), CheckOutcome(valid=False, reason="trivial word")),
+            ((1, 1, 2, 3), CheckOutcome(valid=True, reason="no claim to check")),
+        ]:
+            cert = Certificate(DCParams(*params), CertStatus.INCONCLUSIVE, None, None, None, None, 5)
+            assert check_certificate(cert) == outcome
+
+    def test_zero_initial_parameter_raises(self):
+        with pytest.raises(ValueError, match="must be nonzero"):
+            certify(DCParams(1, 1, 2, 3), initial=(0, 2))
+
+    def test_no_attempts_is_inconclusive(self):
+        cert = certify(DCParams(1, 1, 2, 1), max_attempts=0)
+        assert (cert.status, cert.attempts) == (CertStatus.INCONCLUSIVE, 0)
 
 
 class TestWitness:

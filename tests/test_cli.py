@@ -58,11 +58,11 @@ def test_polys_commutator_trace(capsys):
     code, out, _ = run_cli(capsys, "polys", "--word", "[x,y]", "--json")
     assert code == 0
     data = json.loads(out)
-    trace = TPoly.from_json(data["trace"])
     xbar = LaurentPoly.lam(1) - LaurentPoly.lam(-1)
     ybar = LaurentPoly.mu(1) - LaurentPoly.mu(-1)
     t, one = TPoly.t(), TPoly.one()
-    assert trace == TPoly.const(xbar * xbar * ybar * ybar) * t * (t + one) + one * 2
+    trace = TPoly.const(xbar * xbar * ybar * ybar) * t * (t + one) + one * 2
+    assert data["trace"] == trace.to_json()
 
 
 def test_json_determinism(capsys):
@@ -387,6 +387,9 @@ def test_show_tables_resultant_output_is_pinned(dc, digest):
          "argument --g: expected four rationals a,b,c,d, not '1,a,0,1'"),
         (("oracle", "--word", "x", "--lambda", "2", "--mu", "3", "--g", "1,0,1"),
          "argument --g: expected four rationals a,b,c,d, not '1,0,1'"),
+        # one tuple over the cap, refused before any tuple is built
+        (("certify", "--grid", "1:1001,1:1000,1:1,1:1"),
+         "argument --grid: grid of 1001000 tuples exceeds the cap of 1000000"),
     ],
 )
 def test_non_integer_values_name_the_option(capsys, argv, message):

@@ -187,7 +187,7 @@ class TestPower:
     @given(words, st.integers(-6, 6))
     def test_words(self, w, n):
         base = w if n >= 0 else w.inverse()
-        assert w ** n == self.repeated(base, abs(n), Word.identity())
+        assert w ** n == self.repeated(base, abs(n), Word())
 
     @pytest.mark.parametrize("n", range(-5, 6))
     def test_det1_matrices(self, n):
@@ -564,6 +564,10 @@ def division_operands(draw):
 # (b, q): dividing q b + b - 1 by b, a 3n/2n step corrects its estimate twice
 TWO_CORRECTIONS = 1 << 9999 | (1 << 5000) - 1, 10**3000
 
+# dividing ALL_ONES^2 by ALL_ONES, three 3n/2n steps find a12 >> h equal to
+# the top half of the divisor, so that a12 // b1 would have h + 1 bits
+ALL_ONES = (1 << 20000) - 1
+
 
 class TestExactIntDiv:
     """tpoly._exact_int_div, the one division of the packed resultant, against
@@ -577,6 +581,7 @@ class TestExactIntDiv:
     @example(((1 << 30000) - 1, -1, True))
     @example((TWO_CORRECTIONS[1] * TWO_CORRECTIONS[0] + TWO_CORRECTIONS[0] - 1,
               TWO_CORRECTIONS[0], False))
+    @example((ALL_ONES * ALL_ONES, ALL_ONES, True))
     @settings(max_examples=80, deadline=None)
     def test_matches_floor_division(self, operands):
         a, b, exact = operands
@@ -587,6 +592,18 @@ class TestExactIntDiv:
                 tpoly._exact_int_div(a, b)
         # the recursive route, whichever route the cutoff picks
         assert tpoly._recursive_divmod(abs(a), abs(b)) == divmod(abs(a), abs(b))
+
+    def test_estimate_of_h_plus_one_bits(self, monkeypatch):
+        overflows = []
+        div3n2n = tpoly._div3n2n
+
+        def spy(a12, a3, b, h):
+            overflows.append(a12 >> h == b >> h)
+            return div3n2n(a12, a3, b, h)
+
+        monkeypatch.setattr(tpoly, "_div3n2n", spy)
+        assert tpoly._recursive_divmod(ALL_ONES * ALL_ONES, ALL_ONES) == (ALL_ONES, 0)
+        assert overflows.count(True) == 3
 
     def test_the_cutoff_picks_the_route(self, monkeypatch):
         calls = []
@@ -647,6 +664,11 @@ class TestPretty:
                 "-λ²·t^3 + (1 - μ⁻¹)·t^2 - 3λ",
             ),
             ([1, -1, 2 * LaurentPoly.lam() * LaurentPoly.mu(), 1], "t^3 + 2λμ·t^2 - t + 1"),
+            # a leading coefficient -1 is a sign, as polycore.pretty writes it
+            ([1, -1], "-t + 1"),
+            ([0, 0, -1], "-t^2"),
+            ([5, -1, 2], "2·t^2 - t + 5"),
+            ([-1], "-1"),
         ],
     )
     def test_tpoly(self, coeffs, text):

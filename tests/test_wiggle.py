@@ -31,11 +31,13 @@ from sl2wiggle.words import Word, cyclic_reduce, parse_word
 
 from fraction_reference import QPoly
 from conftest import (
+    nonzero_rationals,
     pairs_word,
     random_commutator_subgroup_word,
     random_nonzero_fraction,
     random_sl2,
     random_word,
+    words,
 )
 from transfer_reference import (
     _steps,
@@ -64,7 +66,7 @@ def ybar() -> LaurentPoly:
 
 class TestAssocPolys:
     def test_trivial_word(self):
-        ap = assoc_polys(Word.identity())
+        ap = assoc_polys(Word())
         assert ap.alpha == ONE and ap.beta == TPoly.zero()
 
     def test_xy(self):
@@ -117,7 +119,7 @@ class TestAssocPolys:
 
 class TestGammaAndTrace:
     def test_trivial(self):
-        ap = assoc_polys(Word.identity())
+        ap = assoc_polys(Word())
         assert gamma_of(ap) == ONE
         assert trace_poly(ap) == ONE * 2
 
@@ -139,13 +141,13 @@ class TestGammaAndTrace:
             assert not any(coeffs[:1]) and not div_t1(coeffs[1:])[1]
 
     def test_general_word_no_divisibility(self):
-        tr = trace_poly(assoc_polys(Word.x_pow(1)))
+        tr = trace_poly(assoc_polys(Word.from_exps((1,))))
         assert tr == TPoly.const(LaurentPoly.lam(1) + LaurentPoly.lam(-1))
 
 
 class TestEvaluation:
     def test_direct_trivial(self):
-        assert eval_direct(Word.identity(), 2, 3, mat2_q(1, 1, 0, 1)) == identity_q()
+        assert eval_direct(Word(), 2, 3, mat2_q(1, 1, 0, 1)) == identity_q()
 
     def test_identity_g(self):
         w = parse_word("x^2 y^-1")
@@ -171,6 +173,15 @@ class TestEvaluation:
             mu0 = random_nonzero_fraction(rng)
             g = random_sl2(rng)
             assert eval_normal_form(ap, lam0, mu0, g) == eval_direct(w, lam0, mu0, g)
+
+    @given(words, nonzero_rationals, nonzero_rationals)
+    @example(parse_word("[x,y]"), Fraction(2), Fraction(3))
+    @settings(max_examples=60, deadline=None)
+    def test_run_pairs_give_the_words_value(self, w, lam0, mu0):
+        g = mat2_q(2, 1, 1, 1)
+        assert eval_direct(w.pairs, lam0, mu0, g) == eval_direct(w, lam0, mu0, g)
+        x, y = mat2_q(1, 1, 0, 1), mat2_q(lam0, 0, 0, 1 / lam0)
+        assert word_value(w.pairs, x, y, identity_q()) == word_value(w, x, y, identity_q())
 
     def test_specialized_assoc_matches_symbolic(self, rng):
         # random words (DC or not), parameters of both signs, small and large
@@ -272,7 +283,7 @@ class TestIdentities:
         assert verify_identities(assoc_polys(parse_word("[x,y]"))).ok
 
     def test_trivial_passes(self):
-        report = verify_identities(assoc_polys(Word.identity()))
+        report = verify_identities(assoc_polys(Word()))
         assert report.ok and report.failures == ()
 
     def test_random_words_pass(self, rng):
@@ -346,7 +357,7 @@ class TestIdentities:
 
     @pytest.mark.parametrize(
         "word",
-        [Word.identity(), parse_word("x^5000 y x y^-3 x^7 y^2")],
+        [Word(), parse_word("x^5000 y x y^-3 x^7 y^2")],
         ids=["trivial", "one large exponent"],
     )
     def test_matches_reference_on_edge_words(self, word):
