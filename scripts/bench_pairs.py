@@ -14,7 +14,20 @@ Writes BENCH_<tag>.json at the root of the working tree: per pair the
 end-to-end metrics and failed counts of both sides, per workload and
 metric the medians, quartiles (statistics.quantiles, n=4, inclusive) and
 interquartile ranges of both sides, the change's wins and the change of
-the median, plus a note on the machine.  Standard library only.
+the median, plus a note on the machine.  Each metric also gets two
+verdicts (see summary):
+
+    gain        true when the change wins at least 9/10 of the pairs and
+                its median is better than the parent's by more than the
+                parent's interquartile range;
+    regression  "worse" when the change's median is worse than the
+                parent's by more than the metric's bound in BENCHMARK.json
+                (a fraction of the parent's median); else "unresolved"
+                when either side's interquartile range is wider than that
+                bound and not every change run reads better than every
+                parent run; else "within bound".
+
+Standard library only.
 
     python3 scripts/bench_pairs.py --tag exact_division --change "what changed"
 """
@@ -72,20 +85,35 @@ def quartiles(values: list[float]) -> dict:
             "iqr": round(q3 - q1, 4)}
 
 
-def summary(pairs: list[dict], metrics: dict[str, str]) -> dict:
+def summary(pairs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per metric, given as its BENCHMARK.json end_to_end entry (with
+    "better" and "bound") by name: both sides' quartiles, the change's
+    wins, the change of the median and the verdicts gain and regression
+    of the module docstring."""
     out = {}
-    for name, better in metrics.items():
+    for name, spec in metrics.items():
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
-        sign = 1 if better == "higher" else -1
+        sign = 1 if spec["better"] == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         before, after = statistics.median(parent), statistics.median(change)
+        q_parent, q_change = quartiles(parent), quartiles(change)
+        allowed = spec["bound"] * abs(before)
+        separated = min(sign * c for c in change) > max(sign * p for p in parent)
+        if sign * (after - before) < -allowed:
+            regression = "worse"
+        elif max(q_parent["iqr"], q_change["iqr"]) > allowed and not separated:
+            regression = "unresolved"
+        else:
+            regression = "within bound"
         out[name] = {
-            "better": better,
-            "parent": quartiles(parent),
-            "change": quartiles(change),
+            "better": spec["better"],
+            "parent": q_parent,
+            "change": q_change,
             "change_wins": f"{wins}/{len(pairs)}",
             "median_change": f"{(after / before - 1) * 100:+.1f}%",
+            "gain": wins >= 0.9 * len(pairs) and sign * (after - before) > q_parent["iqr"],
+            "regression": regression,
         }
     return out
 
@@ -119,7 +147,7 @@ def main() -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
     if args.claimed not in workloads:
         parser.error(f"--claimed must be one of {', '.join(workloads)}")

@@ -201,16 +201,16 @@ def _universal_tables() -> tuple[_ExpPairs, _ExpPairs, tuple[_Table, ...]]:
     return tuple(ab), tuple(cd), tuple(tables)
 
 
-def _substituted(table: _Table, lam: list[int], mu: list[int]) -> TPoly:
-    """A table of _universal_tables at a tuple whose exponents of lambda
-    and mu at the (a, b) and (c, d) pairs are lam and mu."""
+def _substituted(table: _Table, index: list[list[int]], exps: list[tuple[int, int]]) -> TPoly:
+    """A table of _universal_tables at a tuple: the term of the (a, b) pair
+    i and the (c, d) pair j goes to the exponent pair exps[index[i][j]]."""
     rows = []
     for row in table:
-        terms: dict[tuple[int, int], int] = {}
+        sums: dict[int, int] = {}
         for i, j, coeff in row:
-            e = (lam[i], mu[j])
-            terms[e] = terms.get(e, 0) + coeff
-        rows.append(_from_terms({e: c for e, c in terms.items() if c}))
+            k = index[i][j]
+            sums[k] = sums.get(k, 0) + coeff
+        rows.append(_from_terms({exps[k]: c for k, c in sums.items() if c}))
     return TPoly(rows)
 
 
@@ -219,7 +219,12 @@ def core_polys(params: DCParams) -> CorePolys:
 
     They and the assoc polys are universal tables (_universal_tables,
     whose docstring proves the substitution, built once per process) at
-    the tuple's lambda^k, lambda^m, mu^l and mu^n.
+    the tuple's lambda^k, lambda^m, mu^l and mu^n.  The exponents are
+    looked up once per tuple: each (a, b) pair's exponent of lambda and
+    each (c, d) pair's exponent of mu is numbered among the distinct ones,
+    which gives every pair of pairs the index of its (lambda, mu) exponent
+    pair.  _substituted sums a row's coefficients by that int index and
+    maps the indices to exponent pairs at the end.
 
     Raises TrivialWordError for trivial parameters.  Building the tables
     raises InexactDivisionError if any closed-form factor, t, t + 1 or P,
@@ -229,9 +234,14 @@ def core_polys(params: DCParams) -> CorePolys:
     if params.is_trivial():
         raise TrivialWordError(f"{params.as_list()} gives the trivial word")
     ab, cd, tables = _universal_tables()
-    lam = [a * params.k + b * params.m for a, b in ab]
-    mu = [c * params.l + d * params.n for c, d in cd]
-    tau, gamma_inner, alpha_core, alpha, beta = (_substituted(t, lam, mu) for t in tables)
+    # the exponents of lambda and of mu, each distinct one numbered
+    els: dict[int, int] = {}
+    ems: dict[int, int] = {}
+    mu_at = [ems.setdefault(c * params.l + d * params.n, len(ems)) for c, d in cd]
+    lam_at = [els.setdefault(a * params.k + b * params.m, len(els)) for a, b in ab]
+    index = [[i * len(ems) + j for j in mu_at] for i in lam_at]
+    exps = [(el, em) for el in els for em in ems]
+    tau, gamma_inner, alpha_core, alpha, beta = (_substituted(t, index, exps) for t in tables)
     return CorePolys(tau, gamma_inner, alpha_core, AssocPolys(alpha, beta, params.cyclic_pairs()))
 
 

@@ -229,12 +229,12 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     word = _resolve_word(args)
-    rng = random.Random(args.seed)
+    rng = random.Random(args.seed or 0)
     cases = []
     if args.g is not None:
         cases.append((args.lam0, args.mu0, args.g))
     else:
-        for _ in range(args.count):
+        for _ in range(20 if args.count is None else args.count):
             lam0 = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             mu0 = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             g = mat2_q(1, rng.randint(-5, 5), 0, 1) * mat2_q(
@@ -305,14 +305,15 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("certify", "witness", "oracle"):
             p.add_argument("--lambda", dest="lam0", type=_nonzero, help="rational p/q")
             p.add_argument("--mu", dest="mu0", type=_nonzero, help="rational p/q")
-            p.add_argument("--seed", type=int, default=0)
+            # oracle reads --seed only for random cases: None is 0 there
+            p.add_argument("--seed", type=int, default=None if name == "oracle" else 0)
         if name in ("certify", "witness"):
             p.add_argument("--max-attempts", type=_positive, default=5)
         if name == "witness":
             p.add_argument("--precision", type=_positive, default=64)
         if name == "oracle":
             p.add_argument("--g", type=_matrix, help="entries a,b,c,d of a det-1 matrix")
-            p.add_argument("--count", type=_positive, default=20)
+            p.add_argument("--count", type=_positive, help="random cases (default 20)")
         p.add_argument("--json", action="store_true")
     return parser
 
@@ -328,6 +329,9 @@ def _check_options(args: argparse.Namespace) -> None:
             raise ValueError("--lambda and --mu must not be 1 or -1 for " + args.command)
     if args.command == "oracle" and (lam0 is None) != (args.g is None):
         raise ValueError("oracle needs --lambda, --mu and --g together, or none of them")
+    if args.command == "oracle" and args.g is not None:
+        if args.count is not None or args.seed is not None:
+            raise ValueError("--count and --seed choose random cases; --g gives the one case")
 
 
 def main(argv: Optional[list[str]] = None) -> int:

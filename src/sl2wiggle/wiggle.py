@@ -12,9 +12,10 @@ matrices, one per x-run or y-run of the word, which is how everything
 here is computed: one loop, _column, applies that product, or its
 adjugate (the swapped runs in reverse order), to a column of TPolys
 over the Laurent ring or of integers.  verify_identities checks the
-normal form's three identities, each as one big-integer equation at a
-single point (t, lambda, mu) = (2^k_t, 2^k_lambda, 2^k_mu), and falls
-back to TPoly arithmetic when the packed box would be mostly empty.
+normal form's three identities, each as two big-integer equations, with
+(t, lambda, mu) sent to powers of one slot variable X taken at X = 2^b
+and at X = -2^b, and falls back to TPoly arithmetic when the packed box
+would be mostly empty.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import NotUnimodularError, ZeroParameterError
 from .exact.laurent import LaurentPoly
@@ -144,12 +145,12 @@ def _box(exps: Sequence[int]) -> tuple[int, int, int]:
     return total, g, 2 * total // g + 1
 
 
-def _shift_runs(pairs: Pairs, gl: int, kl: int, gm: int, km: int):
-    """The runs as shift counts at lambda^gl = 2^kl, mu^gm = 2^km, for
-    _column with scale = <<: a run scales by lambda^(|e| + e) or
-    lambda^(|e| - e), so the column comes out times lambda^A mu^B, in the
-    boxes of _box."""
-    return _runs(pairs, lambda e: (2 * e // gl * kl, 0), lambda e: (2 * e // gm * km, 0))
+def _shift_runs(pairs: Pairs, gl: int, nm: int, gm: int, power):
+    """The runs at lambda^gl = X^nm, mu^gm = X, each scalar X^j as the
+    shift count power(j) of _signed_shift: a run scales by
+    lambda^(|e| + e) or lambda^(|e| - e), so the column comes out times
+    lambda^A mu^B, in the boxes of _box."""
+    return _runs(pairs, lambda e: (power(2 * e // gl * nm), 0), lambda e: (power(2 * e // gm), 0))
 
 
 def _column_norms(pairs: Pairs) -> tuple[int, int]:
@@ -311,25 +312,43 @@ def verify_identities(ap: AssocPolys) -> IdentityReport:
     (delta*alpha - c*beta, alpha_M*beta - beta_M*alpha) with (alpha_M,
     beta_M) and (c, delta) the columns of M.  Its first entry less det M
     is the Bezout difference, and det M, the product of all UV, is one:
-    TPoly.one() over the Laurent ring, a power of two when packed.  Only
+    TPoly.one() over the Laurent ring, a power of X when packed.  Only
     the first entry is compared, so the check is the same equation as
     alpha*delta = 1 + c*beta on every input, the slot bound below holds
     unchanged, and a tampered input gets the same verdict.
 
-    Each identity is one big-integer equation at a single point.  Per
-    variable, say lambda, let A = sum|a| over the x-runs and g = gcd(2a)
-    (_box).  A column exponent is -A plus a sum of some 2|a| (each run
-    scales by lambda^a or lambda^-a), so alpha, beta, their sigma-partners
-    and the columns, times lambda^A, have exponents in g*Z within [0, 2A],
-    and their products, times lambda^2A, within [0, 4A].  The map
-    lambda^g -> 2^k_lambda, mu^g' -> 2^k_mu, t -> 2^k_t with k_mu = 8s,
-    k_lambda = k_mu*(4B/g' + 1) and k_t = k_lambda*(4A/g + 1) is a ring
-    homomorphism that puts every monomial of a product in its own s-byte
-    slot.  So an identity holds iff its difference D evaluates to 0, once
-    every coefficient of D is below 2^(8s-1) in absolute value: if D != 0
-    and d is its first nonzero coefficient in slot order, D evaluates to
-    2^(8sj)*(d + 2^(8s)*m) for an integer m, and 0 < |d| < 2^(8s) makes
-    that nonzero.
+    Each identity is two big-integer equations, at X = 2^b and at
+    X = -2^b.  Per variable, say lambda, let A = sum|a| over the x-runs
+    and g = gcd(2a) (_box).  A column exponent is -A plus a sum of some
+    2|a| (each run scales by lambda^a or lambda^-a), so alpha, beta, their
+    sigma-partners and the columns, times lambda^A, have exponents in g*Z
+    within [0, 2A], and their products, times lambda^2A, within [0, 4A].
+    The map mu^g' -> X, lambda^g -> X^n_mu, t -> X^(n_lambda n_mu) with
+    n_mu = 4B/g' + 1 and n_lambda = 4A/g + 1 is a ring homomorphism into
+    Z[X] that puts every monomial of a product at its own power of X, its
+    slot.  Write the image of an identity's difference as
+    D = E(X^2) + X O(X^2).  Then
+
+        E(4^b) = (D(2^b) + D(-2^b)) / 2,
+        O(4^b) = (D(2^b) - D(-2^b)) / 2^(b+1).
+
+    s = _slot_bytes bounds every coefficient of D, so of E and of O, in
+    absolute value by 2^(8s-1) (below), and b = 8h with h = ceil(s/2), so
+    2b >= 8s.  A nonzero P with such coefficients has P(2^2b) != 0: with
+    p its first nonzero coefficient, P(2^2b) = 2^(2bj) (p + 2^(2b) m) for
+    an integer m, and 0 < |p| < 2^(2b).  So E(4^b) = 0 iff E = 0, likewise
+    for O, and D = 0 iff D(2^b) = D(-2^b) = 0 (_at_both_points).  The
+    operands fit h-byte slots: s's bound is at least m^2 for the m below,
+    which bounds their coefficients, so m < 2^(4s) <= 2^(8h).
+
+    alpha and beta are each walked once into two byte arrays of h-byte
+    slots, one of the positive coefficients and one of the negated
+    negative ones.  sigma sends lambda^(A+e) to lambda^(A-e), so a
+    sigma-partner has the same slots in reverse order inside each power
+    of t: slot j goes to slot top - j, for the slot top of lambda^2A mu^2B.
+    At -2^b the odd slots change sign: they swap between the two arrays.
+    The columns run on integers with _signed_shift, every run scalar and
+    t being a power X^j: a shift by bj, negated at -2^b when j is odd.
 
     The bounds use the l1 norm |f|_1 and the largest coefficient |f|_max
     over all (t, lambda, mu) coefficients; a product fg has coefficients at
@@ -397,22 +416,25 @@ def _slot_bytes(alpha: Sequence[int], beta: Sequence[int], pairs: Pairs) -> int:
     return (bound.bit_length() + 8) // 8
 
 
-def _pack_slots(offsets: Iterable[int], coeffs: Iterable[int], s: int, nbytes: int) -> int:
-    """The integer of nbytes little-endian bytes whose s-byte slot at each
-    byte offset holds the matching nonzero integer coefficient, |c| < 256^s:
-    positive and negative coefficients go to two bytearrays, subtracted."""
-    pos = bytearray(nbytes)
-    neg = bytearray(nbytes)
-    for k, c in zip(offsets, coeffs):
-        if c > 0:
-            pos[k : k + s] = c.to_bytes(s, "little")
-        else:
-            neg[k : k + s] = (-c).to_bytes(s, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+def _signed_shift(f: int, k: int) -> int:
+    """f times 2^k for k >= 0, and times -2^-k for k < 0."""
+    return f << k if k >= 0 else -(f << -k)
+
+
+def _at_both_points(report_at) -> IdentityReport:
+    """The identities at X = 2^b and at X = -2^b together, report_at(sign)
+    giving the report at sign 2^b: an identity holds iff its difference
+    vanishes at both points (the proof is in verify_identities)."""
+    plus, minus = report_at(1), report_at(-1)
+    return IdentityReport(
+        det_identity_ok=plus.det_identity_ok and minus.det_identity_ok,
+        sigma_symmetry_ok=plus.sigma_symmetry_ok and minus.sigma_symmetry_ok,
+        bezout_ok=plus.bezout_ok and minus.bezout_ok,
+    )
 
 
 def _packed_identities(ap: AssocPolys) -> IdentityReport | None:
-    """verify_identities at the point of packed integers; None if it declines."""
+    """verify_identities at X = 2^b and X = -2^b; None if it declines."""
     a, b = ap.alpha.terms(), ap.beta.terms()
     x_exps = [e for e, _ in ap.pairs if e]
     (al, gl, nl), (am, gm, nm) = _box(x_exps), _box([e for _, e in ap.pairs if e])
@@ -425,21 +447,49 @@ def _packed_identities(ap: AssocPolys) -> IdentityReport | None:
     degree = max(len(ap.alpha.coeffs) - 1, len(ap.beta.coeffs), len(x_exps))
     if (2 * degree + 1) * nl * nm > len(a) * len(b):
         return None
-    s = _slot_bytes(list(a.values()), list(b.values()), ap.pairs)
-    bm, bl = s, s * nm  # byte strides of mu and lambda
-    bt = bl * nl
-    km, kl, kt = 8 * bm, 8 * bl, 8 * bt
+    h = (_slot_bytes(list(a.values()), list(b.values()), ap.pairs) + 1) // 2
+    nt = nl * nm  # the slots of one power of t
+    top = 2 * al // gl * nm + 2 * am // gm  # the slot of lambda^2A mu^2B
+    row, width = nt * h, (top + 1) * h
 
-    def pack(f: TPoly, terms: dict, sign: int) -> int:
-        """f, or sigma(f) for sign -1, times lambda^A mu^B, at the point."""
-        offsets = [
-            i * bt + (al + sign * el) // gl * bl + (am + sign * em) // gm * bm
-            for i, el, em in terms
-        ]
-        return _pack_slots(offsets, terms.values(), s, len(f.coeffs) * bt)
+    def at_points(f: TPoly, terms: dict) -> tuple[tuple[int, int], tuple[int, int]]:
+        """f and sigma(f), times lambda^A mu^B, each at X = 2^b and -2^b."""
+        pos, neg = bytearray(len(f.coeffs) * row), bytearray(len(f.coeffs) * row)
+        for (i, el, em), c in terms.items():
+            k = (i * nt + (al + el) // gl * nm + (am + em) // gm) * h
+            if c > 0:
+                pos[k : k + h] = c.to_bytes(h, "little")
+            else:
+                neg[k : k + h] = (-c).to_bytes(h, "little")
+        return values(pos, neg), values(reflected(pos), reflected(neg))
 
-    one = 1 << (2 * al // gl * kl + 2 * am // gm * km)
-    return _identities(
-        pack(ap.alpha, a, 1), pack(ap.beta, b, 1), pack(ap.alpha, a, -1), pack(ap.beta, b, -1),
-        _shift_runs(ap.pairs, gl, kl, gm, km), 0, 1, one, operator.lshift, lambda f: f << kt,
-    )
+    def reflected(slots: bytearray) -> bytearray:
+        """sigma: slot j of each t-row moved to slot top - j."""
+        out = bytearray(len(slots))
+        for start in range(0, len(slots), row):
+            for k in range(start, start + h):
+                out[k : start + width : h] = slots[k : start + width : h][::-1]
+        return out
+
+    def values(pos: bytearray, neg: bytearray) -> tuple[int, int]:
+        """The slots' integer at X = 2^b, and at X = -2^b, where the odd
+        slots change sign: they swap between pos and neg."""
+        plus = int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+        pos, neg = bytearray(pos), bytearray(neg)
+        for k in range(h, 2 * h):
+            pos[k :: 2 * h], neg[k :: 2 * h] = neg[k :: 2 * h], pos[k :: 2 * h]
+        return plus, int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    alpha, alpha_s = at_points(ap.alpha, a)
+    beta, beta_s = at_points(ap.beta, b)
+
+    def report_at(sign: int) -> IdentityReport:
+        i = sign < 0
+        power = lambda j: -8 * h * j if i and j & 1 else 8 * h * j
+        kt = power(nt)
+        return _identities(
+            alpha[i], beta[i], alpha_s[i], beta_s[i], _shift_runs(ap.pairs, gl, nm, gm, power),
+            0, 1, _signed_shift(1, power(top)), _signed_shift, lambda f: _signed_shift(f, kt),
+        )
+
+    return _at_both_points(report_at)

@@ -389,12 +389,25 @@ class TestCertify:
             ({"lambda": "1"}, "degenerate specialization"),
             ({"lambda": "-1"}, "degenerate specialization"),
             ({"mu": "1"}, "degenerate specialization"),
+            # a constant h has no root to certify
+            ({"h": ["1"]}, "missing h or specialization"),
+            ({"h": ["2"]}, "missing h or specialization"),
+            ({"h": ["-1"]}, "missing h or specialization"),
         ],
     )
     def test_checker_rejects_malformed_parameters(self, change, reason):
         data = {**certify(DCParams(1, 1, 2, 3), seed=7).to_json(), **change}
         cert = Certificate.from_json({k: v for k, v in data.items() if v is not None})
         assert check_certificate(cert) == CheckOutcome(valid=False, reason=reason)
+
+    @pytest.mark.parametrize("c", [2, 3, 7, -1, -6])
+    def test_checker_accepts_a_multiple_of_h(self, c):
+        # c*h has the roots of h: the checker divides out the content, so
+        # a change to this contract has to change this test on purpose
+        cert = certify(DCParams(1, 1, 2, 3), seed=7)
+        scaled = dataclasses.replace(cert, hpoly=tuple(c * x for x in cert.hpoly))
+        assert check_certificate(scaled) == check_certificate(cert)
+        assert check_certificate(scaled).valid
 
     def test_checker_rejects_wrong_status(self):
         cert = certify(DCParams(1, 1, 1, 1))

@@ -116,6 +116,11 @@ def test_oracle_agreement(capsys):
     assert data == {"cases": 15, "mismatches": 0}
 
 
+def test_oracle_defaults_to_20_random_cases(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--word", "x y^-2", "--json")
+    assert (code, json.loads(out)) == (0, {"cases": 20, "mismatches": 0})
+
+
 def test_oracle_explicit_inputs(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -256,6 +261,11 @@ def test_word_and_dc_mutually_exclusive(capsys):
         ("witness", "--dc", "1,1,2,3", "--grid", "1:1,1:1,1:1,1:2"),
         ("oracle", "--word", "[x,y]", "--precision", "64"),
         ("oracle", "--word", "[x,y]", "--max-attempts", "5"),
+        # --count and --seed choose random cases, which --g replaces
+        ("oracle", "--word", "[x,y]", "--lambda", "2", "--mu", "3", "--g", "1,1,0,1",
+         "--count", "2"),
+        ("oracle", "--word", "[x,y]", "--lambda", "2", "--mu", "3", "--g", "1,1,0,1",
+         "--seed", "7"),
     ],
 )
 def test_input_errors_exit_3(capsys, argv):

@@ -10,8 +10,10 @@ from sl2wiggle.exact.polycore import div_t1, unpack
 from sl2wiggle.exact.tpoly import TPoly
 from sl2wiggle.wiggle import (
     AssocPolys,
+    IdentityReport,
     SpecializedAssoc,
     _column,
+    _at_both_points,
     _laurent_runs,
     _packed_identities,
     _slot_bytes,
@@ -242,6 +244,13 @@ TAMPERS = {
 }
 
 
+# one box-2 tuple of each family
+FAMILIES = {
+    "generic": (-1, -2, -2, 2), "k=m": (2, 1, 2, -1), "l=n": (1, 2, -2, 2), "anti": (1, 2, -1, -2),
+}
+IDENTITY_FIELDS = ("det_identity_ok", "sigma_symmetry_ok", "bezout_ok")
+
+
 def tampered(tamper) -> AssocPolys:
     ap = assoc_polys(parse_word("[[x,y],[x^2,y]]"))
     alpha, beta, pairs = ap.alpha, ap.beta, ap.pairs
@@ -339,16 +348,41 @@ class TestIdentities:
         largest = max((abs(c) for d in identity_differences(ap) for c in coeffs(d)), default=0)
         assert largest < 2 ** (8 * s - 1)
 
+    @pytest.mark.parametrize("case", [None, *TAMPERS, *FAMILIES])
+    def test_operands_fit_half_slots(self, case):
+        # the two-point check packs alpha and beta into slots of
+        # h = ceil(s/2) bytes
+        if case in FAMILIES:
+            ap = assoc_polys(DCParams(*FAMILIES[case]).cyclic_pairs())
+        else:
+            ap = tampered(case)
+        coeffs = lambda f: [c for lp in f.coeffs for c in lp.terms().values()]
+        h = (_slot_bytes(coeffs(ap.alpha), coeffs(ap.beta), ap.pairs) + 1) // 2
+        largest = max(abs(c) for c in coeffs(ap.alpha) + coeffs(ap.beta))
+        assert largest < 2 ** (8 * h)
+
+    @pytest.mark.parametrize("b", [8, 16, 40])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["2^b - X", "2^b + X"])
+    @pytest.mark.parametrize("field", ["det_identity_ok", "sigma_symmetry_ok", "bezout_ok"])
+    def test_an_identity_holds_only_at_both_points(self, b, sign, field):
+        # D = 2^b - sign X vanishes at X = sign 2^b and not at -sign 2^b,
+        # so a check that drops either point would pass it
+        def report_at(point):
+            holds = 2**b - sign * point * 2**b == 0
+            return IdentityReport(**{f: f != field or holds for f in IDENTITY_FIELDS})
+
+        assert report_at(sign) == IdentityReport(True, True, True)
+        assert _at_both_points(report_at) == IdentityReport(
+            **{f: f != field for f in IDENTITY_FIELDS}
+        )
+        assert _at_both_points(lambda point: IdentityReport(True, True, True)).ok
+
     def test_matches_reference_on_random_words(self, rng):
         for _ in range(30):
             ap = assoc_polys(random_word(rng, max_syllables=8))
             assert verify_identities(ap) == reference_identities(ap)
 
-    @pytest.mark.parametrize(
-        "params",
-        [(-1, -2, -2, 2), (2, 1, 2, -1), (1, 2, -2, 2), (1, 2, -1, -2)],
-        ids=["generic", "k=m", "l=n", "anti"],
-    )
+    @pytest.mark.parametrize("params", FAMILIES.values(), ids=FAMILIES)
     def test_matches_reference_on_each_family(self, params):
         ap = assoc_polys(DCParams(*params).cyclic_pairs())
         assert _packed_identities(ap) is not None
@@ -383,8 +417,6 @@ class TestIdentities:
         assert verify_identities(ap).ok
 
     def test_report_names_failures(self):
-        from sl2wiggle.wiggle import IdentityReport
-
         report = IdentityReport(False, True, False)
         assert not report.ok
         assert len(report.failures) == 2

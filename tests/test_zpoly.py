@@ -80,6 +80,14 @@ def with_roots_at_0_and_minus_1(draw):
     return zmul([0] * i + [1], *[[1, 1]] * j, *[g] * e, h)
 
 
+@pytest.mark.parametrize(
+    "f, expected", [([2, 4, 6], [1, 2, 3]), ([-2, 4], [-1, 2]), ([3, 5], [3, 5]), ([], [])]
+)
+def test_primitive_part(f, expected):
+    # the content is positive, so the sign of f is kept
+    assert zprimitive(f) == expected
+
+
 class TestExactDiv:
     @given(zpolys, nonzero_zpolys)
     @settings(max_examples=200, deadline=None)
