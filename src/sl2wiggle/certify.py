@@ -345,23 +345,37 @@ def _check_record(h: list[int], trace_minus_2, gamma_minus_1) -> CheckRecord:
 
 
 def _stripped_squarefree(f: list[int]) -> tuple[list[int], int, int]:
-    """The squarefree part of f != 0 with every factor t and t + 1 divided
-    out, and the orders of f at 0 and -1."""
+    """The primitive squarefree part of f != 0 with every factor t and
+    t + 1 divided out, and the orders of f at 0 and -1.
+
+    The content goes first, so the t + 1 divisions and the gcd run on the
+    primitive part; t + 1 and gcd(f, f') are primitive, so each quotient
+    stays primitive (Gauss's lemma), and gcd(f, f') = 1 needs no division."""
     at_0 = next(i for i, c in enumerate(f) if c)
-    f, at_m1 = f[at_0:], 0
+    f, at_m1 = zprimitive(f[at_0:]), 0
     while True:
         q, r = div_t1(f)
         if r:
             break
         f, at_m1 = q, at_m1 + 1
-    return zexact_div(f, zgcd(f, zderivative(f))), at_0, at_m1
+    d = zgcd(f, zderivative(f))
+    return (f if d == [1] else zexact_div(f, d)), at_0, at_m1
 
 
 def _attempt(params: DCParams, runs: Pairs, lam0: Fraction, mu0: Fraction):
     """One specialization attempt on the runs of params' cyclic word;
     returns (h, checks) or None to resample.
 
-    Works in Z[t] on D (trace - 2) and D (gamma - 1) throughout."""
+    Works in Z[t] on T = D (trace - 2) and G = D (gamma - 1) throughout,
+    on primitive parts: s, the primitive squarefree part of T without the
+    roots 0 and -1, and prim(G).  A constant factor changes neither
+    divisibility by a primitive polynomial nor coprimality.
+
+    The draw is rejected, by one exact division, when s divides G: every
+    root of s is simple, so s | G exactly when every root of s is a root of
+    gamma - 1, and then gcd(s, G) = s leaves h constant.  Otherwise h is
+    s / gcd(s, G), primitive as a quotient of primitive polynomials
+    (Gauss's lemma), and s itself when the gcd is 1."""
     sa = specialized_assoc(runs, lam0, mu0)
     trace_minus_2, gamma_minus_1 = _minus_2_and_1(sa)
     if not trace_minus_2:
@@ -373,12 +387,14 @@ def _attempt(params: DCParams, runs: Pairs, lam0: Fraction, mu0: Fraction):
             "trace - 2 vanishes to order >= 3 at 0 or -1 for %s at (%s, %s); stripping",
             params.as_list(), lam0, mu0,
         )
-    h = zprimitive(zexact_div(s, zgcd(s, gamma_minus_1)))
-    if len(h) < 2:
+    g = zprimitive(gamma_minus_1)
+    if zexact_div(g, s) is not None:
         return None
+    common = zgcd(s, g)
+    h = s if common == [1] else zexact_div(s, common)
     if h[-1] < 0:
         h = [-c for c in h]
-    checks = _check_record(h, trace_minus_2, gamma_minus_1)
+    checks = _check_record(h, trace_minus_2, g)
     if not checks.all_ok:
         raise AssertionError(
             f"pipeline produced an unsound h for {params.as_list()} at"

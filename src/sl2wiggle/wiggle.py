@@ -79,16 +79,24 @@ def as_pairs(w: WordLike) -> Pairs:
     return tuple((int(a), int(b)) for a, b in w)
 
 
-def _runs(pairs: Pairs, x_pow, y_pow) -> list[tuple[bool, object, object]]:
+def _runs(pairs: Pairs, x_pow, y_pow) -> tuple[list[tuple[bool, object, object]], dict]:
     """The steps (is_x, U, V) of a run list, one per nonzero exponent e:
-    (U, V) = x_pow(e) resp. y_pow(e) for e > 0, and (V, U) of -e for e < 0."""
-    runs = []
+    (U, V) = x_pow(e) resp. y_pow(e) for e > 0, and (V, U) of -e for e < 0.
+
+    Each power is taken once per variable and |e|; the second value maps
+    (is_x, |e|) to [(U, V), the number of runs with that exponent]."""
+    runs, powers = [], {}
     for a, b in pairs:
         for is_x, e, pow_uv in ((True, a, x_pow), (False, b, y_pow)):
             if e:
-                u, v = pow_uv(abs(e))
+                n = abs(e)
+                entry = powers.get((is_x, n))
+                if entry is None:
+                    entry = powers[is_x, n] = [pow_uv(n), 0]
+                entry[1] += 1
+                u, v = entry[0]
                 runs.append((is_x, u, v) if e > 0 else (is_x, v, u))
-    return runs
+    return runs, powers
 
 
 def _swapped(runs):
@@ -150,7 +158,8 @@ def _shift_runs(pairs: Pairs, gl: int, nm: int, gm: int, power):
     shift count power(j) of _signed_shift: a run scales by
     lambda^(|e| + e) or lambda^(|e| - e), so the column comes out times
     lambda^A mu^B, in the boxes of _box."""
-    return _runs(pairs, lambda e: (power(2 * e // gl * nm), 0), lambda e: (power(2 * e // gm), 0))
+    x_pow, y_pow = lambda e: (power(2 * e // gl * nm), 0), lambda e: (power(2 * e // gm), 0)
+    return _runs(pairs, x_pow, y_pow)[0]
 
 
 def _column_norms(pairs: Pairs) -> tuple[int, int]:
@@ -168,7 +177,7 @@ def _column_norms(pairs: Pairs) -> tuple[int, int]:
 
 def _laurent_runs(pairs: Pairs) -> list[tuple[bool, LaurentPoly, LaurentPoly]]:
     lam, mu = LaurentPoly.lam, LaurentPoly.mu
-    return _runs(pairs, lambda e: (lam(e), lam(-e)), lambda e: (mu(e), mu(-e)))
+    return _runs(pairs, lambda e: (lam(e), lam(-e)), lambda e: (mu(e), mu(-e)))[0]
 
 
 def assoc_polys(w: WordLike) -> AssocPolys:
@@ -271,22 +280,25 @@ def specialized_assoc(w: WordLike, lam0, mu0) -> SpecializedAssoc:
     inverting the parameters (U and V swapped, same D) gives the sigma-partners.
     Each entry is one integer, its polynomial at t = 2^K: a run multiplies the
     column's l1 norm by at most 2 max(U, V), gamma adds a bit, and a sign
-    bit makes every coefficient fit a balanced K-bit slot.
+    bit makes every coefficient fit a balanced K-bit slot.  K and the
+    exponent sums of D come from the runs' distinct powers, each taken once.
     """
     lam0, mu0 = Fraction(lam0), Fraction(mu0)
     _check_specialization(lam0, mu0)
-    pairs = as_pairs(w)
     p, q = lam0.numerator, lam0.denominator
     r, s = mu0.numerator, mu0.denominator
-    runs = _runs(
-        pairs, lambda e: (p ** (2 * e), q ** (2 * e)), lambda e: (r ** (2 * e), s ** (2 * e))
+    runs, powers = _runs(
+        as_pairs(w), lambda e: (p ** (2 * e), q ** (2 * e)), lambda e: (r ** (2 * e), s ** (2 * e))
     )
-    k = 2 + sum(max(u, v).bit_length() + 1 for _, u, v in runs)
+    k, sums = 2, [0, 0]
+    for (is_x, e), ((u, v), count) in powers.items():
+        k += count * (max(u, v).bit_length() + 1)
+        sums[is_x] += count * e
     column = lambda steps: _column(steps, operator.mul, lambda f: f << k, 1, 0)
     alpha, beta = column(runs)
     alpha_s, beta_s = column(_swapped(runs))
     gamma, gamma_s = alpha + (beta << k), alpha_s + (beta_s << k)
-    den = (p * q) ** sum(abs(a) for a, _ in pairs) * (r * s) ** sum(abs(b) for _, b in pairs)
+    den = (p * q) ** sums[True] * (r * s) ** sums[False]
     return SpecializedAssoc(den, *(unpack(f, k) for f in (beta, beta_s, gamma, gamma_s)))
 
 
@@ -438,11 +450,12 @@ def _packed_identities(ap: AssocPolys) -> IdentityReport | None:
     a, b = ap.alpha.terms(), ap.beta.terms()
     x_exps = [e for e, _ in ap.pairs if e]
     (al, gl, nl), (am, gm, nm) = _box(x_exps), _box([e for _, e in ap.pairs if e])
-    if any(
-        abs(el) > al or abs(em) > am or (al + el) % gl or (am + em) % gm
-        for f in (a, b) for _, el, em in f
-    ):
-        return None
+    # a term lies outside its box iff its lambda- or its mu-exponent does
+    for i, total, stride in ((1, al, gl), (2, am, gm)):
+        exps = set(map(operator.itemgetter(i), a))
+        exps.update(map(operator.itemgetter(i), b))
+        if any(abs(e) > total or (total + e) % stride for e in exps):
+            return None
     nl, nm = 2 * nl - 1, 2 * nm - 1  # the boxes of products
     degree = max(len(ap.alpha.coeffs) - 1, len(ap.beta.coeffs), len(x_exps))
     if (2 * degree + 1) * nl * nm > len(a) * len(b):

@@ -42,6 +42,13 @@ from dc_reference import (
 from transfer_reference import transfer_matrix
 
 SWEEP_BOX3_SHA256 = "8e2e725233d1364d32bad6fbbae32ab2a639b5e5f226cbb0f513a041a6298a09"
+SWEEP_BOX4_SHA256 = "186d12a5209bac2c64d9b0056b10cf9b5fe196b5456b415fa8f836e4765192a6"
+
+
+def _sweep_sha256(certs) -> str:
+    """The sha256 of the bytes `scripts/run_sweep.py` writes for certs."""
+    text = json.dumps([c.to_json() for c in certs], indent=2, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _report(n: int, text: str):
@@ -135,13 +142,13 @@ def test_criterion_6_certification_sweep():
                 assert cert.attempts <= 5
         assert check_certificate(cert).valid, cert.params
     swapped = sum(1 for c in certs if c.status is CertStatus.SWAPPED_CERTIFIED)
-    # the bytes `scripts/run_sweep.py --max-abs 3 --seed 0` writes
-    text = json.dumps([c.to_json() for c in certs], indent=2, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_BOX3_SHA256
+    assert _sweep_sha256(certs) == SWEEP_BOX3_SHA256  # run_sweep.py --max-abs 3 --seed 0
+    # the 4096 tuples of run_sweep.py --max-abs 4 --seed 0, byte for byte
+    assert _sweep_sha256(sweep_box(max_abs=4, seed=0, max_attempts=5)) == SWEEP_BOX4_SHA256
     _report(
         6,
         f"all 1260 nontrivial tuples certified ({swapped} via swap);"
-        " every certificate re-verified independently; sweep digest unchanged",
+        " every certificate re-verified independently; box-3 and box-4 sweep digests unchanged",
     )
 
 

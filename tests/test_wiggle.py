@@ -407,14 +407,25 @@ class TestIdentities:
         [
             ((200, 1, 2, 1), False), ((1, 200, 1, 3), False), ((1000, 1, 2, 1), False),
             ((7, -5, 3, 6), True), ((3, -2, -3, 3), True), ((5, 4, -3, 2), True),
+            # a term lambda^i mu^j added to beta of [[x,y],[x^2,y]], whose box
+            # is |i| <= 10, |j| <= 8 on even i and j: beyond it on the
+            # stride, or inside it off the stride
+            ((40, 0), False), ((0, 40), False), ((1, 0), False), ((0, -1), False),
         ],
     )
     def test_decline_rule(self, params, packed):
         # a box with more slots than #alpha #beta term pairs takes the TPoly
-        # path: one large exponent among small ones leaves most slots empty
-        ap = assoc_polys(DCParams(*params).cyclic_pairs())
+        # path: one large exponent among small ones leaves most slots empty;
+        # so does a term outside the box
+        if len(params) == 2:
+            ap = tampered(None)
+            term = TPoly.const(LaurentPoly.lam(params[0]) * LaurentPoly.mu(params[1]))
+            ap = AssocPolys(ap.alpha, ap.beta + term, ap.pairs)
+            assert verify_identities(ap) == reference_identities(ap)
+        else:
+            ap = assoc_polys(DCParams(*params).cyclic_pairs())
+            assert verify_identities(ap).ok
         assert (_packed_identities(ap) is not None) == packed
-        assert verify_identities(ap).ok
 
     def test_report_names_failures(self):
         report = IdentityReport(False, True, False)

@@ -3,6 +3,8 @@ rational-arithmetic oracles in fraction_reference, and against sympy."""
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import gcd as int_gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,7 @@ from sl2wiggle.certify import (
     DCParams,
     _attempt,
     _check_record,
+    _draw_parameter,
     _stripped_squarefree,
 )
 from sl2wiggle.exact import qpoly
@@ -218,6 +221,7 @@ class TestSquarefree:
     def test_stripping_the_roots_at_0_and_minus_1(self, f):
         s, at_0, at_m1 = _stripped_squarefree(f)
         assert monic(s) == squarefree_without(QPoly(f), [0, -1])
+        assert int_gcd(*s) == 1  # primitive
         assert at_0 == order_at(QPoly(f), Fraction(0))
         assert at_m1 == order_at(QPoly(f), Fraction(-1))
 
@@ -237,12 +241,17 @@ def test_each_check_is_decided_on_its_own():
         assert _check_record(h, trace_minus_2, gamma_minus_1) == CheckRecord(True, False, True)
 
 
+def fraction_polys(params: DCParams, lam0: Fraction, mu0: Fraction) -> tuple[QPoly, QPoly]:
+    """The specialized trace - 2 and gamma - 1, in Fractions."""
+    sa = specialized_assoc(params.cyclic_pairs(), lam0, mu0)
+    trace_minus_2 = QPoly.from_ints(add(sa.gamma_num, sa.gamma_sigma_num), sa.den) - 2
+    return trace_minus_2, QPoly.from_ints(sa.gamma_num, sa.den) - 1
+
+
 def fraction_pipeline(params: DCParams, lam0: Fraction, mu0: Fraction):
     """The certificate h the search took before the integer pipeline: in
     Fractions, from the specialized trace - 2 and gamma - 1."""
-    sa = specialized_assoc(params.cyclic_pairs(), lam0, mu0)
-    trace_minus_2 = QPoly.from_ints(add(sa.gamma_num, sa.gamma_sigma_num), sa.den) - 2
-    gamma_minus_1 = QPoly.from_ints(sa.gamma_num, sa.den) - 1
+    trace_minus_2, gamma_minus_1 = fraction_polys(params, lam0, mu0)
     if not trace_minus_2:
         return None
     s = squarefree_without(trace_minus_2, [0, -1])
@@ -252,15 +261,41 @@ def fraction_pipeline(params: DCParams, lam0: Fraction, mu0: Fraction):
     return tuple(h.primitive_ints()) if h.degree >= 1 else None
 
 
+def shares_every_root(params: DCParams, lam0: Fraction, mu0: Fraction) -> bool:
+    """Whether trace - 2 != 0 and every root of it outside {0, -1} is a root
+    of gamma - 1, in Fractions: the draws the search rejects."""
+    trace_minus_2, gamma_minus_1 = fraction_polys(params, lam0, mu0)
+    if not trace_minus_2:
+        return False
+    s = squarefree_without(trace_minus_2, [0, -1])
+    return not div_rem(list(gamma_minus_1.coeffs), list(s.coeffs))[1]
+
+
 def test_attempt_matches_the_fraction_pipeline():
     rng = random.Random(61)
-    values = [v for v in range(-3, 4) if v]
     certified = 0
-    for _ in range(60):
-        params = DCParams(*(rng.choice(values) for _ in range(4)))
-        lam0, mu0 = (Fraction(rng.randint(-30, 30) or 1, rng.randint(1, 30)) for _ in "lm")
-        result = _attempt(params, params.cyclic_pairs(), lam0, mu0)
-        expected = fraction_pipeline(params, lam0, mu0)
-        assert (result and result[0]) == expected, (params, lam0, mu0)
-        certified += result is not None
-    assert certified >= 40
+    for bound, count in ((3, 60), (6, 20)):
+        values = [v for v in range(-bound, bound + 1) if v]
+        for _ in range(count):
+            params = DCParams(*(rng.choice(values) for _ in range(4)))
+            lam0, mu0 = (Fraction(rng.randint(-30, 30) or 1, rng.randint(1, 30)) for _ in "lm")
+            result = _attempt(params, params.cyclic_pairs(), lam0, mu0)
+            expected = fraction_pipeline(params, lam0, mu0)
+            assert (result and result[0]) == expected, (params, lam0, mu0)
+            certified += result is not None
+    assert certified >= 55
+    # the swap family l = n, at certify's five first-phase draws: every
+    # root of trace - 2 outside {0, -1} is a root of gamma - 1, and the
+    # search rejects the draw
+    values = [v for v in range(-6, 7) if v]
+    swap_family = [DCParams(k, l, m, l) for k, l, m in product(values, repeat=3) if k != m]
+    for seed, params in enumerate(rng.sample(swap_family, 12)):
+        draws, rejected = random.Random(seed), 0
+        for _ in range(5):
+            lam0, mu0 = _draw_parameter(draws), _draw_parameter(draws)
+            result = _attempt(params, params.cyclic_pairs(), lam0, mu0)
+            assert (result and result[0]) == fraction_pipeline(params, lam0, mu0)
+            if shares_every_root(params, lam0, mu0):
+                assert result is None
+                rejected += 1
+        assert rejected >= 1, params
